@@ -63,26 +63,13 @@ fn bench_hw(c: &mut Criterion) {
         })
     });
 
-    // Codegen smoke checks for the packed-lane kernels behind the
-    // batched ACC and integrate sweeps: each drives its kernel over a
-    // 1024-lane buffer, so a lost autovectorization (the fixed-width
-    // chunked loops falling back to scalar) shows up as a multiple-x
-    // regression against the recorded baseline — the bench gate's >15%
-    // tolerance catches it without inspecting assembly.
-    let spikes: Vec<bool> = (0..1024).map(|i| i % 3 == 0).collect();
-    let mut masks = vec![0i32; 1024];
-    let mut sums = vec![0i32; 1024];
-    c.bench_function("parallel_lane_kernel_add_masked", |b| {
-        b.iter(|| {
-            shenjing::hw::lanes::spike_masks(&mut masks, &spikes);
-            // The three adds cancel per iteration, keeping the
-            // accumulator bounded across criterion's sample loop.
-            for w in [-15i32, 7, 8] {
-                shenjing::hw::lanes::add_masked(&mut sums, &masks, w);
-            }
-            sums[0]
-        })
-    });
+    // Codegen smoke check for the packed-lane kernel behind the batched
+    // integrate sweep: it drives the kernel over a 1024-lane buffer, so a
+    // lost autovectorization (the fixed-width chunked loop falling back
+    // to scalar) shows up as a multiple-x regression against the
+    // recorded baseline — the bench gate's >15% tolerance catches it
+    // without inspecting assembly.
+    let sums: Vec<i32> = (0..1024).map(|i| i % 7 - 3).collect();
     let mut pots: Vec<i32> = (0..1024).map(|i| i % 40).collect();
     let mut spike_out = vec![false; 1024];
     c.bench_function("parallel_lane_kernel_integrate", |b| {

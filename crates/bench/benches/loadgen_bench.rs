@@ -90,10 +90,6 @@ fn main() {
             raw as f64 / compacted as f64,
         );
     }
-    eprintln!(
-        "  intra-pass worker pool: {} thread(s) per replica (SHENJING_NUM_THREADS)",
-        shenjing::sim::parallel::resolve(None),
-    );
 
     // The MLP tenant is latency-critical: higher priority, a real SLO,
     // warm on both workers. The CNN tenant is best-effort and serves a

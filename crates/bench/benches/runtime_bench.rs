@@ -44,20 +44,6 @@ fn bench_runtime(c: &mut Criterion) {
         b.iter(|| batched.run_batch(&frames, TIMESTEPS).unwrap())
     });
 
-    // Intra-pass parallelism scaling: the same 16-frame batched pass
-    // with the tile-group worker pool pinned to 1, 2 and 4 threads.
-    // The 1-thread point doubles as the serial-regression guard for the
-    // pool plumbing; on a single-core host the wider points measure
-    // spawn overhead, not speedup — compare medians across the axis on
-    // a multi-core box.
-    for threads in [1usize, 2, 4] {
-        let mut scaled = model.instantiate_batched(BATCH).unwrap();
-        scaled.set_intra_pass_threads(threads);
-        c.bench_function(&format!("parallel_scaling_batched_16_threads_{threads}"), |b| {
-            b.iter(|| scaled.run_batch(&frames, TIMESTEPS).unwrap())
-        });
-    }
-
     // Under-full batch on the same 16-lane replica: with lane-occupancy
     // execution this must cost ~4 lanes of payload plus one control-word
     // walk (occupancy-bound), not a full 16-lane pass (capacity-bound).

@@ -11,7 +11,8 @@
 //! * [`SpikeRouter`] — the IF/spiking logic plus the 5×5 one-bit spike
 //!   crossbar with multicast support ((c));
 //! * [`Tile`] — one of each, wired together;
-//! * [`Chip`] — a mesh of tiles with the inter-tile link fabric.
+//! * [`Chip`] — a mesh of tiles with the inter-tile link fabric, storing
+//!   only the tiles a program makes live ([`TileSlots`]).
 //!
 //! Control follows Table I of the paper: every component is driven each
 //! cycle by an *atomic operation* ([`ops`]) whose encoding into raw control
@@ -50,10 +51,10 @@ pub mod batch;
 pub mod chip;
 pub mod config;
 pub mod lanes;
+pub mod mesh;
 pub mod neuron_core;
 mod occupancy;
 pub mod ops;
-pub mod parallel;
 pub mod phases;
 pub mod plane;
 pub mod ps_router;
@@ -63,16 +64,19 @@ pub mod spike_router;
 pub mod tile;
 
 pub use activity::ActiveSet;
-pub use batch::{BatchChip, BatchNeuronCore, BatchPsRouter, BatchSpikeRouter, BatchTile};
+pub use batch::{
+    AccScratch, BatchChip, BatchNeuronCore, BatchPsRouter, BatchSpikeRouter, BatchTile,
+};
 pub use chip::Chip;
 pub use config::{ConfigMemory, TileProgram};
 pub use lanes::LaneSet;
+pub use mesh::TileSlots;
 pub use neuron_core::NeuronCore;
 pub use ops::{AtomicOp, NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};
 pub use phases::CyclePhases;
 pub use plane::PlaneSet;
 pub use ps_router::PsRouter;
-pub use sched::{CycleOps, PortOut, ScheduledOp, TileGroup};
+pub use sched::{CycleOps, PortOut, ScheduledOp};
 pub use signals::{ControlWord, NeuronCoreSignals, PsRouterSignals, SpikeRouterSignals};
 pub use spike_router::SpikeRouter;
 pub use tile::Tile;

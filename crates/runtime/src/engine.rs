@@ -87,13 +87,6 @@ pub trait Engine: Send {
     /// walk reachable without recompiling. The default is a no-op for
     /// engines without a compacted mode.
     fn set_schedule_compaction(&mut self, _on: bool) {}
-
-    /// Sets the worker-thread budget for intra-pass parallel execution
-    /// of conflict-free tile groups. `1` forces the serial reference
-    /// walk. The serving tier calls this on every replica when
-    /// [`RuntimeConfig::intra_pass_threads`](crate::RuntimeConfig::intra_pass_threads)
-    /// is set. The default is a no-op for engines without a worker pool.
-    fn set_intra_pass_threads(&mut self, _threads: usize) {}
 }
 
 impl Engine for CycleSim {
@@ -125,10 +118,6 @@ impl Engine for CycleSim {
 
     fn set_schedule_compaction(&mut self, on: bool) {
         CycleSim::set_compaction(self, on);
-    }
-
-    fn set_intra_pass_threads(&mut self, threads: usize) {
-        CycleSim::set_intra_pass_threads(self, threads);
     }
 }
 
@@ -176,10 +165,6 @@ impl Engine for BatchSim {
 
     fn set_schedule_compaction(&mut self, on: bool) {
         BatchSim::set_compaction(self, on);
-    }
-
-    fn set_intra_pass_threads(&mut self, threads: usize) {
-        BatchSim::set_intra_pass_threads(self, threads);
     }
 }
 

@@ -98,13 +98,14 @@ pub struct RuntimeConfig {
     /// batched one, bucketed by batch occupancy so the batched engine's
     /// fixed-cost amortization (its per-lane unit falls as batches fill)
     /// never prices one occupancy with another's measurement; activity
-    /// density shifts are captured by the measurement — and runs a batch
-    /// of `n ≥ 2`
-    /// frames on whichever engine's unit cost is lower; a batch of one
-    /// always runs sequentially (nothing to amortize), and multi-frame
-    /// batches are periodically diverted to the non-preferred engine so
-    /// both estimates keep tracking the traffic. Force modes pin the
-    /// engine for experiments and regression benches.
+    /// density shifts are captured by the measurement — and runs every
+    /// batch, a batch of one included, on whichever engine's unit cost
+    /// at that occupancy is lower (which engine serves a single frame
+    /// faster is a measurement like any other — a hard-coded answer was
+    /// once measured wrong); batches are periodically diverted to the
+    /// non-preferred engine so both estimates keep tracking the traffic.
+    /// Force modes pin the engine for experiments and regression
+    /// benches.
     pub engine: EnginePolicy,
     /// Admission bound: requests beyond this many pending are rejected
     /// with [`RejectReason::QueueFull`] instead of queued — backpressure
@@ -138,15 +139,6 @@ pub struct RuntimeConfig {
     /// optimizer in place, without recompiling or setting
     /// `SHENJING_NO_OPTIMIZE`.
     pub optimize_schedule: bool,
-    /// Worker-thread budget for intra-pass parallel execution of
-    /// conflict-free tile groups inside every replica. `None` (the
-    /// default) defers to the `SHENJING_NUM_THREADS` environment
-    /// variable and, past that, the host's available parallelism.
-    /// `Some(1)` pins the serial reference walk; the parallel and
-    /// serial walks are bit-identical (the equivalence proptests pin
-    /// this at several thread counts), so this knob is purely a
-    /// performance trade.
-    pub intra_pass_threads: Option<usize>,
     /// Deterministic failure injection for chaos tests — see
     /// [`ChaosConfig`](crate::chaos::ChaosConfig). `None` (the default)
     /// injects nothing.
@@ -167,7 +159,6 @@ impl Default for RuntimeConfig {
             retry_budget: 2,
             retry_backoff: Duration::from_micros(200),
             optimize_schedule: true,
-            intra_pass_threads: None,
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -200,11 +191,6 @@ impl RuntimeConfig {
         }
         if self.queue_depth == 0 {
             return Err(Error::config("queue_depth must be positive"));
-        }
-        if self.intra_pass_threads == Some(0) {
-            return Err(Error::config(
-                "intra_pass_threads must be positive (use None for the host default)",
-            ));
         }
         if self.max_batch > self.queue_depth {
             return Err(Error::config(format!(
@@ -295,15 +281,6 @@ impl RuntimeConfigBuilder {
     #[must_use]
     pub fn optimize_schedule(mut self, on: bool) -> RuntimeConfigBuilder {
         self.config.optimize_schedule = on;
-        self
-    }
-
-    /// Sets the intra-pass worker-thread budget for every replica
-    /// (`1` = serial reference walk). `None` defers to
-    /// `SHENJING_NUM_THREADS` / host parallelism.
-    #[must_use]
-    pub fn intra_pass_threads(mut self, threads: usize) -> RuntimeConfigBuilder {
-        self.config.intra_pass_threads = Some(threads);
         self
     }
 
@@ -779,9 +756,6 @@ fn build_worker_engines(model: &CompiledModel, config: &RuntimeConfig) -> Result
         if !config.optimize_schedule {
             engine.set_schedule_compaction(false);
         }
-        if let Some(threads) = config.intra_pass_threads {
-            engine.set_intra_pass_threads(threads);
-        }
         engine
     };
     let sequential: Option<EngineSlot> = match config.engine {
@@ -801,14 +775,13 @@ fn build_worker_engines(model: &CompiledModel, config: &RuntimeConfig) -> Result
 /// EMA smoothing factor for the engine cost measurements.
 const TIMING_ALPHA: f64 = 0.3;
 
-/// In auto mode, every this-many multi-frame batches that the crossover
-/// prefers one engine for are diverted to the *other* engine instead.
-/// Only the chosen engine's EMA updates, so without probes a stale (or
+/// In auto mode, every this-many batches that the crossover prefers one
+/// engine for are diverted to the *other* engine instead. Only the
+/// chosen engine's EMA updates, so without probes a stale (or
 /// never-seeded) estimate locks the dispatch in: a pessimistic batched
-/// EMA would pin sequential forever, and under sustained multi-frame
-/// traffic the sequential EMA would never even be seeded (batches of one
-/// are its only other source). Symmetric periodic probes bound both
-/// failure modes to one diverted batch per interval.
+/// EMA would pin sequential forever, and the sequential EMA would never
+/// even be seeded (unmeasured batches go batched). Symmetric periodic
+/// probes bound both failure modes to one diverted batch per interval.
 const ENGINE_PROBE_INTERVAL: u32 = 16;
 
 /// Per-engine probe countdowns (see [`ENGINE_PROBE_INTERVAL`]).
@@ -836,11 +809,10 @@ fn ema(old: Option<f64>, sample: f64) -> Option<f64> {
 /// comparing the EMA'd per-occupied-lane batched cost against the
 /// per-frame sequential cost — with occupancy-bound execution, an
 /// `n`-frame batch costs ≈ `n × unit` on either engine, so the units
-/// compare directly at every `n ≥ 2`. `probes` is the worker's
-/// [`ENGINE_PROBE_INTERVAL`] state.
+/// compare directly at every `n`, one included. `probes` is the
+/// worker's [`ENGINE_PROBE_INTERVAL`] state.
 fn pick_engine(
     policy: EnginePolicy,
-    frames: usize,
     seq_unit_ns: Option<f64>,
     batch_unit_ns: Option<f64>,
     probes: &mut ProbeState,
@@ -849,11 +821,6 @@ fn pick_engine(
         EnginePolicy::ForceSequential => EngineKind::Sequential,
         EnginePolicy::ForceBatched => EngineKind::Batched,
         EnginePolicy::Auto => {
-            if frames <= 1 {
-                // A batch of one has nothing to amortize the SoA pass
-                // over; the sequential engine is never slower there.
-                return EngineKind::Sequential;
-            }
             let preferred = match (seq_unit_ns, batch_unit_ns) {
                 (Some(seq), Some(lane)) if seq < lane => EngineKind::Sequential,
                 // Before both EMAs exist, favor the batched engine (it
@@ -931,13 +898,6 @@ impl Runtime {
         // Static facts as info gauges, the Prometheus idiom for joining
         // live counters with model size/placement at query time.
         let shared_compaction_on = config.optimize_schedule;
-        // Effective worker-thread budget each replica fans tile groups
-        // across — the resolved value, not the raw config, so dashboards
-        // see what the pool actually uses.
-        telemetry
-            .registry()
-            .gauge("shenjing_intra_pass_threads")
-            .set(shenjing_sim::parallel::resolve(config.intra_pass_threads) as i64);
         for m in &models {
             let labels = m.model.info_labels(&m.id);
             telemetry.registry().gauge(&format!("shenjing_model_info{labels}")).set(1);
@@ -1558,7 +1518,6 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
         let timesteps = shared.models[model].options.timesteps.unwrap_or(config.timesteps);
         let engine = pick_engine(
             config.engine,
-            frames,
             model_engines.estimate(EngineKind::Sequential, frames),
             model_engines.estimate(EngineKind::Batched, frames),
             &mut model_engines.probes,
@@ -1965,22 +1924,30 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_runs_single_frame_batches_sequentially() {
+    fn auto_dispatch_prices_single_frame_batches_like_any_other() {
         let runtime = single(
             model(),
             RuntimeConfig { workers: 1, max_batch: 8, timesteps: 5, ..Default::default() },
         );
         // Strictly serialized submissions: every gathered batch holds one
-        // frame, so auto dispatch must choose the sequential engine.
-        for k in 0..4 {
+        // frame. Nothing is assumed about a batch of one — unmeasured, it
+        // goes batched like any other, and after ENGINE_PROBE_INTERVAL of
+        // those one is diverted to seed the sequential estimate.
+        for k in 0..=ENGINE_PROBE_INTERVAL as usize {
             let reply = runtime.infer(request(k)).unwrap();
-            assert_eq!(reply.engine, EngineKind::Sequential);
+            let probe = k == ENGINE_PROBE_INTERVAL as usize;
+            let want = if probe { EngineKind::Sequential } else { EngineKind::Batched };
+            assert_eq!(reply.engine, want, "single-frame batch {k}");
             assert_eq!(reply.batch_size, 1);
         }
         let stats = runtime.shutdown().unwrap();
-        assert_eq!(stats.sequential_frames, 4);
-        assert_eq!(stats.batched_frames, 0);
-        assert_eq!(stats.occupancy_histogram[1], 4, "four single-frame batches");
+        assert_eq!(stats.batched_frames, u64::from(ENGINE_PROBE_INTERVAL));
+        assert_eq!(stats.sequential_frames, 1);
+        assert_eq!(
+            stats.occupancy_histogram[1],
+            u64::from(ENGINE_PROBE_INTERVAL) + 1,
+            "every batch held one frame"
+        );
     }
 
     #[test]
@@ -1990,45 +1957,35 @@ mod tests {
         }
         // Forced policies ignore measurements.
         assert_eq!(
-            pick_engine(EnginePolicy::ForceSequential, 16, None, None, &mut ps()),
+            pick_engine(EnginePolicy::ForceSequential, None, None, &mut ps()),
             EngineKind::Sequential
         );
         assert_eq!(
-            pick_engine(EnginePolicy::ForceBatched, 1, None, None, &mut ps()),
+            pick_engine(EnginePolicy::ForceBatched, None, None, &mut ps()),
             EngineKind::Batched
         );
-        // Auto: batches of one are always sequential; unmeasured larger
-        // batches go batched to learn its cost.
+        // Auto: an unmeasured batch — of any size, one frame included —
+        // goes batched to learn its cost.
+        assert_eq!(pick_engine(EnginePolicy::Auto, None, None, &mut ps()), EngineKind::Batched);
         assert_eq!(
-            pick_engine(EnginePolicy::Auto, 1, None, None, &mut ps()),
-            EngineKind::Sequential
+            pick_engine(EnginePolicy::Auto, Some(10_000.0), None, &mut ps()),
+            EngineKind::Batched
         );
-        assert_eq!(pick_engine(EnginePolicy::Auto, 2, None, None, &mut ps()), EngineKind::Batched);
-        // Auto with measurements is a per-unit marginal-cost comparison:
-        // occupancy-bound passes make an n-frame batch cost ≈ n × unit on
-        // either engine, so a cheaper batched lane wins at every n ≥ 2 —
-        // the crossover collapsed to n = 1.
-        let (seq, lane) = (Some(10_000.0), Some(6_000.0));
+        // Auto with measurements is a per-unit marginal-cost comparison at
+        // the batch's own occupancy (the caller passes that bucket's
+        // estimates): occupancy-bound passes make an n-frame batch cost
+        // ≈ n × unit on either engine, so the cheaper unit wins — with no
+        // special case for a batch of one.
         assert_eq!(
-            pick_engine(EnginePolicy::Auto, 1, seq, lane, &mut ps()),
-            EngineKind::Sequential
+            pick_engine(EnginePolicy::Auto, Some(10_000.0), Some(6_000.0), &mut ps()),
+            EngineKind::Batched
         );
-        for frames in [2, 4, 16] {
-            assert_eq!(
-                pick_engine(EnginePolicy::Auto, frames, seq, lane, &mut ps()),
-                EngineKind::Batched,
-                "a cheaper per-lane cost wins every {frames}-frame batch"
-            );
-        }
         // And a costlier batched lane (e.g. very sparse frames, where the
-        // control-word walk dominates a 2-lane pass) loses them.
-        let (seq, lane) = (Some(10_000.0), Some(14_000.0));
-        for frames in [2, 4, 16] {
-            assert_eq!(
-                pick_engine(EnginePolicy::Auto, frames, seq, lane, &mut ps()),
-                EngineKind::Sequential
-            );
-        }
+        // control-word walk dominates a small pass) loses.
+        assert_eq!(
+            pick_engine(EnginePolicy::Auto, Some(10_000.0), Some(14_000.0), &mut ps()),
+            EngineKind::Sequential
+        );
     }
 
     #[test]
@@ -2053,11 +2010,11 @@ mod tests {
         // full batches keep preferring the 2 µs lane.
         let mut probes = ProbeState::default();
         assert_eq!(
-            pick_engine(EnginePolicy::Auto, 2, Some(5_000.0), slot.estimate(2), &mut probes),
+            pick_engine(EnginePolicy::Auto, Some(5_000.0), slot.estimate(2), &mut probes),
             EngineKind::Sequential
         );
         assert_eq!(
-            pick_engine(EnginePolicy::Auto, 16, Some(5_000.0), slot.estimate(16), &mut probes),
+            pick_engine(EnginePolicy::Auto, Some(5_000.0), slot.estimate(16), &mut probes),
             EngineKind::Batched
         );
     }
@@ -2065,44 +2022,31 @@ mod tests {
     #[test]
     fn auto_dispatch_periodically_probes_the_unpreferred_engine() {
         // A stale or never-seeded EMA must not lock the dispatch onto one
-        // engine: every ENGINE_PROBE_INTERVAL multi-frame batches the
-        // crossover prefers one engine for, one is diverted to the other
-        // so its measurement keeps tracking the traffic.
+        // engine: every ENGINE_PROBE_INTERVAL batches the crossover
+        // prefers one engine for, one is diverted to the other so its
+        // measurement keeps tracking the traffic.
         let (seq, lane) = (Some(1_000.0), Some(1_000_000.0));
         let mut probes = ProbeState::default();
         let mut diverted = 0u32;
         for _ in 0..2 * (ENGINE_PROBE_INTERVAL + 1) {
-            if pick_engine(EnginePolicy::Auto, 4, seq, lane, &mut probes) == EngineKind::Batched {
+            if pick_engine(EnginePolicy::Auto, seq, lane, &mut probes) == EngineKind::Batched {
                 diverted += 1;
             }
         }
         assert_eq!(diverted, 2, "one batched probe per interval");
 
         // The mirror direction, including the bootstrap case where the
-        // sequential EMA was never seeded (sustained multi-frame traffic
-        // has no n=1 batches to learn it from).
+        // sequential EMA was never seeded (unmeasured batches go batched).
         let mut probes = ProbeState::default();
         let mut diverted = 0u32;
         for _ in 0..2 * (ENGINE_PROBE_INTERVAL + 1) {
-            if pick_engine(EnginePolicy::Auto, 4, None, Some(1_000.0), &mut probes)
+            if pick_engine(EnginePolicy::Auto, None, Some(1_000.0), &mut probes)
                 == EngineKind::Sequential
             {
                 diverted += 1;
             }
         }
         assert_eq!(diverted, 2, "one sequential probe per interval seeds/refreshes its EMA");
-
-        // Single-frame batches never probe (sequential is never slower).
-        let mut probes = ProbeState { sequential: 0, batched: 0 };
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, 1, seq, lane, &mut probes),
-            EngineKind::Sequential
-        );
-        assert_eq!(
-            (probes.sequential, probes.batched),
-            (0, 0),
-            "the n=1 shortcut leaves the probe state alone"
-        );
     }
 
     #[test]
@@ -2222,7 +2166,7 @@ mod tests {
         assert!(spans.iter().any(|s| s.model == "bulk"));
         for span in &spans {
             assert!(span.is_monotone(), "lifecycle timestamps must be ordered: {span:?}");
-            assert_eq!(span.engine, "sequential", "serialized single-frame batches");
+            assert_eq!(span.engine, "batched", "unmeasured single-frame batches go batched");
             let phases = span.phases.as_ref().expect("sampled batches carry a phase profile");
             assert!(phases.total_phase_ns() > 0, "phase times account for the pass");
             assert_eq!(phases.timesteps, 3, "one 3-timestep frame per batch");
@@ -2241,7 +2185,6 @@ mod tests {
         assert!(metrics.contains("shenjing_model_info{model=\"pin\""));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"raw\"}"));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"compacted\"}"));
-        assert!(metrics.contains("shenjing_intra_pass_threads"));
         assert!(stats.p50_service > Duration::ZERO, "service time was measured");
         assert!(stats.p99_service <= stats.max_latency);
         assert_eq!(stats.queue_depth, 0, "a drained runtime holds no queued requests");
@@ -2283,41 +2226,6 @@ mod tests {
             outputs.push(replies);
         }
         assert_eq!(outputs[0], outputs[1], "raw and compacted serving are bit-identical");
-    }
-
-    #[test]
-    fn intra_pass_threads_config_pins_the_pool_and_gauge() {
-        assert!(
-            RuntimeConfig::builder().intra_pass_threads(0).build().is_err(),
-            "a zero-thread pool is a config error, not a hang"
-        );
-        // The pool width is a pure performance knob: every replica
-        // reports the pinned width through the gauge and serves
-        // identical bits at any width.
-        let model = model();
-        let mut outputs = Vec::new();
-        for threads in [1usize, 3] {
-            let registry = ModelRegistry::new()
-                .with_model("m", model.clone(), ServeOptions::default())
-                .unwrap();
-            let config = RuntimeConfig {
-                workers: 1,
-                timesteps: 5,
-                intra_pass_threads: Some(threads),
-                ..Default::default()
-            };
-            let runtime = Runtime::serve(registry, config).unwrap();
-            assert!(
-                runtime.metrics_text().contains(&format!("shenjing_intra_pass_threads {threads}")),
-                "the gauge must report the resolved pool width"
-            );
-            let replies: Vec<_> = (0..3)
-                .map(|k| runtime.infer(InferenceRequest::new("m", frame(k))).unwrap().output)
-                .collect();
-            runtime.shutdown().unwrap();
-            outputs.push(replies);
-        }
-        assert_eq!(outputs[0], outputs[1], "the pool width must not change served bits");
     }
 
     #[test]

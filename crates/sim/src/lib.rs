@@ -47,6 +47,7 @@ pub mod batch;
 pub mod cycle_sim;
 pub mod equivalence;
 pub mod fault;
+mod io;
 pub mod optimize;
 pub mod trace;
 
@@ -61,7 +62,6 @@ pub use equivalence::{
 };
 pub use fault::{inject, inject_mapping, Fault};
 pub use optimize::{CompactSchedule, OptimizeStats};
-pub use shenjing_hw::parallel;
 pub use shenjing_hw::LaneSet;
 pub use trace::{
     compare_traces, digest_batch_chip, digest_chip, trace_block, Divergence, StateDigest,

@@ -23,9 +23,7 @@ use proptest::prelude::*;
 use shenjing_core::{ArchSpec, W5};
 use shenjing_mapper::Mapper;
 use shenjing_nn::Tensor;
-use shenjing_sim::{
-    digest_batch_chip, verify_batched, verify_batched_lanes, BatchSim, CycleSim, DecodedProgram,
-};
+use shenjing_sim::{verify_batched, verify_batched_lanes, BatchSim, CycleSim, DecodedProgram};
 use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
 
 /// Largest dimensions the strategies below draw (the weight/input pools
@@ -97,29 +95,6 @@ fn assert_batched_equals_sequential(snn: &SnnNetwork, inputs: &[Tensor], timeste
         "optimized program on the raw walk diverged (batch {})",
         inputs.len()
     );
-
-    // The worker-pool axis: fanning conflict-free tile groups across a
-    // thread pool must be invisible — at every thread budget the
-    // compacted batched walk's outputs *and* whole-chip all-lane state
-    // must match the `threads = 1` serial walk bit for bit.
-    let mut serial = BatchSim::from_decoded(Arc::clone(&optimized), inputs.len()).unwrap();
-    serial.set_intra_pass_threads(1);
-    let want = serial.run_batch(inputs, timesteps).unwrap();
-    assert_eq!(want, batch_out, "the serial thread budget must not change results");
-    for threads in [2, shenjing_sim::parallel::resolve(None).max(4)] {
-        let mut pooled = BatchSim::from_decoded(Arc::clone(&optimized), inputs.len()).unwrap();
-        pooled.set_intra_pass_threads(threads);
-        assert_eq!(
-            pooled.run_batch(inputs, timesteps).unwrap(),
-            want,
-            "batch diverged under {threads} worker threads"
-        );
-        assert_eq!(
-            digest_batch_chip(0, pooled.chip()),
-            digest_batch_chip(0, serial.chip()),
-            "chip state diverged under {threads} worker threads"
-        );
-    }
 }
 
 proptest! {

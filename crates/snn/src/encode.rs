@@ -31,6 +31,10 @@ use shenjing_nn::Tensor;
 pub struct RateEncoder {
     intensities: Vec<f64>,
     accumulators: Vec<f64>,
+    /// Lines with a nonzero intensity, ascending — the only ones that
+    /// can ever spike, so [`next_spikes`](RateEncoder::next_spikes)
+    /// walks just these.
+    driven: Vec<u32>,
 }
 
 impl RateEncoder {
@@ -39,7 +43,8 @@ impl RateEncoder {
     pub fn new(input: &Tensor) -> RateEncoder {
         let intensities: Vec<f64> = input.data().iter().map(|v| v.clamp(0.0, 1.0)).collect();
         let accumulators = vec![0.0; intensities.len()];
-        RateEncoder { intensities, accumulators }
+        let driven = (0..intensities.len() as u32).filter(|&i| intensities[i as usize] != 0.0);
+        RateEncoder { driven: driven.collect(), intensities, accumulators }
     }
 
     /// Number of input lines.
@@ -54,21 +59,22 @@ impl RateEncoder {
 
     /// Produces the spike vector for the next timestep.
     pub fn next_timestep(&mut self) -> Vec<bool> {
-        self.accumulators
-            .iter_mut()
-            .zip(&self.intensities)
-            .map(|(acc, p)| {
-                *acc += p;
-                // Tiny epsilon so p = 1.0 fires every step despite float
-                // rounding.
-                if *acc >= 1.0 - 1e-9 {
-                    *acc -= 1.0;
-                    true
-                } else {
-                    false
-                }
-            })
-            .collect()
+        self.accumulators.iter_mut().zip(&self.intensities).map(|(acc, p)| step(acc, *p)).collect()
+    }
+
+    /// Advances one timestep like
+    /// [`next_timestep`](RateEncoder::next_timestep), but writes the
+    /// ascending indices of the lines that spike into `fired` (cleared
+    /// first) — no allocation per step, and undriven lines are never
+    /// visited (a zero intensity never reaches the threshold). The
+    /// spike train is bit-identical.
+    pub fn next_spikes(&mut self, fired: &mut Vec<u32>) {
+        fired.clear();
+        for &line in &self.driven {
+            if step(&mut self.accumulators[line as usize], self.intensities[line as usize]) {
+                fired.push(line);
+            }
+        }
     }
 
     /// Restarts the accumulators (new frame of the same image).
@@ -87,6 +93,19 @@ impl RateEncoder {
         }
         self.reset();
         Ok((0..timesteps).map(|_| self.next_timestep()).collect())
+    }
+}
+
+/// One line's unit-threshold integrate-and-fire step.
+#[inline]
+fn step(acc: &mut f64, intensity: f64) -> bool {
+    *acc += intensity;
+    // Tiny epsilon so p = 1.0 fires every step despite float rounding.
+    if *acc >= 1.0 - 1e-9 {
+        *acc -= 1.0;
+        true
+    } else {
+        false
     }
 }
 
@@ -210,6 +229,20 @@ mod tests {
         let counts: Vec<u32> =
             (0..5).map(|i| train.iter().filter(|step| step[i]).count() as u32).collect();
         assert_eq!(counts, vec![0, 10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn next_spikes_lists_exactly_the_lines_next_timestep_fires() {
+        let input = tensor(vec![0.0, 0.3, 1.0, -2.0, 0.55, f64::NAN, 0.999_999_999_9]);
+        let mut dense = RateEncoder::new(&input);
+        let mut listed = RateEncoder::new(&input);
+        let mut fired = vec![99]; // stale content must be cleared
+        for _ in 0..50 {
+            let want: Vec<u32> =
+                (0u32..).zip(dense.next_timestep()).filter(|s| s.1).map(|s| s.0).collect();
+            listed.next_spikes(&mut fired);
+            assert_eq!(fired, want);
+        }
     }
 
     #[test]

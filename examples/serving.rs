@@ -57,13 +57,13 @@ fn main() -> Result<()> {
             "  schedule: {raw} raw cycles/pass -> {compacted} compacted ({:.1}x shorter walk)",
             raw as f64 / compacted as f64,
         );
+        // A replica instantiates only the tiles the program names.
+        let (rows, cols) = m.program().mesh_dims();
+        println!(
+            "  mesh: {} live tiles of {rows}x{cols} per replica",
+            m.program().live_tiles().len(),
+        );
     }
-    // The worker-pool width every replica will fan tile groups across
-    // (also exported as the `shenjing_intra_pass_threads` gauge below).
-    println!(
-        "intra-pass worker pool: {} thread(s) per replica (SHENJING_NUM_THREADS to override)",
-        shenjing::sim::parallel::resolve(None),
-    );
 
     // 3. Register them with per-model policies: the trained classifier is
     //    latency-critical (higher priority, 250 ms SLO, warm on every
