@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod pair;
 pub mod regression;
 
 use shenjing::datasets::{flatten_images, train_test_split};

@@ -2,12 +2,13 @@
 //!
 //! The batched engine's registers carry `max_batch` SoA payload lanes, but
 //! a serving batch rarely fills them all. [`LaneSet`] is the sibling of
-//! [`ActiveSet`](crate::ActiveSet) (active axons) and `PortOccupancy`
-//! (occupied output registers) for the *lane* axis: it tracks which lanes
-//! currently hold in-flight frames, so every per-lane payload walk — `ACC`
-//! sweeps, router lane loops, transfer payload copies, clears and digests
-//! — pays for **occupancy, not capacity**. A 3-of-16 batch touches 3 lanes
-//! of payload everywhere.
+//! [`ActiveSet`](crate::ActiveSet) (active axons) and the routers'
+//! register-occupancy words for the *lane* axis: it tracks which lanes
+//! currently hold in-flight frames, so every per-lane computation — `ACC`
+//! sweeps, the PS adder, integrate-and-fire, deliveries, clears and
+//! digests — pays for **occupancy, not capacity**: a 3-of-16 batch
+//! computes on 3 lanes. (Register moves copy whole registers: contiguous
+//! beats strided.)
 //!
 //! Representation: a sorted occupied-lane list (the iteration the hot
 //! loops walk, always in ascending lane order so results and error sites
@@ -152,9 +153,15 @@ pub const LANE_CHUNK: usize = 8;
 /// per lane, `pot += sum; fire = pot > threshold; spike = fire;
 /// pot -= fire ? threshold : 0` — bit-identical to the scalar
 /// `integrate_value` sequence, with the reset-by-subtraction select
-/// expressed as a mask so the chunks stay branch-free.
+/// expressed as a mask so the chunks stay branch-free. The sums are the
+/// core's `i32` local sums or the PS router's 16-bit ejected ones.
 #[inline]
-pub fn integrate_lanes(pots: &mut [i32], spikes: &mut [bool], sums: &[i32], threshold: i32) {
+pub fn integrate_lanes<S: Copy + Into<i32>>(
+    pots: &mut [i32],
+    spikes: &mut [bool],
+    sums: &[S],
+    threshold: i32,
+) {
     debug_assert_eq!(pots.len(), spikes.len());
     debug_assert_eq!(pots.len(), sums.len());
     let mut p = pots.chunks_exact_mut(LANE_CHUNK);
@@ -162,7 +169,7 @@ pub fn integrate_lanes(pots: &mut [i32], spikes: &mut [bool], sums: &[i32], thre
     let mut su = sums.chunks_exact(LANE_CHUNK);
     for ((pc, spc), suc) in (&mut p).zip(&mut sp).zip(&mut su) {
         for i in 0..LANE_CHUNK {
-            let v = pc[i] + suc[i];
+            let v = pc[i] + suc[i].into();
             let fire = v > threshold;
             spc[i] = fire;
             pc[i] = v - (-i32::from(fire) & threshold);
@@ -171,7 +178,7 @@ pub fn integrate_lanes(pots: &mut [i32], spikes: &mut [bool], sums: &[i32], thre
     for ((pv, spv), &suv) in
         p.into_remainder().iter_mut().zip(sp.into_remainder()).zip(su.remainder())
     {
-        let v = *pv + suv;
+        let v = *pv + suv.into();
         let fire = v > threshold;
         *spv = fire;
         *pv = v - (-i32::from(fire) & threshold);

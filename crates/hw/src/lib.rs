@@ -50,6 +50,7 @@ pub mod activity;
 pub mod batch;
 pub mod chip;
 pub mod config;
+mod lane_regs;
 pub mod lanes;
 pub mod mesh;
 pub mod neuron_core;
@@ -73,10 +74,10 @@ pub use lanes::LaneSet;
 pub use mesh::TileSlots;
 pub use neuron_core::NeuronCore;
 pub use ops::{AtomicOp, NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};
-pub use phases::CyclePhases;
+pub use phases::{CyclePhases, PhaseSink};
 pub use plane::PlaneSet;
 pub use ps_router::PsRouter;
-pub use sched::{CycleOps, PortOut, ScheduledOp};
+pub use sched::{CycleOps, PortDst, PortOut, ScheduledOp};
 pub use signals::{ControlWord, NeuronCoreSignals, PsRouterSignals, SpikeRouterSignals};
 pub use spike_router::SpikeRouter;
 pub use tile::Tile;

@@ -11,6 +11,8 @@
 
 use shenjing_core::{CoreCoord, Direction, Error, Result};
 
+use crate::sched::PortDst;
+
 /// Marks an idle mesh position in the slot table.
 const IDLE: u32 = u32::MAX;
 
@@ -140,6 +142,14 @@ impl TileSlots {
     /// The on-mesh neighbor of `coord` in direction `dir`, if any.
     pub fn neighbor(&self, coord: CoreCoord, dir: Direction) -> Option<CoreCoord> {
         coord.neighbor(dir).filter(|d| self.on_mesh(*d))
+    }
+
+    /// Where the output port `dir` of the tile at `coord` leads.
+    pub fn link(&self, coord: CoreCoord, dir: Direction) -> PortDst {
+        match self.neighbor(coord, dir) {
+            None => PortDst::OffEdge,
+            Some(d) => self.slot(d).map_or(PortDst::Idle, PortDst::Tile),
+        }
     }
 }
 

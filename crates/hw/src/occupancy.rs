@@ -3,11 +3,12 @@
 //! The transfer phase of the chip fabric used to probe every
 //! `(direction, plane)` output register of every tile each cycle —
 //! `4 × core_neurons` loads per router even when nothing was in flight.
-//! [`PortOccupancy`] is the shared bookkeeping all four routers
-//! (sequential and batched) now use instead: one bit per output
-//! register, grouped by direction so the fabric can jump straight to the
-//! occupied planes with a word scan. Payloads stay in the routers'
-//! register vectors; the mask only indexes them.
+//! [`PortOccupancy`] is the bookkeeping the sequential routers use
+//! instead: one bit per output register, grouped by direction so the
+//! fabric can jump straight to the occupied planes with a word scan.
+//! Payloads stay in the routers' register vectors; the mask only indexes
+//! them. (The batched routers keep the same words inside their
+//! `LaneRegs` register files and move whole ports by them.)
 //!
 //! Layout: word `port.encode() * words + w` masks planes
 //! `64*w .. 64*w + 64` of that port, with `words = ceil(planes / 64)`.
@@ -46,13 +47,6 @@ impl PortOccupancy {
     pub(crate) fn clear(&mut self, port: Direction, plane: u16) {
         let base = self.base(port);
         self.bits[base + plane as usize / 64] &= !(1u64 << (plane as usize % 64));
-    }
-
-    /// Whether `(port, plane)` is occupied.
-    #[inline]
-    pub(crate) fn contains(&self, port: Direction, plane: u16) -> bool {
-        let base = self.base(port);
-        self.bits[base + plane as usize / 64] & (1u64 << (plane as usize % 64)) != 0
     }
 
     /// The lowest occupied plane at `port`, if any (a word scan).
@@ -102,8 +96,6 @@ mod tests {
         assert_eq!(occ.first(Direction::East), Some(7));
         assert_eq!(occ.first(Direction::West), Some(63));
         assert_eq!(occ.first(Direction::North), None);
-        assert!(occ.contains(Direction::East, 200));
-        assert!(!occ.contains(Direction::East, 199));
         occ.clear(Direction::East, 7);
         assert_eq!(occ.first(Direction::East), Some(200));
         occ.clear(Direction::East, 200);

@@ -136,6 +136,22 @@ impl PlaneSet {
         }
     }
 
+    /// The selected planes among `64 * w .. 64 * w + 64` of a
+    /// `total`-plane tile as a bitmask — the unit the batched routers
+    /// walk an op's planes in.
+    #[inline]
+    pub fn word(&self, w: usize, total: u16) -> u64 {
+        let in_range = match (total as usize).saturating_sub(w * 64) {
+            0 => return 0,
+            left if left >= 64 => u64::MAX,
+            left => (1 << left) - 1,
+        };
+        match self {
+            PlaneSet::All => in_range,
+            PlaneSet::Mask(words) => words.get(w).copied().unwrap_or(0) & in_range,
+        }
+    }
+
     /// Iterates the selected plane indices among `0..total`, ascending.
     ///
     /// For [`PlaneSet::All`] this is a plain range; for a mask it walks the

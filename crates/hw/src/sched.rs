@@ -5,7 +5,7 @@
 //! hold pending data, which tiles may have queued deliveries. A
 //! [`CycleOps`] entry materializes all of that once at compile time so the
 //! per-pass hot loop (`Chip::exec_ops`, `BatchChip::exec_ops`) only walks
-//! pre-resolved tile slots (see [`TileSlots`](crate::mesh::TileSlots)) and
+//! pre-resolved tile slots (see [`TileSlots`]) and
 //! port lists.
 //!
 //! One entry covers a *run* of source cycles: zero or more statically
@@ -19,8 +19,8 @@
 
 use shenjing_core::{CoreCoord, Direction};
 
+use crate::mesh::TileSlots;
 use crate::ops::AtomicOp;
-use crate::plane::PlaneSet;
 
 /// One op of a compacted schedule, carrying its *source* cycle number.
 ///
@@ -36,7 +36,22 @@ pub struct ScheduledOp {
     pub op: AtomicOp,
 }
 
-/// A mesh port that an active cycle's ops can leave pending data on.
+/// Where a driven output port leads — the link's verdict, resolved once
+/// per program instead of once per pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortDst {
+    /// The live neighbor tile's storage slot; the data lands in its input
+    /// port facing back ([`Direction::opposite`]).
+    Tile(usize),
+    /// The port faces off the mesh edge: driving it is a schedule error.
+    OffEdge,
+    /// The neighbor is an idle (uninstantiated) tile: driving it is a
+    /// schedule error.
+    Idle,
+}
+
+/// One compiled transfer move: a mesh port an active cycle's ops can
+/// leave pending data on, and where that data goes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortOut {
     /// Storage slot of the source tile.
@@ -45,16 +60,12 @@ pub struct PortOut {
     pub coord: CoreCoord,
     /// Output direction being driven.
     pub dir: Direction,
-    /// Storage slot of the neighbor tile, or `None` when the port faces
-    /// off the mesh edge (driving it is a schedule error).
-    pub dst: Option<usize>,
+    /// Where the port leads.
+    pub dst: PortDst,
     /// Whether a PS-router op drives this port this cycle.
     pub ps: bool,
     /// Whether a spike-router op drives this port this cycle.
     pub spike: bool,
-    /// Union of the producing ops' plane masks (diagnostic; the transfer
-    /// drains whatever is pending, which is always a subset of this).
-    pub planes: PlaneSet,
 }
 
 /// One compacted schedule entry: the ops of a run of source cycles plus
@@ -77,6 +88,47 @@ pub struct CycleOps {
 }
 
 impl CycleOps {
+    /// Closes a run of source cycles into one entry: `ops` in source
+    /// order, the last of them scheduled at `cycle` — the run's only
+    /// cycle whose ops may drive ports or queue deliveries. Compiles that
+    /// cycle's transfer phase into the move plan (raw scan order:
+    /// row-major tile, then N/S/E/W; each link's verdict resolved against
+    /// `slots`) and lists the tiles whose commit phase has work.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an op names a slot `slots` does not have.
+    pub fn closing(slots: &TileSlots, ops: Vec<ScheduledOp>, cycle: u64) -> CycleOps {
+        let mut out_ports: Vec<PortOut> = Vec::new();
+        let mut deliver_tiles = Vec::new();
+        for s in ops.iter().filter(|s| s.cycle == cycle) {
+            if let Some((dir, is_ps, _)) = s.op.port_output() {
+                if let Some(p) = out_ports.iter_mut().find(|p| p.tile == s.tile && p.dir == dir) {
+                    p.ps |= is_ps;
+                    p.spike |= !is_ps;
+                } else {
+                    let coord = slots.coord(s.tile);
+                    let dst = slots.link(coord, dir);
+                    out_ports.push(PortOut {
+                        tile: s.tile,
+                        coord,
+                        dir,
+                        dst,
+                        ps: is_ps,
+                        spike: !is_ps,
+                    });
+                }
+            }
+            if s.op.queues_delivery() {
+                deliver_tiles.push(s.tile);
+            }
+        }
+        out_ports.sort_by_key(|p| (p.tile, p.dir.encode()));
+        deliver_tiles.sort_unstable();
+        deliver_tiles.dedup();
+        CycleOps { ops, out_ports, deliver_tiles, transfer_cycle: cycle }
+    }
+
     /// Number of source-schedule ops folded into this entry.
     pub fn op_count(&self) -> usize {
         self.ops.len()

@@ -233,20 +233,20 @@ proptest! {
                 planes,
             }),
         )];
-        let fast_res = fast.exec_cycle(cycle, &acc).and_then(|()| {
-            fast.exec_cycle(cycle + 1, &send).and_then(|()| {
+        let fast_res = fast.exec_cycle(cycle, &acc, &mut ()).and_then(|()| {
+            fast.exec_cycle(cycle + 1, &send, &mut ()).and_then(|()| {
                 if contend {
                     // Re-send without the neighbor consuming its input:
                     // input-register contention two cycles later.
-                    fast.exec_cycle(cycle + 2, &send)
+                    fast.exec_cycle(cycle + 2, &send, &mut ())
                 } else {
                     Ok(())
                 }
             })
         });
-        let reference_res = reference.exec_cycle(cycle, &acc).and_then(|()| {
-            reference.exec_cycle(cycle + 1, &send).and_then(|()| {
-                if contend { reference.exec_cycle(cycle + 2, &send) } else { Ok(()) }
+        let reference_res = reference.exec_cycle(cycle, &acc, &mut ()).and_then(|()| {
+            reference.exec_cycle(cycle + 1, &send, &mut ()).and_then(|()| {
+                if contend { reference.exec_cycle(cycle + 2, &send, &mut ()) } else { Ok(()) }
             })
         });
         prop_assert_eq!(&fast_res, &reference_res);

@@ -211,7 +211,7 @@ pub fn trace_block(
         } else {
             &[]
         };
-        chip.exec_cycle(cycle, ops)?;
+        chip.exec_cycle(cycle, ops, &mut ())?;
         trace.push(digest_chip(cycle, chip));
     }
     Ok(trace)

@@ -237,6 +237,48 @@ fn data_into_an_idle_neighbour_is_the_same_error_on_both_meshes() {
     }
 }
 
+/// Every register is taken before any is put: when an earlier port's
+/// second send would find its neighbour's input still full *and* a later
+/// port drives off the mesh edge in the same cycle, every mode of both
+/// engines on both meshes reports the edge — and, without the stray
+/// port, the contention.
+#[test]
+fn an_off_edge_port_is_reported_before_an_earlier_ports_contention() {
+    let (arch, mapping) = small_mapping();
+    let (sender, stray) = (CoreCoord::new(2, 1), CoreCoord::new(3, 3));
+    let free = |c: CoreCoord| mapping.program.core_at.iter().all(|(at, _)| *at != c);
+    assert!(free(sender) && free(CoreCoord::new(2, 2)) && free(stray));
+    let east = AtomicOp::Ps(PsRouterOp::Send {
+        source: PsSendSource::LocalPs,
+        dst: PsDst::Port(Direction::East),
+        planes: PlaneSet::from_indices([2u16, 9]),
+    });
+    let second = mapping.program.block_cycles - 1;
+    let planted = |with_stray: bool| {
+        let mut mapping = mapping.clone();
+        mapping.program.config.program_mut(sender).push(second - 5, east.clone());
+        mapping.program.config.program_mut(sender).push(second, east.clone());
+        if with_stray {
+            mapping.program.config.program_mut(stray).push(second, east.clone());
+        }
+        mapping
+    };
+    match the_error(&arch, &planted(true)) {
+        Error::InvalidSchedule { cycle, reason } => {
+            assert_eq!(cycle, second);
+            assert!(reason.contains("ps data driven off the mesh edge at (3,3)"), "{reason}");
+        }
+        other => panic!("expected the off-edge verdict, got {other}"),
+    }
+    match the_error(&arch, &planted(false)) {
+        Error::InvalidSchedule { cycle, reason } => {
+            assert_eq!(cycle, second);
+            assert!(reason.contains("ps input register contention at port W, plane 2"), "{reason}");
+        }
+        other => panic!("expected input contention, got {other}"),
+    }
+}
+
 /// ACC overflow on *two* tiles in one cycle: 300 maximal-weight inputs
 /// into two 16-neuron output tiles on 512-input cores. Both engines, on
 /// both meshes, must report the first tile's overflow — same variant,
@@ -262,6 +304,38 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
         );
         let mut sim = batched(&program, Mode::Fast, 2);
         assert_eq!(sim.run_batch(&[input.clone(), input.clone()], 4).unwrap_err(), want);
+    }
+}
+
+/// A full pass parks every lane's sums and spikes in the router
+/// registers; the lanes that then leave are scrubbed only where state can
+/// be read back. Frames served next on the holes {0, 3, 5, 9}, on the
+/// top lanes and on the last lane alone must come out as on the
+/// sequential engine, and leave the digests a fresh replica has.
+#[test]
+fn lanes_parked_by_a_full_pass_never_surface_on_holed_or_top_lane_sets() {
+    let (arch, mapping) = multi_chip_cnn();
+    let program = Arc::new(
+        DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
+    );
+    const LANES: usize = 16;
+    let frames = patterned_frames(&[8, 8, 1], LANES + 4);
+    let mut sequential = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
+    for lanes in [&[0usize, 3, 5, 9][..], &[12, 13, 14, 15], &[15]] {
+        for mode in MODES {
+            let mut parked = batched(&program, mode, LANES);
+            parked.run_batch(&frames[..LANES], 6).unwrap();
+            parked.set_occupied_lanes(lanes).unwrap();
+            let mut fresh = batched(&program, mode, LANES);
+            fresh.set_occupied_lanes(lanes).unwrap();
+            let inputs = &frames[LANES..LANES + lanes.len()];
+            let got = parked.run_occupied(inputs, 6).unwrap();
+            assert_eq!(got, fresh.run_occupied(inputs, 6).unwrap(), "{lanes:?} in {mode:?} mode");
+            for (input, out) in inputs.iter().zip(&got) {
+                assert_eq!(*out, sequential.run_frame(input, 6).unwrap());
+            }
+            assert_eq!(digest_batch_chip(0, parked.chip()), digest_batch_chip(0, fresh.chip()));
+        }
     }
 }
 
