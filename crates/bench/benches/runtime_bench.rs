@@ -1,11 +1,6 @@
-//! Serving-runtime throughput: the batched engine against a sequential
-//! `CycleSim` loop, plus the end-to-end scheduler path.
-//!
-//! The acceptance bar since the engines were unified on one sparse
-//! activity core: batched execution at batch 16 must beat the sequential
-//! loop on `ArchSpec::paper()` at MNIST activity — batching is strictly
-//! additive, amortizing the control-word walk across lanes (see the
-//! CycleSim-throughput entry in ROADMAP.md for measured numbers).
+//! Serving-runtime throughput: the batched engine at full and partial
+//! occupancy, replica instantiation, the compile-side optimizer cost, and
+//! the end-to-end scheduler path.
 
 use std::time::Duration;
 
@@ -27,17 +22,6 @@ fn bench_runtime(c: &mut Criterion) {
         })
         .collect();
 
-    // Baseline: one chip replica advancing the 16 frames one at a time.
-    let mut sequential = model.instantiate().unwrap();
-    c.bench_function("runtime_sequential_16_frames_t8", |b| {
-        b.iter(|| {
-            frames
-                .iter()
-                .map(|f| sequential.run_frame(f, TIMESTEPS).unwrap().spike_counts[0])
-                .sum::<u32>()
-        })
-    });
-
     // The batched engine: one pass over the schedule advances all 16.
     let mut batched = model.instantiate_batched(BATCH).unwrap();
     c.bench_function("runtime_batched_16_frames_t8", |b| {
@@ -47,14 +31,15 @@ fn bench_runtime(c: &mut Criterion) {
     // Under-full batch on the same 16-lane replica: with lane-occupancy
     // execution this must cost ~4 lanes of payload plus one control-word
     // walk (occupancy-bound), not a full 16-lane pass (capacity-bound).
-    // The acceptance bar is ≤ ~1.5× the 4-frame sequential cost.
     c.bench_function("runtime_batched_4of16_frames_t8", |b| {
         b.iter(|| batched.run_batch(&frames[..4], TIMESTEPS).unwrap())
     });
 
     // Cheap instantiation from the shared artifact (the per-worker cost
-    // the decoded program amortizes).
-    c.bench_function("runtime_instantiate_replica", |b| b.iter(|| model.instantiate().unwrap()));
+    // the decoded program amortizes): the 16-lane replica a worker holds.
+    c.bench_function("runtime_instantiate_replica", |b| {
+        b.iter(|| model.instantiate_batched(BATCH).unwrap())
+    });
 
     // The compile-side cost of the schedule optimizer: decode plus the
     // four optimizer passes, paid once per artifact. Tracked so the
@@ -103,7 +88,6 @@ fn bench_runtime(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    // The sequential baseline costs ~30 s per sample; keep the group short.
     config = Criterion::default().sample_size(3);
     targets = bench_runtime
 }

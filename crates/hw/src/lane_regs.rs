@@ -16,8 +16,6 @@
 //! on which no lane spikes costs its share of a word operation per hop;
 //! the PS routers keep every occupied register live.
 
-use crate::lanes::LaneSet;
-
 /// The maximal runs of set bits in `word`, as ascending `(start, end)`
 /// bit offsets.
 pub(crate) fn runs(mut word: u64) -> impl Iterator<Item = (usize, usize)> {
@@ -111,11 +109,6 @@ impl<T: Copy + Default> LaneRegs<T> {
         })
     }
 
-    /// Whether any register of any port holds data.
-    pub(crate) fn any(&self) -> bool {
-        self.occ.iter().any(|&w| w != 0)
-    }
-
     /// Frees every register.
     pub(crate) fn reset(&mut self) {
         self.occ.fill(0);
@@ -180,37 +173,6 @@ impl<T: Copy + Default> LaneRegs<T> {
         }
         Ok(moved)
     }
-
-    /// Reference-mode probe of one register: frees `(port, plane)` and
-    /// appends its occupied lanes to `out`, returning whether it held data.
-    pub(crate) fn take_into(
-        &mut self,
-        port: usize,
-        plane: u16,
-        out: &mut Vec<T>,
-        lanes: &LaneSet,
-    ) -> bool {
-        let Some(row) = self.row(port, plane) else {
-            return false;
-        };
-        out.extend(lanes.as_slice().iter().map(|&lane| row[lane]));
-        self.free(port, plane as usize / 64, 1 << (plane % 64));
-        true
-    }
-
-    /// Reference-mode write of one register from one payload value per
-    /// occupied lane; `false` when it still holds unconsumed data.
-    pub(crate) fn put(&mut self, port: usize, plane: u16, payload: &[T], lanes: &LaneSet) -> bool {
-        if self.occupied(port, plane) {
-            return false;
-        }
-        self.fill(port, plane as usize / 64, 1 << (plane % 64), u64::MAX);
-        let row = self.rows_mut(port, plane as usize, plane as usize + 1);
-        for (&lane, &v) in lanes.as_slice().iter().zip(payload) {
-            row[lane] = v;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +200,7 @@ mod tests {
         }
         assert_eq!(out.first(2), Some(0));
         assert_eq!(out.drain_into(2, &mut input, 3), Ok(6));
-        assert!(!out.any(), "the source port is drained");
+        assert_eq!(out.first(2), None, "the source port is drained");
         for plane in [0u16, 1, 63, 64, 65, 129] {
             assert_eq!(input.row(3, plane).map(|r| r[1]), Some(-(plane as i16)));
         }
@@ -253,8 +215,6 @@ mod tests {
 
     #[test]
     fn registers_that_are_not_live_move_as_bits_and_read_as_default() {
-        let mut lanes = LaneSet::empty(2);
-        lanes.occupy(1);
         let mut out = LaneRegs::<bool>::new(4, 8, 2);
         let mut input = LaneRegs::<bool>::new(4, 8, 2);
         // Stale payload under a register that is occupied but not live.
@@ -264,26 +224,10 @@ mod tests {
         assert_eq!(out.row(0, 3), Some(&[false, false][..]));
         assert_eq!(out.drain_into(0, &mut input, 1), Ok(1));
         assert_eq!(input.row(1, 3).map(|r| r[0]), Some(false), "the stale payload stays unread");
-        let mut taken = Vec::new();
-        assert!(input.take_into(1, 3, &mut taken, &lanes));
-        assert_eq!(taken, [false]);
+        input.free(1, 0, 0b1000);
+        assert_eq!(input.row(1, 3), None);
         // Refilled live, the same register reads its payload again.
         input.fill(1, 0, 0b1000, 0b1000);
         assert_eq!(input.row(1, 3).map(|r| r[0]), Some(true));
-    }
-
-    #[test]
-    fn reference_probes_touch_only_occupied_lanes() {
-        let mut lanes = LaneSet::empty(4);
-        lanes.occupy(1);
-        lanes.occupy(3);
-        let mut regs = LaneRegs::<bool>::new(1, 8, 4);
-        assert!(regs.put(0, 5, &[true, false], &lanes));
-        assert!(!regs.put(0, 5, &[true, true], &lanes), "still occupied");
-        assert_eq!(regs.rows(0, 5, 6), [false, true, false, false]);
-        let mut out = Vec::new();
-        assert!(regs.take_into(0, 5, &mut out, &lanes));
-        assert!(!regs.take_into(0, 5, &mut out, &lanes));
-        assert_eq!(out, [true, false]);
     }
 }

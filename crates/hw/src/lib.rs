@@ -14,6 +14,12 @@
 //! * [`Chip`] — a mesh of tiles with the inter-tile link fabric, storing
 //!   only the tiles a program makes live ([`TileSlots`]).
 //!
+//! Those scalar components state the semantics one frame and one
+//! register at a time, with nothing skipped; they are the **oracle**.
+//! The production model is [`BatchChip`] and its components ([`batch`]):
+//! the same schedule advancing many frames per pass, paying for activity
+//! instead of capacity, and tested lane by lane against the oracle.
+//!
 //! Control follows Table I of the paper: every component is driven each
 //! cycle by an *atomic operation* ([`ops`]) whose encoding into raw control
 //! signals ([`signals`]) round-trips bit-exactly. There are **no buffer
@@ -54,7 +60,6 @@ mod lane_regs;
 pub mod lanes;
 pub mod mesh;
 pub mod neuron_core;
-mod occupancy;
 pub mod ops;
 pub mod phases;
 pub mod plane;

@@ -14,7 +14,6 @@
 
 use shenjing_core::{Direction, Error, LocalSum, NocSum, Result};
 
-use crate::occupancy::PortOccupancy;
 use crate::ops::{PsDst, PsRouterOp, PsSendSource};
 
 /// All PS-NoC planes of one tile.
@@ -44,11 +43,9 @@ pub struct PsRouter {
     inputs: Vec<Option<NocSum>>,
     /// `[port * planes + plane]` output registers.
     outputs: Vec<Option<NocSum>>,
-    /// Per-direction occupancy of `outputs`: lets the chip's transfer
-    /// phase visit only occupied (port, plane) pairs instead of probing
-    /// every register — the same shared [`PortOccupancy`] bookkeeping
-    /// `BatchPsRouter` uses.
-    out_occ: PortOccupancy,
+    /// How many of `outputs` hold data: lets the chip's transfer phase
+    /// skip a tile with nothing in flight.
+    pending_outputs: usize,
     /// `[plane]` accumulation registers (Table I's `sum_buf`).
     sum_buf: Vec<Option<NocSum>>,
     /// `[plane]` ejection registers toward the IF/spiking logic.
@@ -62,7 +59,7 @@ impl PsRouter {
             planes,
             inputs: vec![None; planes as usize * 4],
             outputs: vec![None; planes as usize * 4],
-            out_occ: PortOccupancy::new(planes),
+            pending_outputs: 0,
             sum_buf: vec![None; planes as usize],
             eject: vec![None; planes as usize],
         }
@@ -157,26 +154,8 @@ impl PsRouter {
     pub fn take_output(&mut self, port: Direction, plane: u16) -> Option<NocSum> {
         let idx = self.reg_index(port, plane);
         let taken = self.outputs[idx].take();
-        if taken.is_some() {
-            self.out_occ.clear(port, plane);
-        }
+        self.pending_outputs -= usize::from(taken.is_some());
         taken
-    }
-
-    /// The lowest-indexed plane with a pending output at `port`, if any
-    /// (an occupancy-mask word scan, no per-plane probing).
-    pub fn first_pending(&self, port: Direction) -> Option<u16> {
-        self.out_occ.first(port)
-    }
-
-    /// Removes and returns the lowest-plane pending output at `port` as
-    /// `(plane, value)`. Draining a port is `O(occupied + mask words)`:
-    /// repeated calls walk the occupancy mask in ascending plane order and
-    /// return [`None`] once the port is empty.
-    pub fn take_next_output(&mut self, port: Direction) -> Option<(u16, NocSum)> {
-        let plane = self.first_pending(port)?;
-        let value = self.take_output(port, plane).expect("occupancy mask tracks outputs");
-        Some((plane, value))
     }
 
     /// Removes and returns the ejection register toward the spiking logic.
@@ -207,16 +186,14 @@ impl PsRouter {
     pub fn reset(&mut self) {
         self.inputs.iter_mut().for_each(|r| *r = None);
         self.outputs.iter_mut().for_each(|r| *r = None);
-        self.out_occ.reset();
+        self.pending_outputs = 0;
         self.sum_buf.iter_mut().for_each(|r| *r = None);
         self.eject.iter_mut().for_each(|r| *r = None);
     }
 
-    /// Whether any output register holds data awaiting transfer (an
-    /// occupancy-mask scan: `4 × ceil(planes/64)` words, not
-    /// `4 × planes` registers).
+    /// Whether any output register holds data awaiting transfer.
     pub fn has_pending_output(&self) -> bool {
-        self.out_occ.any()
+        self.pending_outputs > 0
     }
 
     fn take_input(&mut self, port: Direction, plane: u16) -> Option<NocSum> {
@@ -235,7 +212,7 @@ impl PsRouter {
                     });
                 }
                 self.outputs[idx] = Some(value);
-                self.out_occ.set(d, plane);
+                self.pending_outputs += 1;
             }
             PsDst::SpikingLogic => {
                 if self.eject[plane as usize].is_some() {
@@ -451,8 +428,7 @@ mod tests {
         )
         .unwrap();
         assert!(!r.has_pending_output());
-        assert_eq!(r.first_pending(Direction::North), None);
-        assert_eq!(r.take_next_output(Direction::North), None);
+        assert_eq!(r.take_output(Direction::North, 0), None);
     }
 
     #[test]
@@ -469,18 +445,16 @@ mod tests {
             &sums,
         )
         .unwrap();
-        assert_eq!(r.first_pending(Direction::East), Some(0));
-        for expect in 0..80u16 {
-            let (plane, v) = r.take_next_output(Direction::East).unwrap();
-            assert_eq!(plane, expect);
-            assert_eq!(v.value(), i32::from(expect));
+        for plane in 0..80u16 {
+            assert!(r.has_pending_output());
+            assert_eq!(r.take_output(Direction::East, plane), Some(noc(i32::from(plane))));
         }
         assert!(!r.has_pending_output());
     }
 
     #[test]
     fn single_high_plane_index_tracked() {
-        // Plane 255 sits in the last occupancy word of a 256-plane tile.
+        // The last plane of a 256-plane tile, on one port only.
         let mut r = PsRouter::new(256);
         let sums: Vec<LocalSum> = (0..256).map(|_| LocalSum::new(9).unwrap()).collect();
         r.exec(
@@ -493,33 +467,10 @@ mod tests {
         )
         .unwrap();
         assert!(r.has_pending_output());
-        assert_eq!(r.first_pending(Direction::South), Some(255));
-        assert_eq!(r.first_pending(Direction::North), None);
-        assert_eq!(r.take_next_output(Direction::South), Some((255, noc(9))));
+        assert_eq!(r.take_output(Direction::North, 255), None);
+        assert!(r.has_pending_output(), "a miss on another port drains nothing");
+        assert_eq!(r.take_output(Direction::South, 255), Some(noc(9)));
         assert!(!r.has_pending_output());
-    }
-
-    #[test]
-    fn take_after_take_drains_in_ascending_plane_order() {
-        let mut r = PsRouter::new(256);
-        let sums: Vec<LocalSum> = (0..256).map(|i| LocalSum::new(i).unwrap()).collect();
-        r.exec(
-            &PsRouterOp::Send {
-                source: PsSendSource::LocalPs,
-                dst: PsDst::Port(Direction::West),
-                planes: PlaneSet::from_indices([200u16, 3, 64, 65]),
-            },
-            &sums,
-        )
-        .unwrap();
-        // Mixed draining: a direct take in the middle must not disturb the
-        // mask walk.
-        assert_eq!(r.take_next_output(Direction::West), Some((3, noc(3))));
-        assert_eq!(r.take_output(Direction::West, 65), Some(noc(65)));
-        assert_eq!(r.take_next_output(Direction::West), Some((64, noc(64))));
-        assert_eq!(r.take_next_output(Direction::West), Some((200, noc(200))));
-        assert_eq!(r.take_next_output(Direction::West), None);
-        assert_eq!(r.take_output(Direction::West, 200), None, "take drains the mask too");
     }
 
     #[test]

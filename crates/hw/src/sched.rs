@@ -1,12 +1,12 @@
 //! Precompiled per-cycle execution schedules — the optimizer's output.
 //!
-//! The raw decoded schedule is a list of `(cycle, ops)` pairs that the
-//! chip re-derives per pass: which tiles were touched, which ports can
-//! hold pending data, which tiles may have queued deliveries. A
-//! [`CycleOps`] entry materializes all of that once at compile time so the
-//! per-pass hot loop (`Chip::exec_ops`, `BatchChip::exec_ops`) only walks
-//! pre-resolved tile slots (see [`TileSlots`]) and
-//! port lists.
+//! The raw decoded schedule is a list of `(cycle, ops)` pairs that name
+//! tiles by coordinate. A [`CycleOps`] entry resolves all of it once at
+//! compile time — tile slots (see [`TileSlots`]), the ports that can hold
+//! pending data and where they lead, the tiles that may have queued
+//! deliveries — so the per-pass hot loop (`BatchChip::exec_ops`) only
+//! walks pre-resolved lists. The scalar [`Chip`](crate::Chip), the
+//! oracle, keeps walking the raw pairs.
 //!
 //! One entry covers a *run* of source cycles: zero or more statically
 //! passive cycles (no port-output producers, no delivery-queueing ops)
@@ -17,7 +17,7 @@
 //! the effectful step sequence, including every error and its reported
 //! cycle number, identical to the raw walk.
 
-use shenjing_core::{CoreCoord, Direction};
+use shenjing_core::{CoreCoord, Direction, Result};
 
 use crate::mesh::TileSlots;
 use crate::ops::AtomicOp;
@@ -127,6 +127,24 @@ impl CycleOps {
         deliver_tiles.sort_unstable();
         deliver_tiles.dedup();
         CycleOps { ops, out_ports, deliver_tiles, transfer_cycle: cycle }
+    }
+
+    /// One scheduled cycle as an entry of its own, nothing folded in —
+    /// the unit of the identity schedule an unoptimized program walks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`shenjing_core::Error::OutOfBounds`] for an op on a tile
+    /// `slots` does not hold.
+    pub fn for_cycle(
+        slots: &TileSlots,
+        cycle: u64,
+        ops: &[(CoreCoord, AtomicOp)],
+    ) -> Result<CycleOps> {
+        let scheduled = ops.iter().map(|(coord, op)| {
+            Ok(ScheduledOp { cycle, tile: slots.require(*coord)?, op: op.clone() })
+        });
+        Ok(CycleOps::closing(slots, scheduled.collect::<Result<_>>()?, cycle))
     }
 
     /// Number of source-schedule ops folded into this entry.

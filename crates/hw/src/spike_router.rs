@@ -16,7 +16,6 @@
 
 use shenjing_core::{Direction, Error, LocalSum, NocSum, Result};
 
-use crate::occupancy::PortOccupancy;
 use crate::ops::SpikeRouterOp;
 
 /// All spike-NoC planes of one tile.
@@ -44,10 +43,9 @@ pub struct SpikeRouter {
     inputs: Vec<Option<bool>>,
     /// `[port * planes + plane]` output registers.
     outputs: Vec<Option<bool>>,
-    /// Per-direction occupancy of `outputs`, the same shared
-    /// [`PortOccupancy`] as [`PsRouter`](crate::PsRouter)'s: the transfer
-    /// phase walks only occupied (port, plane) pairs.
-    out_occ: PortOccupancy,
+    /// How many of `outputs` hold a spike, as in
+    /// [`PsRouter`](crate::PsRouter).
+    pending_outputs: usize,
     /// Spikes delivered to the local core this cycle: `(plane, value)`.
     deliveries: Vec<(u16, bool)>,
 }
@@ -65,7 +63,7 @@ impl SpikeRouter {
             spike_buf: vec![false; planes as usize],
             inputs: vec![None; planes as usize * 4],
             outputs: vec![None; planes as usize * 4],
-            out_occ: PortOccupancy::new(planes),
+            pending_outputs: 0,
             deliveries: Vec::new(),
         }
     }
@@ -143,33 +141,9 @@ impl SpikeRouter {
                 }
             }
             SpikeRouterOp::Send { dst, planes } => {
-                if matches!(planes, crate::PlaneSet::All) {
-                    // Bulk whole-port path: one contention scan over the
-                    // occupancy words, then a straight copy of the spike
-                    // buffer into the port's (port-major, contiguous)
-                    // output slice. Errors match the per-plane loop: the
-                    // lowest occupied plane reports contention.
-                    if let Some(p) = self.out_occ.first(*dst) {
-                        return Err(Error::InvalidSchedule {
-                            cycle: 0,
-                            reason: format!(
-                                "spike output register contention at port {dst}, plane {p}"
-                            ),
-                        });
-                    }
-                    let base = self.reg_index(*dst, 0);
-                    for (out, &spike) in self.outputs[base..base + self.planes as usize]
-                        .iter_mut()
-                        .zip(&self.spike_buf)
-                    {
-                        *out = Some(spike);
-                    }
-                    self.out_occ.fill(*dst, self.planes);
-                } else {
-                    for p in planes.iter(self.planes) {
-                        let spike = self.spike_buf[p as usize];
-                        self.write_out(*dst, p, spike)?;
-                    }
+                for p in planes.iter(self.planes) {
+                    let spike = self.spike_buf[p as usize];
+                    self.write_out(*dst, p, spike)?;
                 }
             }
             SpikeRouterOp::Bypass { src, dst, deliver, planes } => {
@@ -195,10 +169,6 @@ impl SpikeRouter {
     /// if above threshold, subtracting the threshold (at most one spike per
     /// integration — the hardware generates one spike bit per `SPIKE` op).
     ///
-    /// Branchless and inlined: the bounds checks are hoisted into two
-    /// indexed loads and the fire/reset select compiles to a compare plus
-    /// masked subtract, which keeps the per-plane `SPIKE` sweep on the
-    /// fall-through path (`spike_router_send_256_planes` tracks this).
     #[inline]
     pub fn integrate_value(&mut self, plane: u16, sum: i32) {
         let p = plane as usize;
@@ -231,25 +201,8 @@ impl SpikeRouter {
     pub fn take_output(&mut self, port: Direction, plane: u16) -> Option<bool> {
         let idx = self.reg_index(port, plane);
         let taken = self.outputs[idx].take();
-        if taken.is_some() {
-            self.out_occ.clear(port, plane);
-        }
+        self.pending_outputs -= usize::from(taken.is_some());
         taken
-    }
-
-    /// The lowest-indexed plane with a pending spike at `port`, if any
-    /// (an occupancy-mask word scan, no per-plane probing).
-    pub fn first_pending(&self, port: Direction) -> Option<u16> {
-        self.out_occ.first(port)
-    }
-
-    /// Removes and returns the lowest-plane pending spike at `port` as
-    /// `(plane, spike)`. Repeated calls drain the port in ascending plane
-    /// order and return [`None`] once it is empty.
-    pub fn take_next_output(&mut self, port: Direction) -> Option<(u16, bool)> {
-        let plane = self.first_pending(port)?;
-        let spike = self.take_output(port, plane).expect("occupancy mask tracks outputs");
-        Some((plane, spike))
     }
 
     /// Drains the spikes delivered to the local core this cycle.
@@ -257,10 +210,9 @@ impl SpikeRouter {
         std::mem::take(&mut self.deliveries)
     }
 
-    /// Whether any output register holds a spike awaiting transfer (an
-    /// occupancy-mask scan, not a register sweep).
+    /// Whether any output register holds a spike awaiting transfer.
     pub fn has_pending_output(&self) -> bool {
-        self.out_occ.any()
+        self.pending_outputs > 0
     }
 
     /// Clears crossbar registers and spike buffers but **keeps membrane
@@ -268,7 +220,7 @@ impl SpikeRouter {
     pub fn reset_network_state(&mut self) {
         self.inputs.iter_mut().for_each(|r| *r = None);
         self.outputs.iter_mut().for_each(|r| *r = None);
-        self.out_occ.reset();
+        self.pending_outputs = 0;
         self.spike_buf.iter_mut().for_each(|s| *s = false);
         self.deliveries.clear();
     }
@@ -287,7 +239,7 @@ impl SpikeRouter {
             });
         }
         self.outputs[idx] = Some(spike);
-        self.out_occ.set(dst, plane);
+        self.pending_outputs += 1;
         Ok(())
     }
 
@@ -518,9 +470,9 @@ mod tests {
         )
         .unwrap();
         assert!(!r.has_pending_output());
-        assert_eq!(r.take_next_output(Direction::East), None);
+        assert_eq!(r.take_output(Direction::East, 0), None);
 
-        // Single high plane index lands in the last occupancy word.
+        // The last plane alone.
         r.integrate_value(255, 10); // fires (default threshold 1)
         r.exec(
             &SpikeRouterOp::Send { dst: Direction::East, planes: PlaneSet::from_indices([255u16]) },
@@ -528,21 +480,21 @@ mod tests {
             &mut eject,
         )
         .unwrap();
-        assert_eq!(r.first_pending(Direction::East), Some(255));
-        assert_eq!(r.take_next_output(Direction::East), Some((255, true)));
+        assert!(r.has_pending_output());
+        assert_eq!(r.take_output(Direction::East, 255), Some(true));
+        assert!(!r.has_pending_output());
 
-        // Full mask: every plane pending, take-after-take drains ascending.
+        // Full mask: every plane pending until the last one is taken.
         r.exec(
             &SpikeRouterOp::Send { dst: Direction::West, planes: PlaneSet::all() },
             &local(&[0]),
             &mut eject,
         )
         .unwrap();
-        for expect in 0..256u16 {
-            let (plane, _) = r.take_next_output(Direction::West).unwrap();
-            assert_eq!(plane, expect);
+        for plane in 0..256u16 {
+            assert!(r.has_pending_output());
+            assert_eq!(r.take_output(Direction::West, plane), Some(plane == 255));
         }
-        assert_eq!(r.take_next_output(Direction::West), None);
         assert!(!r.has_pending_output());
     }
 
@@ -560,7 +512,7 @@ mod tests {
         assert!(r.has_pending_output());
         r.reset_network_state();
         assert!(!r.has_pending_output());
-        assert_eq!(r.take_next_output(Direction::North), None);
+        assert_eq!(r.take_output(Direction::North, 2), None);
     }
 
     #[test]

@@ -175,13 +175,39 @@ impl Layer {
         }
     }
 
-    /// Applies one SGD step (`w -= lr · g`) and clears the gradients.
+    /// Applies one SGD step (`w -= lr · g`) and clears the gradients. A
+    /// layer that holds no gradients (no `backward` since construction or
+    /// since [`release_gradients`](Layer::release_gradients)) is left
+    /// untouched — what subtracting zeros would do.
     pub fn sgd_step(&mut self, lr: f64) {
         match self {
-            Layer::Dense(d) => d.sgd_step(lr),
-            Layer::Conv2d(c) => c.sgd_step(lr),
+            Layer::Dense(d) => sgd_step(&mut d.weights, &mut d.grads, lr),
+            Layer::Conv2d(c) => sgd_step(&mut c.weights, &mut c.grads, lr),
             Layer::AvgPool2d(_) | Layer::Relu(_) => {}
             Layer::Residual(r) => r.body.iter_mut().for_each(|l| l.sgd_step(lr)),
+        }
+    }
+
+    /// Frees the weight-gradient buffers — training-only state as large
+    /// as the weights themselves. The next `backward` allocates them
+    /// afresh.
+    pub fn release_gradients(&mut self) {
+        match self {
+            Layer::Dense(d) => d.grads = Vec::new(),
+            Layer::Conv2d(c) => c.grads = Vec::new(),
+            Layer::AvgPool2d(_) | Layer::Relu(_) => {}
+            Layer::Residual(r) => r.body.iter_mut().for_each(Layer::release_gradients),
+        }
+    }
+
+    /// Bytes of gradient storage this layer holds.
+    #[cfg(test)]
+    pub(crate) fn gradient_bytes(&self) -> usize {
+        match self {
+            Layer::Dense(d) => d.grads.capacity() * std::mem::size_of::<f64>(),
+            Layer::Conv2d(c) => c.grads.capacity() * std::mem::size_of::<f64>(),
+            Layer::AvgPool2d(_) | Layer::Relu(_) => 0,
+            Layer::Residual(r) => r.body.iter().map(Layer::gradient_bytes).sum(),
         }
     }
 
@@ -206,6 +232,14 @@ impl Layer {
     }
 }
 
+/// `w -= lr · g`, then `g = 0`, over whatever gradients are held.
+fn sgd_step(weights: &mut [f64], grads: &mut [f64], lr: f64) {
+    for (w, g) in weights.iter_mut().zip(grads) {
+        *w -= lr * *g;
+        *g = 0.0;
+    }
+}
+
 fn he_normal(rng: &mut StdRng, fan_in: usize) -> f64 {
     // Box–Muller from two uniforms; std = sqrt(2 / fan_in).
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -220,6 +254,8 @@ pub struct Dense {
     inputs: usize,
     outputs: usize,
     weights: Vec<f64>,
+    /// Weight gradients since the last step; empty until the first
+    /// `backward` and after [`Layer::release_gradients`].
     grads: Vec<f64>,
     cache: Option<Tensor>,
 }
@@ -235,7 +271,7 @@ impl Dense {
             return Err(Error::config("dense dimensions must be positive"));
         }
         let weights = (0..inputs * outputs).map(|_| he_normal(rng, inputs)).collect();
-        Ok(Dense { inputs, outputs, weights, grads: vec![0.0; inputs * outputs], cache: None })
+        Ok(Dense { inputs, outputs, weights, grads: Vec::new(), cache: None })
     }
 
     /// Input dimension.
@@ -289,6 +325,7 @@ impl Dense {
             ));
         }
         let g = grad_out.data();
+        self.grads.resize(self.weights.len(), 0.0);
         let mut grad_in = vec![0.0; self.inputs];
         for (i, gi) in grad_in.iter_mut().enumerate() {
             let row = &self.weights[i * self.outputs..(i + 1) * self.outputs];
@@ -303,13 +340,6 @@ impl Dense {
         }
         Tensor::from_vec(vec![self.inputs], grad_in)
     }
-
-    fn sgd_step(&mut self, lr: f64) {
-        for (w, g) in self.weights.iter_mut().zip(&mut self.grads) {
-            *w -= lr * *g;
-            *g = 0.0;
-        }
-    }
 }
 
 /// Stride-1 same-padded 2-D convolution, weights
@@ -320,6 +350,7 @@ pub struct Conv2d {
     in_ch: usize,
     out_ch: usize,
     weights: Vec<f64>,
+    /// Weight gradients, held as [`Dense`]'s are.
     grads: Vec<f64>,
     cache: Option<Tensor>,
 }
@@ -341,7 +372,7 @@ impl Conv2d {
         let n = kernel * kernel * in_ch * out_ch;
         let fan_in = kernel * kernel * in_ch;
         let weights = (0..n).map(|_| he_normal(rng, fan_in)).collect();
-        Ok(Conv2d { kernel, in_ch, out_ch, weights, grads: vec![0.0; n], cache: None })
+        Ok(Conv2d { kernel, in_ch, out_ch, weights, grads: Vec::new(), cache: None })
     }
 
     /// Kernel side length.
@@ -433,6 +464,7 @@ impl Conv2d {
         let pad = self.kernel / 2;
         let x = input.data();
         let g = grad_out.data();
+        self.grads.resize(self.weights.len(), 0.0);
         let mut grad_in = vec![0.0; h * w * self.in_ch];
         for oy in 0..h {
             for ox in 0..w {
@@ -467,13 +499,6 @@ impl Conv2d {
             }
         }
         Tensor::from_vec(vec![h, w, self.in_ch], grad_in)
-    }
-
-    fn sgd_step(&mut self, lr: f64) {
-        for (w, g) in self.weights.iter_mut().zip(&mut self.grads) {
-            *w -= lr * *g;
-            *g = 0.0;
-        }
     }
 }
 
@@ -903,8 +928,15 @@ mod tests {
         d.forward(&x).unwrap();
         d.backward(&Tensor::from_vec(vec![1], vec![1.0]).unwrap()).unwrap();
         assert_eq!(d.grads, vec![2.0]);
-        d.sgd_step(0.1);
-        assert!((d.weights[0] - 0.8).abs() < 1e-12);
+        let mut layer = Layer::Dense(d);
+        layer.sgd_step(0.1);
+        assert!((layer.weights()[0] - 0.8).abs() < 1e-12);
+        let Layer::Dense(d) = &layer else { unreachable!() };
         assert_eq!(d.grads, vec![0.0]);
+        // Without gradients a step moves nothing.
+        layer.release_gradients();
+        assert_eq!(layer.gradient_bytes(), 0);
+        layer.sgd_step(0.1);
+        assert!((layer.weights()[0] - 0.8).abs() < 1e-12);
     }
 }

@@ -114,6 +114,13 @@ impl Network {
         }
     }
 
+    /// Frees every layer's weight-gradient buffer (see
+    /// [`Layer::release_gradients`]): a trained network carries weights,
+    /// not training state. Training again re-allocates them.
+    pub fn release_gradients(&mut self) {
+        self.layers.iter_mut().for_each(Layer::release_gradients);
+    }
+
     /// Predicted class of an input (argmax of the logits).
     ///
     /// # Errors

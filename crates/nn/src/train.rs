@@ -50,7 +50,9 @@ impl Sgd {
         self.lr
     }
 
-    /// Trains `net` on `(input, class)` pairs.
+    /// Trains `net` on `(input, class)` pairs. The gradient buffers the
+    /// steps need live only for the call: they are released before it
+    /// returns, so a trained network holds weights and nothing else.
     ///
     /// # Errors
     ///
@@ -72,6 +74,7 @@ impl Sgd {
             }
             epoch_losses.push(if data.is_empty() { 0.0 } else { loss_sum / data.len() as f64 });
         }
+        net.release_gradients();
         let final_train_accuracy = accuracy(net, data)?;
         Ok(TrainReport { epoch_losses, final_train_accuracy })
     }
@@ -98,7 +101,7 @@ pub fn accuracy(net: &mut Network, data: &[(Tensor, usize)]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::LayerSpec;
+    use crate::layer::{Layer, LayerSpec};
 
     fn toy_data() -> Vec<(Tensor, usize)> {
         // Two linearly separable blobs in 2-D.
@@ -127,6 +130,40 @@ mod tests {
             report.epoch_losses
         );
         assert!(report.final_train_accuracy >= 0.95);
+    }
+
+    #[test]
+    fn a_trained_network_holds_no_gradients_and_trains_again_identically() {
+        let specs = [LayerSpec::dense(2, 4), LayerSpec::relu(), LayerSpec::dense(4, 2)];
+        let data = toy_data();
+        let gradient_bytes =
+            |net: &Network| net.layers().iter().map(Layer::gradient_bytes).sum::<usize>();
+        let weights =
+            |net: &Network| net.layers().iter().map(|l| l.weights().to_vec()).collect::<Vec<_>>();
+        let rounds = [Sgd::new(0.05, 3, 1), Sgd::new(0.02, 2, 9)];
+
+        let mut trained = Network::from_specs(&specs, 11).unwrap();
+        // The same steps driven by hand, the gradient buffers never
+        // released in between.
+        let mut by_hand = trained.clone();
+        assert_eq!(gradient_bytes(&trained), 0, "no gradients before the first backward");
+        for sgd in &rounds {
+            sgd.train(&mut trained, &data).unwrap();
+            assert_eq!(gradient_bytes(&trained), 0, "training state must not outlive train()");
+
+            let mut rng = StdRng::seed_from_u64(sgd.shuffle_seed);
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            for _ in 0..sgd.epochs {
+                order.shuffle(&mut rng);
+                for &i in &order {
+                    let logits = by_hand.forward(&data[i].0).unwrap();
+                    by_hand.backward(&cross_entropy_grad(&logits, data[i].1).unwrap()).unwrap();
+                    by_hand.sgd_step(sgd.lr);
+                }
+            }
+            assert!(gradient_bytes(&by_hand) > 0, "the by-hand run keeps its buffers");
+            assert_eq!(weights(&trained), weights(&by_hand));
+        }
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //!    toolchain once and decodes the program (schedule flattened, weight
 //!    blocks materialized) into an `Arc`-shared image that instantiates
 //!    per-worker simulator replicas cheaply.
-//! 2. **Batched execution** — each replica serves through the [`Engine`]
-//!    trait's uniform `plan → execute → drain` lifecycle, implemented by
-//!    both the single-frame [`CycleSim`](shenjing_sim::CycleSim) and the
-//!    SoA [`BatchSim`](shenjing_sim::BatchSim). The compiled schedule is
-//!    static, so register occupancy is identical across frames and one
-//!    pass over the per-cycle control words advances a whole batch —
-//!    bit-identically to sequential single-frame runs, and
-//!    *occupancy-bound*: planning an `n`-of-`max_batch` batch occupies
-//!    exactly `n` lanes, so under-full passes pay for the frames they
-//!    carry.
+//! 2. **Batched execution** — each replica is a SoA
+//!    [`BatchSim`](shenjing_sim::BatchSim) served through the [`Engine`]
+//!    trait's `plan → execute → drain` lifecycle. The compiled schedule
+//!    is static, so register occupancy is identical across frames and
+//!    one pass over the per-cycle control words advances a whole batch —
+//!    each lane bit-identical to a single-frame run of the oracle
+//!    (`shenjing_sim::oracle`), and *occupancy-bound*: planning an
+//!    `n`-of-`max_batch` batch occupies exactly `n` lanes, so under-full
+//!    passes, a batch of one included, pay for the frames they carry.
 //! 3. **Serving tier** — a [`ModelRegistry`] holds many compiled
 //!    artifacts under string ids, each with per-model [`ServeOptions`]
 //!    (priority, deadline SLO, warm-replica pool). [`Runtime::serve`]
@@ -30,15 +29,12 @@
 //!    fail expired requests fast without burning a lane, and gather
 //!    **single-model** batches of up to `max_batch` requests (holding
 //!    under-full batches open at most `max_wait` for stragglers, capped
-//!    by the earliest queued deadline). Each batch runs on whichever
-//!    engine the [`EnginePolicy`] picks (auto dispatch is a
-//!    marginal-cost model over EMA'd per-occupied-lane batched cost vs
-//!    per-frame sequential cost; see [`RuntimeConfig::engine`]) —
-//!    bit-identically either way. Per-request latency (with p50/p95/p99
-//!    percentiles), per-engine frame counters, admission verdicts, a
-//!    batch-occupancy histogram and throughput land in [`RuntimeStats`],
-//!    aggregate and per model. Requests and replies round-trip through
-//!    the JSON [`wire`] format, so the tier can sit behind a socket.
+//!    by the earliest queued deadline). Each batch is one pass of the
+//!    worker's replica of that model. Per-request latency (with
+//!    p50/p95/p99 percentiles), admission verdicts, a batch-occupancy
+//!    histogram and throughput land in [`RuntimeStats`], aggregate and
+//!    per model. Requests and replies round-trip through the JSON
+//!    [`wire`] format, so the tier can sit behind a socket.
 //! 4. **Telemetry** — every runtime owns a [`Telemetry`] hub: always-on
 //!    counters, gauges and timing histograms, plus sampled per-request
 //!    lifecycle spans (admitted → batch-formed → planned → executed →
@@ -114,11 +110,10 @@ pub mod wire;
 
 #[cfg(feature = "chaos")]
 pub use chaos::ChaosConfig;
-pub use engine::{Engine, EngineKind};
+pub use engine::Engine;
 pub use model::{CompiledModel, ModelRegistry, ServeOptions};
 pub use server::{
-    EnginePolicy, InferenceReply, InferenceRequest, PendingReply, Runtime, RuntimeConfig,
-    RuntimeConfigBuilder, DEFAULT_MODEL_ID,
+    InferenceReply, InferenceRequest, PendingReply, Runtime, RuntimeConfig, RuntimeConfigBuilder,
 };
 pub use stats::{ModelStats, RuntimeStats, WorkerHealth};
 

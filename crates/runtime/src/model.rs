@@ -62,9 +62,8 @@ impl CompiledModel {
     /// then runs the schedule optimizer
     /// ([`DecodedProgram::optimize`]) so every replica instantiated from
     /// this artifact executes the compacted schedule. Set
-    /// `SHENJING_NO_OPTIMIZE=1` (or
-    /// [`RuntimeConfig::optimize_schedule`](crate::RuntimeConfig::optimize_schedule)` = false`
-    /// on the serving tier) to fall back to the raw per-cycle walk.
+    /// `SHENJING_NO_OPTIMIZE=1` to keep the identity schedule (one entry
+    /// per scheduled cycle) instead.
     ///
     /// # Errors
     ///
@@ -126,7 +125,8 @@ impl CompiledModel {
         )
     }
 
-    /// Stands up a fresh single-frame simulator replica.
+    /// Stands up a fresh single-frame simulator: a one-lane replica
+    /// behind the frame-at-a-time [`CycleSim`] front.
     ///
     /// # Errors
     ///

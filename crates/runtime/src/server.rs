@@ -1,7 +1,7 @@
 //! The multi-model scheduler/serving layer: a registry of compiled
 //! models behind one admission-controlled request queue, deadline-aware
-//! dequeue ordering, per-model batch formation, worker shards, and the
-//! adaptive per-batch engine dispatch.
+//! dequeue ordering, per-model batch formation, and worker shards that
+//! run every batch as one occupancy-bound pass of a batched replica.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -13,10 +13,11 @@ use std::time::{Duration, Instant};
 
 use shenjing_core::{Error, RejectReason, Result};
 use shenjing_nn::Tensor;
+use shenjing_sim::BatchSim;
 use shenjing_snn::SnnOutput;
 use shenjing_telemetry::{Counter, Gauge, SpanRecord, Telemetry, TelemetryConfig, TimeHistogram};
 
-use crate::engine::{Engine, EngineKind};
+use crate::engine::Engine;
 use crate::model::{CompiledModel, ModelEntry, ModelRegistry, ServeOptions};
 use crate::stats::{self, RuntimeStats, StatsInner, WorkerHealthInner};
 
@@ -48,30 +49,14 @@ const MAX_WORKER_RESTARTS: u64 = 8;
 /// (shutdown unparks it immediately).
 const SUPERVISE_POLL: Duration = Duration::from_millis(5);
 
-/// The id the deprecated single-model [`Runtime::start`] shim registers
-/// its model under.
-pub const DEFAULT_MODEL_ID: &str = "default";
-
-/// How a [`Runtime`] picks the engine for each gathered batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnginePolicy {
-    /// Measure and decide per batch (see [`RuntimeConfig::engine`]).
-    #[default]
-    Auto,
-    /// Always run frames one at a time on the sequential engine.
-    ForceSequential,
-    /// Always run gathered batches on the batched engine.
-    ForceBatched,
-}
-
 /// Batching, sharding and admission policy of a [`Runtime`].
 ///
 /// Construct it with struct syntax plus `..Default::default()`, or
 /// through the validating [`builder`](RuntimeConfig::builder).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker shards; each owns one chip replica per enabled engine for
-    /// every model it has served (see
+    /// Worker shards; each owns one batched chip replica for every model
+    /// it has served (see
     /// [`ServeOptions::warm_replicas`](crate::ServeOptions)).
     pub workers: usize,
     /// Largest batch a worker executes in one pass (its lane count).
@@ -87,26 +72,6 @@ pub struct RuntimeConfig {
     /// with [`ServeOptions::timesteps`](crate::ServeOptions) overrides
     /// this for its own frames.
     pub timesteps: u32,
-    /// Engine dispatch policy. With the batched engine occupancy-bound
-    /// (its plan occupies exactly the gathered lanes, so an `n`-frame
-    /// batch pays for `n` lanes of payload plus one control-word walk),
-    /// *both* engines' costs scale with the frame count, and the
-    /// crossover reduces to a marginal-cost comparison. In
-    /// [`Auto`](EnginePolicy::Auto) mode each worker EMA-measures, per
-    /// engine, the nanoseconds per cost unit it observes as it serves —
-    /// per frame for the sequential engine, per occupied lane for the
-    /// batched one, bucketed by batch occupancy so the batched engine's
-    /// fixed-cost amortization (its per-lane unit falls as batches fill)
-    /// never prices one occupancy with another's measurement; activity
-    /// density shifts are captured by the measurement — and runs every
-    /// batch, a batch of one included, on whichever engine's unit cost
-    /// at that occupancy is lower (which engine serves a single frame
-    /// faster is a measurement like any other — a hard-coded answer was
-    /// once measured wrong); batches are periodically diverted to the
-    /// non-preferred engine so both estimates keep tracking the traffic.
-    /// Force modes pin the engine for experiments and regression
-    /// benches.
-    pub engine: EnginePolicy,
     /// Admission bound: requests beyond this many pending are rejected
     /// with [`RejectReason::QueueFull`] instead of queued — backpressure
     /// the caller sees immediately, rather than unbounded memory and
@@ -131,14 +96,6 @@ pub struct RuntimeConfig {
     /// the typed [`Error::ReplicaFault`] instead of silently blowing its
     /// SLO.
     pub retry_backoff: Duration,
-    /// Whether worker replicas execute the compacted schedule their
-    /// compiled program carries (the default) or are forced back onto
-    /// the raw per-cycle reference walk. The compacted and raw walks
-    /// are bit-identical (the equivalence proptests pin this); turning
-    /// this off is an operational escape hatch for A/B-ing the
-    /// optimizer in place, without recompiling or setting
-    /// `SHENJING_NO_OPTIMIZE`.
-    pub optimize_schedule: bool,
     /// Deterministic failure injection for chaos tests — see
     /// [`ChaosConfig`](crate::chaos::ChaosConfig). `None` (the default)
     /// injects nothing.
@@ -153,12 +110,10 @@ impl Default for RuntimeConfig {
             max_batch: 16,
             max_wait: Duration::from_millis(2),
             timesteps: 20,
-            engine: EnginePolicy::Auto,
             queue_depth: 256,
             telemetry: TelemetryConfig::default(),
             retry_budget: 2,
             retry_backoff: Duration::from_micros(200),
-            optimize_schedule: true,
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -240,13 +195,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the engine dispatch policy.
-    #[must_use]
-    pub fn engine(mut self, engine: EnginePolicy) -> RuntimeConfigBuilder {
-        self.config.engine = engine;
-        self
-    }
-
     /// Sets the admission bound on pending requests.
     #[must_use]
     pub fn queue_depth(mut self, queue_depth: usize) -> RuntimeConfigBuilder {
@@ -273,14 +221,6 @@ impl RuntimeConfigBuilder {
     #[must_use]
     pub fn retry_backoff(mut self, retry_backoff: Duration) -> RuntimeConfigBuilder {
         self.config.retry_backoff = retry_backoff;
-        self
-    }
-
-    /// Selects compacted-schedule execution (`true`, the default) or the
-    /// raw per-cycle reference walk for every worker replica.
-    #[must_use]
-    pub fn optimize_schedule(mut self, on: bool) -> RuntimeConfigBuilder {
-        self.config.optimize_schedule = on;
         self
     }
 
@@ -377,8 +317,6 @@ pub struct InferenceReply {
     pub worker: usize,
     /// How many frames shared the batch this request rode in.
     pub batch_size: usize,
-    /// Which engine the dispatch policy ran the batch on.
-    pub engine: EngineKind,
     /// Executions performed for this request, counting the successful
     /// one: `1` in the common no-fault case, more when replica faults
     /// forced retries (each bounded by [`RuntimeConfig::retry_budget`]
@@ -632,16 +570,16 @@ impl PendingReply {
 }
 
 /// A batched, sharded, multi-model inference server over a
-/// [`ModelRegistry`] with admission control, deadline-aware scheduling
-/// and adaptive engine dispatch.
+/// [`ModelRegistry`] with admission control and deadline-aware
+/// scheduling.
 ///
 /// Requests enter one shared, depth-bounded queue as typed
 /// [`InferenceRequest`]s; each of `workers` shards picks the
 /// highest-priority / earliest-deadline request, gathers up to
 /// `max_batch` requests **of that request's model** (batches never mix
-/// models — the compiled schedule is per-model), and advances them on
-/// whichever engine the [`EnginePolicy`] picks — bit-identically either
-/// way. Expired requests are dropped at admission, in the queue, and at
+/// models — the compiled schedule is per-model), and advances them in
+/// one pass of its batched replica, which costs what the gathered frames
+/// cost. Expired requests are dropped at admission, in the queue, and at
 /// batch formation without occupying a lane.
 ///
 /// ```
@@ -677,175 +615,20 @@ pub struct Runtime {
     supervisor: Option<JoinHandle<Vec<usize>>>,
 }
 
-/// One engine replica a worker can dispatch to, with its measured cost.
-struct EngineSlot {
-    engine: Box<dyn Engine>,
-    /// EMA'd nanoseconds per cost unit — per frame for the sequential
-    /// engine, per occupied lane for the batched one — **bucketed by
-    /// batch occupancy** (`unit_ns[frames]`, index 0 unused). The
-    /// batched engine's fixed control-word walk amortizes across more
-    /// lanes in fuller batches, so its per-lane unit falls with
-    /// occupancy; a single scalar EMA learned at one occupancy would
-    /// misprice another (e.g. a full-batch unit applied to a 2-frame
-    /// batch hides the fixed cost). The sequential engine's unit is flat
-    /// across occupancies; its buckets simply converge. Activity density
-    /// moves every bucket, which is why they keep being re-measured —
-    /// see [`pick_engine`]'s probes.
-    unit_ns: Vec<Option<f64>>,
-}
-
-impl EngineSlot {
-    fn new(engine: Box<dyn Engine>, max_batch: usize) -> EngineSlot {
-        EngineSlot { engine, unit_ns: vec![None; max_batch + 1] }
-    }
-
-    /// Folds one measured batch (`busy / frames`) into its occupancy
-    /// bucket.
-    fn record(&mut self, frames: usize, unit: f64) {
-        if let Some(slot) = self.unit_ns.get_mut(frames) {
-            *slot = ema(*slot, unit);
-        }
-    }
-
-    /// The unit-cost estimate for a batch of `frames`: this occupancy's
-    /// own EMA when measured, otherwise the nearest measured occupancy's
-    /// — the closest point on the amortization curve observed so far.
-    fn estimate(&self, frames: usize) -> Option<f64> {
-        if let Some(unit) = self.unit_ns.get(frames).copied().flatten() {
-            return Some(unit);
-        }
-        (1..self.unit_ns.len())
-            .filter_map(|n| self.unit_ns[n].map(|u| (n.abs_diff(frames), u)))
-            .min_by_key(|&(distance, _)| distance)
-            .map(|(_, unit)| unit)
-    }
-}
-
-/// One worker shard's engines **for one model**: replicas are only
-/// instantiated for the engines its policy can dispatch to.
-struct WorkerEngines {
-    sequential: Option<EngineSlot>,
-    batched: Option<EngineSlot>,
-    probes: ProbeState,
+/// One worker shard's replica of one model.
+struct Replica {
+    sim: BatchSim,
     /// Consecutive batches this replica answered with *only* errors; at
     /// [`QUARANTINE_ERROR_STREAK`] the replica is quarantined. Any
     /// successful frame resets it.
     error_streak: u32,
 }
 
-impl WorkerEngines {
-    fn estimate(&self, kind: EngineKind, frames: usize) -> Option<f64> {
-        match kind {
-            EngineKind::Sequential => self.sequential.as_ref().and_then(|s| s.estimate(frames)),
-            EngineKind::Batched => self.batched.as_ref().and_then(|s| s.estimate(frames)),
-        }
-    }
-
-    fn slot_mut(&mut self, kind: EngineKind) -> &mut EngineSlot {
-        match kind {
-            EngineKind::Sequential => self.sequential.as_mut(),
-            EngineKind::Batched => self.batched.as_mut(),
-        }
-        .expect("the policy keeps a replica for every engine it can pick")
-    }
-}
-
-/// Instantiates the engine replicas one worker needs for one model.
-fn build_worker_engines(model: &CompiledModel, config: &RuntimeConfig) -> Result<WorkerEngines> {
-    let prepare = |mut engine: Box<dyn Engine>| {
-        if !config.optimize_schedule {
-            engine.set_schedule_compaction(false);
-        }
-        engine
-    };
-    let sequential: Option<EngineSlot> = match config.engine {
-        EnginePolicy::ForceBatched => None,
-        _ => Some(EngineSlot::new(prepare(Box::new(model.instantiate()?)), config.max_batch)),
-    };
-    let batched: Option<EngineSlot> = match config.engine {
-        EnginePolicy::ForceSequential => None,
-        _ => Some(EngineSlot::new(
-            prepare(Box::new(model.instantiate_batched(config.max_batch)?)),
-            config.max_batch,
-        )),
-    };
-    Ok(WorkerEngines { sequential, batched, probes: ProbeState::default(), error_streak: 0 })
-}
-
-/// EMA smoothing factor for the engine cost measurements.
-const TIMING_ALPHA: f64 = 0.3;
-
-/// In auto mode, every this-many batches that the crossover prefers one
-/// engine for are diverted to the *other* engine instead. Only the
-/// chosen engine's EMA updates, so without probes a stale (or
-/// never-seeded) estimate locks the dispatch in: a pessimistic batched
-/// EMA would pin sequential forever, and the sequential EMA would never
-/// even be seeded (unmeasured batches go batched). Symmetric periodic
-/// probes bound both failure modes to one diverted batch per interval.
-const ENGINE_PROBE_INTERVAL: u32 = 16;
-
-/// Per-engine probe countdowns (see [`ENGINE_PROBE_INTERVAL`]).
-#[derive(Debug, Clone, Copy)]
-struct ProbeState {
-    sequential: u32,
-    batched: u32,
-}
-
-impl Default for ProbeState {
-    fn default() -> ProbeState {
-        ProbeState { sequential: ENGINE_PROBE_INTERVAL, batched: ENGINE_PROBE_INTERVAL }
-    }
-}
-
-fn ema(old: Option<f64>, sample: f64) -> Option<f64> {
-    Some(match old {
-        None => sample,
-        Some(v) => v * (1.0 - TIMING_ALPHA) + sample * TIMING_ALPHA,
-    })
-}
-
-/// The dispatch decision for a gathered batch of `frames` requests (see
-/// [`RuntimeConfig::engine`] for the heuristic): a marginal-cost model
-/// comparing the EMA'd per-occupied-lane batched cost against the
-/// per-frame sequential cost — with occupancy-bound execution, an
-/// `n`-frame batch costs ≈ `n × unit` on either engine, so the units
-/// compare directly at every `n`, one included. `probes` is the
-/// worker's [`ENGINE_PROBE_INTERVAL`] state.
-fn pick_engine(
-    policy: EnginePolicy,
-    seq_unit_ns: Option<f64>,
-    batch_unit_ns: Option<f64>,
-    probes: &mut ProbeState,
-) -> EngineKind {
-    match policy {
-        EnginePolicy::ForceSequential => EngineKind::Sequential,
-        EnginePolicy::ForceBatched => EngineKind::Batched,
-        EnginePolicy::Auto => {
-            let preferred = match (seq_unit_ns, batch_unit_ns) {
-                (Some(seq), Some(lane)) if seq < lane => EngineKind::Sequential,
-                // Before both EMAs exist, favor the batched engine (it
-                // amortizes whatever the batch holds); the sequential
-                // probe below seeds the missing measurement.
-                _ => EngineKind::Batched,
-            };
-            match preferred {
-                EngineKind::Sequential => {
-                    if probes.batched == 0 {
-                        probes.batched = ENGINE_PROBE_INTERVAL;
-                        return EngineKind::Batched;
-                    }
-                    probes.batched -= 1;
-                }
-                EngineKind::Batched => {
-                    if probes.sequential == 0 {
-                        probes.sequential = ENGINE_PROBE_INTERVAL;
-                        return EngineKind::Sequential;
-                    }
-                    probes.sequential -= 1;
-                }
-            }
-            preferred
-        }
+impl Replica {
+    /// Instantiates the `max_batch`-lane replica one worker needs for
+    /// one model.
+    fn build(model: &CompiledModel, config: &RuntimeConfig) -> Result<Replica> {
+        Ok(Replica { sim: model.instantiate_batched(config.max_batch)?, error_streak: 0 })
     }
 }
 
@@ -878,37 +661,28 @@ impl Runtime {
                 options: e.options,
             })
             .collect();
-        // Per-worker, per-model engine slots; `None` until warmed or
+        // Per-worker, per-model replicas; `None` until warmed or
         // cold-started.
-        let mut worker_engines: Vec<Vec<Option<WorkerEngines>>> = Vec::new();
+        let mut worker_replicas: Vec<Vec<Option<Replica>>> = Vec::new();
         for w in 0..config.workers {
             let mut slots = Vec::with_capacity(models.len());
             for m in &models {
                 let warm = w < m.options.warm_replicas.min(config.workers);
-                slots.push(if warm {
-                    Some(build_worker_engines(&m.model, &config)?)
-                } else {
-                    None
-                });
+                slots.push(if warm { Some(Replica::build(&m.model, &config)?) } else { None });
             }
-            worker_engines.push(slots);
+            worker_replicas.push(slots);
         }
         let per_model = vec![StatsInner::default(); models.len()];
         let telemetry = Arc::new(Telemetry::new(config.telemetry.clone()));
         // Static facts as info gauges, the Prometheus idiom for joining
         // live counters with model size/placement at query time.
-        let shared_compaction_on = config.optimize_schedule;
         for m in &models {
             let labels = m.model.info_labels(&m.id);
             telemetry.registry().gauge(&format!("shenjing_model_info{labels}")).set(1);
             // Raw vs compacted cycles per pass — what the schedule
-            // optimizer bought this model (equal when serving raw).
+            // optimizer bought this model.
             let raw = m.model.block_cycles();
-            let compacted = if shared_compaction_on {
-                m.model.program().compacted_cycles().unwrap_or(raw)
-            } else {
-                raw
-            };
+            let compacted = m.model.program().compacted_cycles().unwrap_or(raw);
             let id = &m.id;
             telemetry
                 .registry()
@@ -943,10 +717,10 @@ impl Runtime {
             #[cfg(feature = "chaos")]
             chaos,
         });
-        let workers: Vec<Option<JoinHandle<()>>> = worker_engines
+        let workers: Vec<Option<JoinHandle<()>>> = worker_replicas
             .into_iter()
             .enumerate()
-            .map(|(id, engines)| spawn_worker(id, engines, Arc::clone(&shared)).map(Some))
+            .map(|(id, replicas)| spawn_worker(id, replicas, Arc::clone(&shared)).map(Some))
             .collect::<Result<_>>()?;
         let supervisor = {
             let shared = Arc::clone(&shared);
@@ -956,19 +730,6 @@ impl Runtime {
                 .map_err(|e| Error::config(format!("spawning the supervisor failed: {e}")))?
         };
         Ok(Runtime { shared, supervisor: Some(supervisor) })
-    }
-
-    /// Single-model compatibility shim: registers `model` as
-    /// [`DEFAULT_MODEL_ID`] with every worker warm and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`serve`](Runtime::serve).
-    #[deprecated(since = "0.1.0", note = "use Runtime::serve with a ModelRegistry")]
-    pub fn start(model: CompiledModel, config: RuntimeConfig) -> Result<Runtime> {
-        let options = ServeOptions::default().with_warm_replicas(config.workers);
-        let registry = ModelRegistry::new().with_model(DEFAULT_MODEL_ID, model, options)?;
-        Runtime::serve(registry, config)
     }
 
     /// The registered model ids, in registration order.
@@ -1207,18 +968,18 @@ impl Drop for Runtime {
 /// Spawns one worker shard thread.
 fn spawn_worker(
     id: usize,
-    engines: Vec<Option<WorkerEngines>>,
+    replicas: Vec<Option<Replica>>,
     shared: Arc<Shared>,
 ) -> Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("shenjing-worker-{id}"))
-        .spawn(move || worker_loop(id, engines, &shared))
+        .spawn(move || worker_loop(id, replicas, &shared))
         .map_err(|e| Error::config(format!("spawning worker {id} failed: {e}")))
 }
 
 /// The supervision loop: owns the worker join handles, polls for dead
 /// threads, and respawns any shard whose thread died abnormally — with
-/// cold engine slots, so the respawn also sheds whatever replica state
+/// cold replica slots, so the respawn also sheds whatever replica state
 /// the panic left behind. Each shard gets at most
 /// [`MAX_WORKER_RESTARTS`] respawns; beyond that it is abandoned (its
 /// health record marks `gave_up` and shutdown reports it). Returns the
@@ -1247,9 +1008,9 @@ fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> 
             shared.handles.worker_restarts.inc();
             let respawned = (restarts <= MAX_WORKER_RESTARTS)
                 .then(|| {
-                    let engines: Vec<Option<WorkerEngines>> =
+                    let replicas: Vec<Option<Replica>> =
                         (0..shared.models.len()).map(|_| None).collect();
-                    spawn_worker(id, engines, Arc::clone(shared)).ok()
+                    spawn_worker(id, replicas, Arc::clone(shared)).ok()
                 })
                 .flatten();
             match respawned {
@@ -1324,16 +1085,11 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// compiled artifact — the fault-recovery half of the warm pool. The
 /// rebuild is a cold start by definition; if it fails the slot stays
 /// empty and the next batch retries via the ordinary cold-start path.
-fn quarantine_replica(
-    id: usize,
-    model: usize,
-    engines: &mut [Option<WorkerEngines>],
-    shared: &Shared,
-) {
-    engines[model] = None;
-    let rebuilt = build_worker_engines(&shared.models[model].model, &shared.config).ok();
+fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
+    replicas[model] = None;
+    let rebuilt = Replica::build(&shared.models[model].model, &shared.config).ok();
     let rebuilt_ok = rebuilt.is_some();
-    engines[model] = rebuilt;
+    replicas[model] = rebuilt;
     shared.handles.quarantines.inc();
     let mut stats = relock(&shared.stats);
     stats.workers[id].quarantines += 1;
@@ -1345,14 +1101,13 @@ fn quarantine_replica(
     }
 }
 
-/// Books one executed batch into a model's throughput/occupancy/engine
+/// Books one executed batch into a model's throughput/occupancy
 /// counters (the per-frame verdict counters are booked separately).
 fn account_batch(
     stats: &mut AllStats,
     model: usize,
     frames: usize,
     busy: Duration,
-    engine: EngineKind,
     density: f64,
     max_batch: usize,
 ) {
@@ -1363,16 +1118,6 @@ fn account_batch(
             s.full_batches += 1;
         }
         s.record_occupancy(frames, max_batch);
-        match engine {
-            EngineKind::Sequential => {
-                s.sequential_batches += 1;
-                s.sequential_frames += frames as u64;
-            }
-            EngineKind::Batched => {
-                s.batched_batches += 1;
-                s.batched_frames += frames as u64;
-            }
-        }
         s.density_weighted_sum += density * frames as f64;
     }
 }
@@ -1381,11 +1126,11 @@ fn account_batch(
 /// between retry attempts wait for their `not_before`), gathers a
 /// single-model batch around it per the max-batch/max-wait policy
 /// (capped by that model's earliest queued deadline), sweeps expired
-/// requests out without burning lanes, picks an engine per the dispatch
-/// policy, runs it behind a panic guard, and answers every rider —
+/// requests out without burning lanes, runs the batch on the model's
+/// replica behind a panic guard, and answers every rider —
 /// requeueing them with backoff when the replica faulted and the retry
 /// budget and deadline allow. On shutdown, drains the queue first.
-fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shared) {
+fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
     let config = &shared.config;
     'serve: loop {
         #[cfg(feature = "chaos")]
@@ -1490,12 +1235,12 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
             / frames as f64;
 
         // Outside the warm pool this worker instantiates on first use —
-        // one cold start per (worker, model), then the replicas persist
-        // until a quarantine sheds them.
-        if engines[model].is_none() {
-            match build_worker_engines(&shared.models[model].model, config) {
+        // one cold start per (worker, model), then the replica persists
+        // until a quarantine sheds it.
+        if replicas[model].is_none() {
+            match Replica::build(&shared.models[model].model, config) {
                 Ok(built) => {
-                    engines[model] = Some(built);
+                    replicas[model] = Some(built);
                     let mut stats = relock(&shared.stats);
                     for s in stats.both(model) {
                         s.cold_starts += 1;
@@ -1514,25 +1259,19 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                 }
             }
         }
-        let model_engines = engines[model].as_mut().expect("instantiated above");
+        let replica = replicas[model].as_mut().expect("instantiated above");
         let timesteps = shared.models[model].options.timesteps.unwrap_or(config.timesteps);
-        let engine = pick_engine(
-            config.engine,
-            model_engines.estimate(EngineKind::Sequential, frames),
-            model_engines.estimate(EngineKind::Batched, frames),
-            &mut model_engines.probes,
-        );
 
-        // The uniform plan → execute → drain lifecycle over the chosen
+        // The plan → execute → drain lifecycle over the model's
         // replica, behind a panic guard: a panicking replica fails only
         // this batch, never the worker thread. The replica state behind
         // the guard is presumed corrupt after an unwind, which is
         // exactly why the panic arm below quarantines it.
         let exec_start = Instant::now();
         let guarded = {
-            let slot = model_engines.slot_mut(engine);
+            let sim = &mut replica.sim;
             if profiling {
-                slot.engine.set_profiling(true);
+                sim.set_profiling(true);
             }
             std::panic::catch_unwind(AssertUnwindSafe(
                 || -> Result<(Vec<Result<SnnOutput>>, Instant, Instant)> {
@@ -1540,11 +1279,11 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                     if let Some(chaos) = &shared.chaos {
                         chaos.on_execute()?;
                     }
-                    slot.engine.plan(frames)?;
+                    sim.plan(frames)?;
                     let planned_at = Instant::now();
-                    let results = slot.engine.execute(&inputs, timesteps);
+                    let results = sim.execute(&inputs, timesteps);
                     let executed_at = Instant::now();
-                    slot.engine.drain();
+                    sim.drain();
                     Ok((results, planned_at, executed_at))
                 },
             ))
@@ -1552,15 +1291,15 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
         let busy = exec_start.elapsed();
         let answered = Instant::now();
 
-        let streak_bump = |engines: &mut Vec<Option<WorkerEngines>>| {
-            let me = engines[model].as_mut().expect("instantiated above");
+        let streak_bump = |replicas: &mut Vec<Option<Replica>>| {
+            let me = replicas[model].as_mut().expect("instantiated above");
             me.error_streak += 1;
             me.error_streak >= QUARANTINE_ERROR_STREAK
         };
         let outcome = match guarded {
             // The replica panicked mid-batch: quarantine immediately.
             Err(payload) => {
-                quarantine_replica(id, model, &mut engines, shared);
+                quarantine_replica(id, model, &mut replicas, shared);
                 Outcome::Fault { kind: FaultKind::Panic, reason: panic_reason(&*payload) }
             }
             // The whole batch errored before per-frame verdicts (plan
@@ -1568,8 +1307,8 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
             // to the riders — it may be the request's own fault — but a
             // streak indicts the replica.
             Ok(Err(e)) => {
-                if streak_bump(&mut engines) {
-                    quarantine_replica(id, model, &mut engines, shared);
+                if streak_bump(&mut replicas) {
+                    quarantine_replica(id, model, &mut replicas, shared);
                     Outcome::Fault { kind: FaultKind::Quarantine, reason: e.to_string() }
                 } else {
                     let now = Instant::now();
@@ -1578,19 +1317,19 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
             }
             Ok(Ok((results, planned_at, executed_at))) => {
                 if !results.is_empty() && results.iter().all(Result::is_err) {
-                    if streak_bump(&mut engines) {
+                    if streak_bump(&mut replicas) {
                         let reason = results
                             .iter()
                             .find_map(|r| r.as_ref().err())
                             .map(ToString::to_string)
                             .unwrap_or_else(|| "every frame errored".to_string());
-                        quarantine_replica(id, model, &mut engines, shared);
+                        quarantine_replica(id, model, &mut replicas, shared);
                         Outcome::Fault { kind: FaultKind::Quarantine, reason }
                     } else {
                         Outcome::Served(results, planned_at, executed_at)
                     }
                 } else {
-                    engines[model].as_mut().expect("instantiated above").error_streak = 0;
+                    replicas[model].as_mut().expect("instantiated above").error_streak = 0;
                     Outcome::Served(results, planned_at, executed_at)
                 }
             }
@@ -1598,10 +1337,10 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
 
         match outcome {
             Outcome::Served(results, planned_at, executed_at) => {
-                let slot = engines[model].as_mut().expect("instantiated above").slot_mut(engine);
+                let sim = &mut replicas[model].as_mut().expect("instantiated above").sim;
                 // `take_profile` also stops profiling, so the next
                 // (unsampled) batch runs the untouched fast path.
-                let profile = if profiling { slot.engine.take_profile() } else { None };
+                let profile = if profiling { sim.take_profile() } else { None };
                 if let Some(p) = &profile {
                     for (name, ns) in p.phase_ns() {
                         let counter = shared
@@ -1615,13 +1354,9 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                     }
                     shared.handles.profiled_batches.inc();
                 }
-                // Per-unit marginal cost: frames for the sequential
-                // engine, occupied lanes for the batched one — the same
-                // number, recorded into this occupancy's bucket.
-                slot.record(frames, busy.as_nanos() as f64 / frames as f64);
 
                 let mut stats = relock(&shared.stats);
-                account_batch(&mut stats, model, frames, busy, engine, density, config.max_batch);
+                account_batch(&mut stats, model, frames, busy, density, config.max_batch);
                 for (rider, result) in riders.into_iter().zip(results) {
                     match result {
                         Ok(output) => {
@@ -1649,7 +1384,6 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                                 queue_wait,
                                 worker: id,
                                 batch_size: frames,
-                                engine,
                                 attempts: rider.attempts + 1,
                             };
                             let _ = rider.reply.send(Ok(reply));
@@ -1659,10 +1393,6 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                                     id: rider.seq,
                                     model: shared.models[model].id.clone(),
                                     worker: id as u64,
-                                    engine: match engine {
-                                        EngineKind::Sequential => "sequential".to_string(),
-                                        EngineKind::Batched => "batched".to_string(),
-                                    },
                                     batch_size: frames as u64,
                                     attempts: u64::from(rider.attempts) + 1,
                                     admitted_us: t.instant_us(rider.enqueued),
@@ -1717,7 +1447,7 @@ fn worker_loop(id: usize, mut engines: Vec<Option<WorkerEngines>>, shared: &Shar
                     shared.handles.retries(kind).add(retried as u64);
                 }
                 let mut stats = relock(&shared.stats);
-                account_batch(&mut stats, model, frames, busy, engine, density, config.max_batch);
+                account_batch(&mut stats, model, frames, busy, density, config.max_batch);
                 stats.workers[id].replica_faults += 1;
                 for s in stats.both(model) {
                     s.retries += retried as u64;
@@ -1766,7 +1496,7 @@ fn take_batch(
 mod tests {
     use super::*;
     use shenjing_core::{ArchSpec, W5};
-    use shenjing_sim::CycleSim;
+    use shenjing_sim::OracleSim;
     use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
 
     /// A 12-input, 3-output model (the tests' "model A").
@@ -1809,10 +1539,21 @@ mod tests {
         InferenceRequest::new("m", frame(seed))
     }
 
+    /// The oracle over a model's program: the scalar chip, one frame at
+    /// a time — what every served reply must equal.
+    fn oracle(model: &CompiledModel) -> OracleSim {
+        OracleSim::from_decoded(Arc::clone(model.program())).unwrap()
+    }
+
+    /// Frames a model's batches carried, from its occupancy histogram.
+    fn frames_served(stats: &RuntimeStats) -> u64 {
+        stats.occupancy_histogram.iter().enumerate().map(|(n, c)| n as u64 * c).sum()
+    }
+
     #[test]
     fn serves_requests_and_matches_single_frame_sim() {
         let model = model();
-        let mut reference: CycleSim = model.instantiate().unwrap();
+        let mut reference = oracle(&model);
         let runtime = single(
             model,
             RuntimeConfig { workers: 2, max_batch: 4, timesteps: 9, ..Default::default() },
@@ -1830,12 +1571,7 @@ mod tests {
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.failed, 0);
         assert!(stats.batches >= 3, "4-lane workers need ≥3 batches for 10 frames");
-        assert_eq!(
-            stats.sequential_batches + stats.batched_batches,
-            stats.batches,
-            "every batch ran on exactly one engine"
-        );
-        assert_eq!(stats.sequential_frames + stats.batched_frames, 10);
+        assert_eq!(frames_served(&stats), 10, "the occupancy histogram accounts for every frame");
         assert!(stats.mean_batch_occupancy >= 1.0);
         assert!(stats.frames_per_sec > 0.0);
         assert!(stats.p50_latency <= stats.p95_latency);
@@ -1875,178 +1611,44 @@ mod tests {
     }
 
     #[test]
-    fn forced_engines_are_obeyed_and_bit_exact() {
+    fn served_replies_equal_a_fresh_replicas_pass_at_every_batch_size() {
+        // One worker holds every under-full batch open for a straggler
+        // that never comes; closing admission releases it, so the n
+        // requests submitted before form exactly one batch of n on the
+        // 16-lane replica. Whatever its occupancy, a served pass is
+        // `BatchSim::run_batch` on a fresh replica — and each of its
+        // frames the oracle's.
+        const T: u32 = 5;
         let model = model();
-        let mut reference: CycleSim = model.instantiate().unwrap();
-        for (policy, engine) in [
-            (EnginePolicy::ForceSequential, EngineKind::Sequential),
-            (EnginePolicy::ForceBatched, EngineKind::Batched),
-        ] {
+        let frames: Vec<Tensor> = (0..16).map(frame).collect();
+        let mut reference = oracle(&model);
+        let by_frame: Vec<SnnOutput> =
+            frames.iter().map(|f| reference.run_frame(f, T).unwrap()).collect();
+        for n in 1..=16 {
             let runtime = single(
                 model.clone(),
                 RuntimeConfig {
                     workers: 1,
-                    max_batch: 4,
-                    timesteps: 7,
-                    engine: policy,
+                    max_batch: 16,
+                    max_wait: Duration::from_secs(30),
+                    timesteps: T,
                     ..Default::default()
                 },
             );
-            let requests: Vec<InferenceRequest> = (0..6).map(request).collect();
-            let replies = runtime.infer_many(&requests).unwrap();
-            for (req, reply) in requests.iter().zip(&replies) {
-                assert_eq!(reply.engine, engine, "policy {policy:?} must pin the engine");
-                let want = reference.run_frame(&req.input, 7).unwrap();
-                assert_eq!(reply.output, want, "both engines serve bit-exact outputs");
+            let pending: Vec<PendingReply> =
+                (0..n).map(|k| runtime.submit(request(k)).unwrap()).collect();
+            runtime.begin_shutdown();
+            let replies: Vec<InferenceReply> =
+                pending.into_iter().map(|p| p.wait().unwrap()).collect();
+            let fresh = model.instantiate_batched(16).unwrap().run_batch(&frames[..n], T).unwrap();
+            for (k, reply) in replies.iter().enumerate() {
+                assert_eq!(reply.batch_size, n, "request {k} of {n}");
+                assert_eq!(reply.output, fresh[k], "request {k} of {n} vs a fresh replica");
+                assert_eq!(reply.output, by_frame[k], "request {k} of {n} vs the oracle");
             }
             let stats = runtime.shutdown().unwrap();
-            match engine {
-                EngineKind::Sequential => {
-                    assert_eq!(stats.sequential_frames, 6);
-                    assert_eq!(stats.batched_frames, 0);
-                }
-                EngineKind::Batched => {
-                    assert_eq!(stats.batched_frames, 6);
-                    assert_eq!(stats.sequential_frames, 0);
-                }
-            }
-            assert_eq!(
-                stats
-                    .occupancy_histogram
-                    .iter()
-                    .enumerate()
-                    .map(|(n, c)| n as u64 * c)
-                    .sum::<u64>(),
-                6,
-                "the occupancy histogram accounts for every frame"
-            );
+            assert_eq!((stats.batches, stats.completed), (1, n as u64));
         }
-    }
-
-    #[test]
-    fn auto_dispatch_prices_single_frame_batches_like_any_other() {
-        let runtime = single(
-            model(),
-            RuntimeConfig { workers: 1, max_batch: 8, timesteps: 5, ..Default::default() },
-        );
-        // Strictly serialized submissions: every gathered batch holds one
-        // frame. Nothing is assumed about a batch of one — unmeasured, it
-        // goes batched like any other, and after ENGINE_PROBE_INTERVAL of
-        // those one is diverted to seed the sequential estimate.
-        for k in 0..=ENGINE_PROBE_INTERVAL as usize {
-            let reply = runtime.infer(request(k)).unwrap();
-            let probe = k == ENGINE_PROBE_INTERVAL as usize;
-            let want = if probe { EngineKind::Sequential } else { EngineKind::Batched };
-            assert_eq!(reply.engine, want, "single-frame batch {k}");
-            assert_eq!(reply.batch_size, 1);
-        }
-        let stats = runtime.shutdown().unwrap();
-        assert_eq!(stats.batched_frames, u64::from(ENGINE_PROBE_INTERVAL));
-        assert_eq!(stats.sequential_frames, 1);
-        assert_eq!(
-            stats.occupancy_histogram[1],
-            u64::from(ENGINE_PROBE_INTERVAL) + 1,
-            "every batch held one frame"
-        );
-    }
-
-    #[test]
-    fn pick_engine_marginal_cost_crossover() {
-        fn ps() -> ProbeState {
-            ProbeState::default()
-        }
-        // Forced policies ignore measurements.
-        assert_eq!(
-            pick_engine(EnginePolicy::ForceSequential, None, None, &mut ps()),
-            EngineKind::Sequential
-        );
-        assert_eq!(
-            pick_engine(EnginePolicy::ForceBatched, None, None, &mut ps()),
-            EngineKind::Batched
-        );
-        // Auto: an unmeasured batch — of any size, one frame included —
-        // goes batched to learn its cost.
-        assert_eq!(pick_engine(EnginePolicy::Auto, None, None, &mut ps()), EngineKind::Batched);
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, Some(10_000.0), None, &mut ps()),
-            EngineKind::Batched
-        );
-        // Auto with measurements is a per-unit marginal-cost comparison at
-        // the batch's own occupancy (the caller passes that bucket's
-        // estimates): occupancy-bound passes make an n-frame batch cost
-        // ≈ n × unit on either engine, so the cheaper unit wins — with no
-        // special case for a batch of one.
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, Some(10_000.0), Some(6_000.0), &mut ps()),
-            EngineKind::Batched
-        );
-        // And a costlier batched lane (e.g. very sparse frames, where the
-        // control-word walk dominates a small pass) loses.
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, Some(10_000.0), Some(14_000.0), &mut ps()),
-            EngineKind::Sequential
-        );
-    }
-
-    #[test]
-    fn unit_cost_buckets_are_per_occupancy() {
-        // The batched engine's per-lane unit falls as batches fill (its
-        // fixed control-word walk amortizes), so a full-batch measurement
-        // must not price a small batch once the small batch has its own:
-        // each occupancy owns a bucket, with nearest-bucket fallback
-        // before any measurement exists there.
-        let model = model();
-        let mut slot = EngineSlot::new(Box::new(model.instantiate_batched(16).unwrap()), 16);
-        assert_eq!(slot.estimate(4), None, "no measurements yet");
-        slot.record(16, 2_000.0); // cheap per-lane unit at full occupancy
-        assert_eq!(slot.estimate(16), Some(2_000.0));
-        assert_eq!(slot.estimate(2), Some(2_000.0), "nearest bucket seeds unmeasured occupancies");
-        slot.record(2, 8_000.0); // a 2-frame pass barely amortizes the walk
-        assert_eq!(slot.estimate(2), Some(8_000.0), "own bucket wins once measured");
-        assert_eq!(slot.estimate(16), Some(2_000.0), "full-batch bucket is unaffected");
-        assert_eq!(slot.estimate(3), Some(8_000.0), "fallback picks the closest measurement");
-        // A dispatch decision at n=2 now sees the honest 2-frame unit: a
-        // 5 µs sequential frame beats the 8 µs batched lane there while
-        // full batches keep preferring the 2 µs lane.
-        let mut probes = ProbeState::default();
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, Some(5_000.0), slot.estimate(2), &mut probes),
-            EngineKind::Sequential
-        );
-        assert_eq!(
-            pick_engine(EnginePolicy::Auto, Some(5_000.0), slot.estimate(16), &mut probes),
-            EngineKind::Batched
-        );
-    }
-
-    #[test]
-    fn auto_dispatch_periodically_probes_the_unpreferred_engine() {
-        // A stale or never-seeded EMA must not lock the dispatch onto one
-        // engine: every ENGINE_PROBE_INTERVAL batches the crossover
-        // prefers one engine for, one is diverted to the other so its
-        // measurement keeps tracking the traffic.
-        let (seq, lane) = (Some(1_000.0), Some(1_000_000.0));
-        let mut probes = ProbeState::default();
-        let mut diverted = 0u32;
-        for _ in 0..2 * (ENGINE_PROBE_INTERVAL + 1) {
-            if pick_engine(EnginePolicy::Auto, seq, lane, &mut probes) == EngineKind::Batched {
-                diverted += 1;
-            }
-        }
-        assert_eq!(diverted, 2, "one batched probe per interval");
-
-        // The mirror direction, including the bootstrap case where the
-        // sequential EMA was never seeded (unmeasured batches go batched).
-        let mut probes = ProbeState::default();
-        let mut diverted = 0u32;
-        for _ in 0..2 * (ENGINE_PROBE_INTERVAL + 1) {
-            if pick_engine(EnginePolicy::Auto, None, Some(1_000.0), &mut probes)
-                == EngineKind::Sequential
-            {
-                diverted += 1;
-            }
-        }
-        assert_eq!(diverted, 2, "one sequential probe per interval seeds/refreshes its EMA");
     }
 
     #[test]
@@ -2166,7 +1768,6 @@ mod tests {
         assert!(spans.iter().any(|s| s.model == "bulk"));
         for span in &spans {
             assert!(span.is_monotone(), "lifecycle timestamps must be ordered: {span:?}");
-            assert_eq!(span.engine, "batched", "unmeasured single-frame batches go batched");
             let phases = span.phases.as_ref().expect("sampled batches carry a phase profile");
             assert!(phases.total_phase_ns() > 0, "phase times account for the pass");
             assert_eq!(phases.timesteps, 3, "one 3-timestep frame per batch");
@@ -2188,44 +1789,6 @@ mod tests {
         assert!(stats.p50_service > Duration::ZERO, "service time was measured");
         assert!(stats.p99_service <= stats.max_latency);
         assert_eq!(stats.queue_depth, 0, "a drained runtime holds no queued requests");
-    }
-
-    #[test]
-    fn raw_walk_escape_hatch_matches_compacted_serving() {
-        // `optimize_schedule: false` forces every replica back onto the
-        // raw per-cycle walk — same bits out, and the compacted-cycles
-        // gauge reports the raw block so dashboards see the fallback.
-        let model = model();
-        let compacted =
-            model.program().compacted_cycles().expect("compile attaches a compacted schedule");
-        let raw = model.block_cycles();
-        assert!(compacted < raw, "compaction must shorten the walk ({compacted} vs {raw})");
-        let mut outputs = Vec::new();
-        for optimize in [true, false] {
-            let registry = ModelRegistry::new()
-                .with_model("m", model.clone(), ServeOptions::default())
-                .unwrap();
-            let config = RuntimeConfig {
-                workers: 1,
-                timesteps: 5,
-                optimize_schedule: optimize,
-                ..Default::default()
-            };
-            let runtime = Runtime::serve(registry, config).unwrap();
-            let expect = if optimize { compacted } else { raw };
-            assert!(
-                runtime.metrics_text().contains(&format!(
-                    "shenjing_schedule_cycles{{model=\"m\",stage=\"compacted\"}} {expect}"
-                )),
-                "gauge must track the executed walk"
-            );
-            let replies: Vec<_> = (0..3)
-                .map(|k| runtime.infer(InferenceRequest::new("m", frame(k))).unwrap().output)
-                .collect();
-            runtime.shutdown().unwrap();
-            outputs.push(replies);
-        }
-        assert_eq!(outputs[0], outputs[1], "raw and compacted serving are bit-identical");
     }
 
     #[test]
@@ -2274,8 +1837,7 @@ mod tests {
     #[test]
     fn mixed_model_traffic_never_forms_a_cross_model_batch() {
         let (a, b) = (model(), model_b());
-        let mut ref_a: CycleSim = a.instantiate().unwrap();
-        let mut ref_b: CycleSim = b.instantiate().unwrap();
+        let (mut ref_a, mut ref_b) = (oracle(&a), oracle(&b));
         let registry = ModelRegistry::new()
             .with_model("a", a, ServeOptions::default().with_warm_replicas(2))
             .unwrap()
@@ -2316,8 +1878,8 @@ mod tests {
         // aggregate batch is attributed to exactly one model, and each
         // model's batches carried exactly its own 20 frames.
         assert_eq!(a_stats.batches + b_stats.batches, stats.batches);
-        assert_eq!(a_stats.sequential_frames + a_stats.batched_frames, 20);
-        assert_eq!(b_stats.sequential_frames + b_stats.batched_frames, 20);
+        assert_eq!(frames_served(a_stats), 20);
+        assert_eq!(frames_served(b_stats), 20);
         assert_eq!(a_stats.completed, 20);
         assert_eq!(b_stats.completed, 20);
         assert_eq!(stats.completed, 40);
@@ -2502,14 +2064,12 @@ mod tests {
             .max_batch(4)
             .max_wait(Duration::from_millis(1))
             .timesteps(9)
-            .engine(EnginePolicy::ForceSequential)
             .queue_depth(32)
             .build()
             .unwrap();
         assert_eq!(config.workers, 3);
         assert_eq!(config.max_batch, 4);
         assert_eq!(config.timesteps, 9);
-        assert_eq!(config.engine, EnginePolicy::ForceSequential);
         assert_eq!(config.queue_depth, 32);
         for bad in [
             RuntimeConfig::builder().workers(0).build(),
@@ -2534,18 +2094,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_start_shim_serves_through_the_registry() {
-        let runtime = Runtime::start(model(), RuntimeConfig::default()).unwrap();
-        assert_eq!(runtime.model_ids(), vec![DEFAULT_MODEL_ID.to_string()]);
-        let reply = runtime.infer(InferenceRequest::new(DEFAULT_MODEL_ID, frame(0))).unwrap();
-        assert_eq!(reply.model_id, DEFAULT_MODEL_ID);
-        let stats = runtime.shutdown().unwrap();
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.models[0].id, DEFAULT_MODEL_ID);
-    }
-
-    #[test]
     fn submitting_after_shutdown_is_a_typed_rejection() {
         let runtime = single(model(), RuntimeConfig::default());
         runtime.begin_shutdown();
@@ -2564,7 +2112,7 @@ mod tests {
     #[test]
     fn per_model_timestep_override_is_applied() {
         let model = model();
-        let mut reference: CycleSim = model.instantiate().unwrap();
+        let mut reference = oracle(&model);
         let registry = ModelRegistry::new()
             .with_model("short", model, ServeOptions::default().with_timesteps(3))
             .unwrap();

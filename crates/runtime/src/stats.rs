@@ -1,5 +1,5 @@
 //! Serving statistics: per-request latency and aggregate throughput,
-//! with latency percentiles, per-engine dispatch counters, admission
+//! with latency percentiles, a batch-occupancy histogram, admission
 //! verdicts, and per-model views so the multi-model serving tier is
 //! observable end to end.
 
@@ -68,14 +68,6 @@ pub(crate) struct StatsInner {
     /// cost it. Queue wait and service partition the end-to-end latency,
     /// so a fat p99 points at the queue or at the engines, not at both.
     pub service: Reservoir,
-    /// Batches dispatched to the sparse-sequential engine, and the frames
-    /// they carried.
-    pub sequential_batches: u64,
-    pub sequential_frames: u64,
-    /// Batches dispatched to the batched SoA engine, and the frames they
-    /// carried.
-    pub batched_batches: u64,
-    pub batched_frames: u64,
     /// Σ (observed input activity density × frames), over all batches —
     /// the rate-coded input's mean pixel value is the expected fraction
     /// of input axons spiking per timestep.
@@ -135,8 +127,7 @@ pub struct RuntimeStats {
     /// carried exactly `n` frames (index 0 unused; the vector spans
     /// `0..=max_batch` once any batch has run). With occupancy-bound
     /// batched execution, this is the distribution of what under-full
-    /// passes actually cost — the observability behind the marginal-cost
-    /// engine dispatch.
+    /// passes actually cost.
     pub occupancy_histogram: Vec<u64>,
     /// Mean enqueue→reply latency of successful requests.
     pub mean_latency: Duration,
@@ -166,14 +157,6 @@ pub struct RuntimeStats {
     /// Requests sitting in the queue at snapshot time (a point-in-time
     /// gauge, not a counter).
     pub queue_depth: u64,
-    /// Batches the dispatch policy ran on the sparse-sequential engine.
-    pub sequential_batches: u64,
-    /// Frames served by the sparse-sequential engine.
-    pub sequential_frames: u64,
-    /// Batches the dispatch policy ran on the batched SoA engine.
-    pub batched_batches: u64,
-    /// Frames served by the batched SoA engine.
-    pub batched_frames: u64,
     /// Mean observed input activity density per frame (the fraction of
     /// input axons expected to spike each timestep under rate coding).
     pub mean_input_density: f64,
@@ -307,10 +290,6 @@ impl RuntimeStats {
             p95_service: percentile(&sorted_service, 0.95),
             p99_service: percentile(&sorted_service, 0.99),
             queue_depth,
-            sequential_batches: inner.sequential_batches,
-            sequential_frames: inner.sequential_frames,
-            batched_batches: inner.batched_batches,
-            batched_frames: inner.batched_frames,
             mean_input_density: if done == 0 {
                 0.0
             } else {
@@ -500,10 +479,6 @@ mod tests {
             latency: Reservoir { samples: vec![400, 100, 300, 200], seen: 4 },
             queue_wait: Reservoir { samples: vec![40, 10, 30, 20], seen: 4 },
             service: Reservoir { samples: vec![360, 90, 270, 180], seen: 4 },
-            sequential_batches: 1,
-            sequential_frames: 1,
-            batched_batches: 1,
-            batched_frames: 3,
             density_weighted_sum: 4.0 * 0.25,
             ..Default::default()
         };
@@ -515,7 +490,6 @@ mod tests {
         assert_eq!(stats.p50_service, Duration::from_nanos(180));
         assert_eq!(stats.p99_service, Duration::from_nanos(360));
         assert_eq!(stats.queue_depth, 7);
-        assert_eq!(stats.sequential_frames + stats.batched_frames, 4);
         assert!((stats.mean_input_density - 0.25).abs() < 1e-12);
     }
 

@@ -16,7 +16,7 @@ use shenjing_nn::Tensor;
 use shenjing_runtime::wire::{
     decode_reply, decode_request, encode_reply, encode_request, WireReply,
 };
-use shenjing_runtime::{EngineKind, InferenceReply, InferenceRequest};
+use shenjing_runtime::{InferenceReply, InferenceRequest};
 use shenjing_snn::SnnOutput;
 
 /// Model-id pool: empty-adjacent, unicode and plain ids all must survive.
@@ -52,7 +52,6 @@ proptest! {
         latency_ns in 0u64..5_000_000_000,
         worker in 0usize..8,
         batch_size in 1usize..17,
-        batched in proptest::prelude::any::<bool>(),
         id_sel in 0usize..4,
         shape in 0usize..3,
         queue_limit in 1usize..1024,
@@ -72,7 +71,6 @@ proptest! {
                 queue_wait: Duration::from_nanos(latency_ns / 3),
                 worker,
                 batch_size,
-                engine: if batched { EngineKind::Batched } else { EngineKind::Sequential },
                 attempts: 1 + (batch_size % 3) as u32,
             }),
             1 => WireReply::Rejected(match worker % 4 {

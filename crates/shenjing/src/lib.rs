@@ -91,9 +91,8 @@ pub mod prelude {
     #[cfg(feature = "chaos")]
     pub use shenjing_runtime::ChaosConfig;
     pub use shenjing_runtime::{
-        CompiledModel, Engine, EngineKind, EnginePolicy, InferenceReply, InferenceRequest,
-        ModelRegistry, ModelStats, Runtime, RuntimeConfig, RuntimeConfigBuilder, RuntimeStats,
-        ServeOptions, WorkerHealth, DEFAULT_MODEL_ID,
+        CompiledModel, Engine, InferenceReply, InferenceRequest, ModelRegistry, ModelStats,
+        Runtime, RuntimeConfig, RuntimeConfigBuilder, RuntimeStats, ServeOptions, WorkerHealth,
     };
     pub use shenjing_sim::{BatchSim, CycleSim};
     pub use shenjing_snn::{convert, ConversionOptions, SnnNetwork};

@@ -1,18 +1,26 @@
 //! The cycle-level functional simulator (§V of the paper).
 //!
 //! The paper validates a cycle-level functional simulator against RTL and
-//! uses it for every result beyond MNIST-MLP. [`CycleSim`] plays that
+//! uses it for every result beyond MNIST-MLP. [`BatchSim`] plays that
 //! role here: it executes a compiled program — per-tile, per-cycle
 //! Table I atomic operations — on the `shenjing-hw` component models
-//! (crossbars, registers, adders, IF logic), frame by frame, timestep by
-//! timestep.
+//! (crossbars, registers, adders, IF logic), timestep by timestep, up to
+//! `B` frames per pass over the static schedule. [`CycleSim`] is its
+//! single-frame front.
 //!
-//! Its defining obligation is **bit-exact agreement with the abstract SNN
-//! model**: the paper's Table IV shows identical accuracy for "Abstract
-//! SNN" and "Shenjing", because the PS NoCs add partial sums exactly.
-//! [`equivalence::verify`] makes that claim an executable check — it runs
-//! the same frames through both models and compares every output spike of
-//! every timestep.
+//! There is one production path and one oracle. [`oracle::OracleSim`]
+//! runs the same program one frame at a time on the scalar, per-register
+//! chip model, and [`equivalence::verify_lanes`] states the only
+//! hardware-equivalence property there is: *lane `i` of a batched pass ≡
+//! the oracle's run of frame `i`* — outputs, per-tile state digests,
+//! errors with their source cycle.
+//!
+//! The simulator's defining obligation is **bit-exact agreement with the
+//! abstract SNN model**: the paper's Table IV shows identical accuracy
+//! for "Abstract SNN" and "Shenjing", because the PS NoCs add partial
+//! sums exactly. [`equivalence::verify`] makes that claim an executable
+//! check — it runs the same frames through both models and compares
+//! every output spike of every timestep.
 //!
 //! # Example
 //!
@@ -49,20 +57,20 @@ pub mod equivalence;
 pub mod fault;
 mod io;
 pub mod optimize;
+pub mod oracle;
 pub mod trace;
 
 pub use batch::BatchSim;
 pub use cycle_sim::{CycleSim, DecodedProgram};
+pub use equivalence::{verify, verify_lanes, EquivalenceReport};
+pub use fault::{inject, inject_mapping, Fault};
+pub use optimize::OptimizeStats;
+pub use oracle::OracleSim;
 // `BatchSim`'s occupancy API speaks in terms of the hardware crate's
 // lane set; re-exported so downstream crates need not depend on
 // `shenjing-hw` to name it.
-pub use equivalence::{
-    verify, verify_batched, verify_batched_lanes, verify_compacted, verify_sequential,
-    EquivalenceReport,
-};
-pub use fault::{inject, inject_mapping, Fault};
-pub use optimize::{CompactSchedule, OptimizeStats};
 pub use shenjing_hw::LaneSet;
 pub use trace::{
-    compare_traces, digest_batch_chip, digest_chip, trace_block, Divergence, StateDigest,
+    compare_traces, digest_batch_chip, digest_batch_lane, digest_chip, trace_block, Divergence,
+    StateDigest,
 };

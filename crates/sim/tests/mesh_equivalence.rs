@@ -2,11 +2,12 @@
 //! its program names, and that must be architecturally invisible.
 //!
 //! [`DecodedProgram::decode`] builds the sparse mesh;
-//! [`DecodedProgram::decode_all_live`] is the oracle with every tile of
-//! the mesh instantiated, as every replica was before. The two must
-//! agree on outputs, on the state digest of every tile (an idle tile of
-//! the oracle must still be pristine), and on every error — in the fast,
-//! reference and raw-walk modes of both engines.
+//! [`DecodedProgram::decode_all_live`] is the mesh with every tile
+//! instantiated, as every replica was before. The two must agree on
+//! outputs, on the state digest of every tile (an idle tile of the
+//! all-live mesh must still be pristine), and on every error — on the
+//! batched engine and on the oracle, which must also agree with each
+//! other lane by lane.
 
 use std::sync::Arc;
 
@@ -15,34 +16,20 @@ use shenjing_hw::{AtomicOp, PlaneSet, PsDst, PsRouterOp, PsSendSource, SpikeRout
 use shenjing_mapper::{Mapper, Mapping};
 use shenjing_nn::{LayerSpec, NetworkKind, Tensor};
 use shenjing_sim::{
-    digest_batch_chip, digest_chip, BatchSim, CycleSim, DecodedProgram, StateDigest,
+    digest_batch_chip, digest_batch_lane, digest_chip, BatchSim, CycleSim, DecodedProgram,
+    OracleSim, StateDigest,
 };
 use shenjing_snn::{snn_from_specs, SnnLayer, SnnNetwork, SpikingDense};
 
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Fast,
-    Reference,
-    RawWalk,
+fn batched(program: &Arc<DecodedProgram>, batch: usize) -> BatchSim {
+    BatchSim::from_decoded(Arc::clone(program), batch).unwrap()
 }
 
-const MODES: [Mode; 3] = [Mode::Fast, Mode::Reference, Mode::RawWalk];
-
-fn sequential(program: &Arc<DecodedProgram>, mode: Mode) -> CycleSim {
-    let mut sim = CycleSim::from_decoded(Arc::clone(program)).unwrap();
-    sim.set_reference_mode(matches!(mode, Mode::Reference));
-    sim.set_compaction(!matches!(mode, Mode::RawWalk));
-    sim
+fn oracle(program: &Arc<DecodedProgram>) -> OracleSim {
+    OracleSim::from_decoded(Arc::clone(program)).unwrap()
 }
 
-fn batched(program: &Arc<DecodedProgram>, mode: Mode, batch: usize) -> BatchSim {
-    let mut sim = BatchSim::from_decoded(Arc::clone(program), batch).unwrap();
-    sim.set_reference_mode(matches!(mode, Mode::Reference));
-    sim.set_compaction(!matches!(mode, Mode::RawWalk));
-    sim
-}
-
-/// The sparse mesh and the all-live oracle of one mapping, optimized.
+/// The sparse mesh and the all-live one of one mapping, optimized.
 fn both_meshes(arch: &ArchSpec, mapping: &Mapping) -> [Arc<DecodedProgram>; 2] {
     let sparse = DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
     let all = DecodedProgram::decode_all_live(arch, &mapping.logical, &mapping.program).unwrap();
@@ -78,35 +65,39 @@ fn assert_meshes_agree(arch: &ArchSpec, mapping: &Mapping, frames: &[Tensor], ti
     fresh_batch.release_lane(1).unwrap();
     let fresh_batch_tile = digest_batch_chip(0, &fresh_batch);
 
-    for mode in MODES {
-        let (mut on_sparse, mut on_all) = (sequential(&sparse, mode), sequential(&all, mode));
-        for frame in frames {
-            assert_eq!(
-                on_sparse.run_frame(frame, timesteps).unwrap(),
-                on_all.run_frame(frame, timesteps).unwrap(),
-                "sequential outputs diverged in {mode:?} mode"
-            );
-            assert_digests_agree(
-                &digest_chip(0, on_sparse.chip()),
-                &digest_chip(0, on_all.chip()),
-                &fresh_tile,
-            );
-        }
+    // Holed occupancy {0, 2} of 3 lanes: the lane walks ride along.
+    let (mut on_sparse, mut on_all) = (batched(&sparse, 3), batched(&all, 3));
+    on_sparse.set_occupied_lanes(&lanes).unwrap();
+    on_all.set_occupied_lanes(&lanes).unwrap();
+    let outputs = on_sparse.run_occupied(&frames[..2], timesteps).unwrap();
+    assert_eq!(
+        outputs,
+        on_all.run_occupied(&frames[..2], timesteps).unwrap(),
+        "batched outputs diverged"
+    );
+    assert_digests_agree(
+        &digest_batch_chip(0, on_sparse.chip()),
+        &digest_batch_chip(0, on_all.chip()),
+        &fresh_batch_tile,
+    );
 
-        // Holed occupancy {0, 2} of 3 lanes: the lane walks ride along.
-        let (mut on_sparse, mut on_all) = (batched(&sparse, mode, 3), batched(&all, mode, 3));
-        on_sparse.set_occupied_lanes(&lanes).unwrap();
-        on_all.set_occupied_lanes(&lanes).unwrap();
-        assert_eq!(
-            on_sparse.run_occupied(&frames[..2], timesteps).unwrap(),
-            on_all.run_occupied(&frames[..2], timesteps).unwrap(),
-            "batched outputs diverged in {mode:?} mode"
-        );
+    // The oracle on both meshes, frame by frame — and each lane of the
+    // pass above against the oracle's run of its frame.
+    let (mut oracle_sparse, mut oracle_all) = (oracle(&sparse), oracle(&all));
+    for (i, frame) in frames.iter().enumerate() {
+        let want = oracle_sparse.run_frame(frame, timesteps).unwrap();
+        assert_eq!(want, oracle_all.run_frame(frame, timesteps).unwrap(), "oracle outputs");
         assert_digests_agree(
-            &digest_batch_chip(0, on_sparse.chip()),
-            &digest_batch_chip(0, on_all.chip()),
-            &fresh_batch_tile,
+            &digest_chip(0, oracle_sparse.chip()),
+            &digest_chip(0, oracle_all.chip()),
+            &fresh_tile,
         );
+        if let Some(&lane) = lanes.get(i) {
+            assert_eq!(outputs[i], want, "lane {lane} diverged from the oracle");
+            for (sim, oracle) in [(&on_sparse, &oracle_sparse), (&on_all, &oracle_all)] {
+                assert_eq!(digest_batch_lane(0, sim.chip(), lane), digest_chip(0, oracle.chip()));
+            }
+        }
     }
 }
 
@@ -170,17 +161,17 @@ fn small_mapping() -> (ArchSpec, Mapping) {
     (arch, mapping)
 }
 
-/// Runs one frame on both meshes in every mode of both engines and
-/// returns the one error they must all report.
+/// Runs one frame on both meshes — a two-lane pass, the single-frame
+/// front and the oracle — and returns the one error they must all report.
 fn the_error(arch: &ArchSpec, mapping: &Mapping) -> Error {
     let frame = Tensor::from_vec(vec![8], vec![0.7; 8]).unwrap();
     let mut errors = Vec::new();
     for program in both_meshes(arch, mapping) {
-        for mode in MODES {
-            errors.push(sequential(&program, mode).run_frame(&frame, 3).unwrap_err());
-            let mut sim = batched(&program, mode, 2);
-            errors.push(sim.run_batch(&[frame.clone(), frame.clone()], 3).unwrap_err());
-        }
+        errors.push(oracle(&program).run_frame(&frame, 3).unwrap_err().error);
+        let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
+        errors.push(front.run_frame(&frame, 3).unwrap_err());
+        let mut sim = batched(&program, 2);
+        errors.push(sim.run_batch(&[frame.clone(), frame.clone()], 3).unwrap_err());
     }
     assert!(errors.windows(2).all(|pair| pair[0] == pair[1]), "errors diverged: {errors:#?}");
     errors.remove(0)
@@ -239,9 +230,9 @@ fn data_into_an_idle_neighbour_is_the_same_error_on_both_meshes() {
 
 /// Every register is taken before any is put: when an earlier port's
 /// second send would find its neighbour's input still full *and* a later
-/// port drives off the mesh edge in the same cycle, every mode of both
-/// engines on both meshes reports the edge — and, without the stray
-/// port, the contention.
+/// port drives off the mesh edge in the same cycle, the batched engine
+/// and the oracle on both meshes report the edge — and, without the
+/// stray port, the contention.
 #[test]
 fn an_off_edge_port_is_reported_before_an_earlier_ports_contention() {
     let (arch, mapping) = small_mapping();
@@ -280,9 +271,9 @@ fn an_off_edge_port_is_reported_before_an_earlier_ports_contention() {
 }
 
 /// ACC overflow on *two* tiles in one cycle: 300 maximal-weight inputs
-/// into two 16-neuron output tiles on 512-input cores. Both engines, on
-/// both meshes, must report the first tile's overflow — same variant,
-/// same original cycle number.
+/// into two 16-neuron output tiles on 512-input cores. The batched engine
+/// and the oracle, on both meshes, must report the first tile's overflow
+/// — same variant, same value.
 #[test]
 fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let arch = ArchSpec {
@@ -297,12 +288,12 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
     let input = Tensor::from_vec(vec![300], vec![1.0; 300]).unwrap();
     for program in both_meshes(&arch, &mapping) {
-        let want = sequential(&program, Mode::Fast).run_frame(&input, 4).unwrap_err();
+        let want = oracle(&program).run_frame(&input, 4).unwrap_err().error;
         assert!(
             matches!(want, Error::SumOverflow { bits: 13, .. }),
             "expected a local accumulator overflow, got {want:?}"
         );
-        let mut sim = batched(&program, Mode::Fast, 2);
+        let mut sim = batched(&program, 2);
         assert_eq!(sim.run_batch(&[input.clone(), input.clone()], 4).unwrap_err(), want);
     }
 }
@@ -310,8 +301,8 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
 /// A full pass parks every lane's sums and spikes in the router
 /// registers; the lanes that then leave are scrubbed only where state can
 /// be read back. Frames served next on the holes {0, 3, 5, 9}, on the
-/// top lanes and on the last lane alone must come out as on the
-/// sequential engine, and leave the digests a fresh replica has.
+/// top lanes and on the last lane alone must come out as on the oracle,
+/// and leave the digests a fresh replica has.
 #[test]
 fn lanes_parked_by_a_full_pass_never_surface_on_holed_or_top_lane_sets() {
     let (arch, mapping) = multi_chip_cnn();
@@ -320,21 +311,20 @@ fn lanes_parked_by_a_full_pass_never_surface_on_holed_or_top_lane_sets() {
     );
     const LANES: usize = 16;
     let frames = patterned_frames(&[8, 8, 1], LANES + 4);
-    let mut sequential = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
+    let mut oracle = oracle(&program);
     for lanes in [&[0usize, 3, 5, 9][..], &[12, 13, 14, 15], &[15]] {
-        for mode in MODES {
-            let mut parked = batched(&program, mode, LANES);
-            parked.run_batch(&frames[..LANES], 6).unwrap();
-            parked.set_occupied_lanes(lanes).unwrap();
-            let mut fresh = batched(&program, mode, LANES);
-            fresh.set_occupied_lanes(lanes).unwrap();
-            let inputs = &frames[LANES..LANES + lanes.len()];
-            let got = parked.run_occupied(inputs, 6).unwrap();
-            assert_eq!(got, fresh.run_occupied(inputs, 6).unwrap(), "{lanes:?} in {mode:?} mode");
-            for (input, out) in inputs.iter().zip(&got) {
-                assert_eq!(*out, sequential.run_frame(input, 6).unwrap());
-            }
-            assert_eq!(digest_batch_chip(0, parked.chip()), digest_batch_chip(0, fresh.chip()));
+        let mut parked = batched(&program, LANES);
+        parked.run_batch(&frames[..LANES], 6).unwrap();
+        parked.set_occupied_lanes(lanes).unwrap();
+        let mut fresh = batched(&program, LANES);
+        fresh.set_occupied_lanes(lanes).unwrap();
+        let inputs = &frames[LANES..LANES + lanes.len()];
+        let got = parked.run_occupied(inputs, 6).unwrap();
+        assert_eq!(got, fresh.run_occupied(inputs, 6).unwrap(), "{lanes:?}");
+        assert_eq!(digest_batch_chip(0, parked.chip()), digest_batch_chip(0, fresh.chip()));
+        for ((input, out), &lane) in inputs.iter().zip(&got).zip(lanes) {
+            assert_eq!(*out, oracle.run_frame(input, 6).unwrap());
+            assert_eq!(digest_batch_lane(0, parked.chip(), lane), digest_chip(0, oracle.chip()));
         }
     }
 }

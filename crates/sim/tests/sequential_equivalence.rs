@@ -1,16 +1,17 @@
-//! Property: the sparse-activity sequential fast path is bit-identical to
-//! the retained dense reference implementation.
+//! Property: the single-frame front is bit-identical to the oracle.
 //!
-//! PR 3 rebuilt the single-frame hot path around sparsity (activity-indexed
-//! `ACC`, occupancy-masked transfer, reused move buffers). Its whole claim
-//! is that it only restructures *how much is scanned*, never *what is
-//! computed*: for any network, input activity density and timestep count,
-//! the optimized [`CycleSim`] must produce exactly the outputs — and on
-//! failing frames, exactly the errors — of the reference semantics, and
-//! leave every architecturally visible register of the chip in the same
-//! state. [`verify_sequential`] performs that comparison (full
-//! `SnnOutput`s plus a whole-chip state digest per frame); this file drives
-//! it over random nets, activity densities and overflow-inducing weights.
+//! [`CycleSim`] is a one-lane batched replica behind a frame-at-a-time
+//! interface: the event-driven `ACC`, the compiled move plan and the
+//! compacted schedule, carrying one frame. Its whole claim is that all of
+//! that only restructures *how much is scanned*, never *what is
+//! computed*: for any network, input activity density and timestep count
+//! it must produce exactly the outputs — and on failing frames, exactly
+//! the errors — of the [`OracleSim`], which walks every cycle of the raw
+//! block on the per-register scalar chip, and leave every architecturally
+//! visible register in the same state, frame after frame on one replica.
+//! This file drives that comparison over random nets, activity densities
+//! and overflow-inducing weights, on the identity schedule and on the
+//! compacted one.
 
 use std::sync::Arc;
 
@@ -18,7 +19,9 @@ use proptest::prelude::*;
 use shenjing_core::{ArchSpec, W5};
 use shenjing_mapper::Mapper;
 use shenjing_nn::Tensor;
-use shenjing_sim::{verify_compacted, verify_sequential, CycleSim, DecodedProgram};
+use shenjing_sim::{
+    digest_batch_lane, digest_chip, verify_lanes, CycleSim, DecodedProgram, OracleSim,
+};
 use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
 
 /// Largest dimensions the strategies below draw (the weight/input pools
@@ -31,35 +34,44 @@ fn dense_layer(weights: &[i32], n_in: usize, n_out: usize, theta: i32) -> SnnLay
     SnnLayer::Dense(SpikingDense::new(ws, n_in, n_out, theta, 1.0).unwrap())
 }
 
-/// Maps `snn` on `arch` and asserts optimized == reference for `inputs`.
-fn assert_fast_equals_reference(
+/// `snn` mapped on `arch`, as decoded (the identity schedule) and
+/// optimized (the compacted one — or, under `SHENJING_NO_OPTIMIZE`, the
+/// identity schedule again).
+fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
+    let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
+    let decode = || DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
+    [Arc::new(decode()), Arc::new(decode().optimize())]
+}
+
+/// Maps `snn` on `arch` and asserts front == oracle for `inputs`, run
+/// back to back on one replica of each: outputs or errors, and the state
+/// digest after every completed frame.
+fn assert_front_equals_oracle(
     snn: &SnnNetwork,
     arch: &ArchSpec,
     inputs: &[Tensor],
     timesteps: u32,
 ) {
-    let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
-    let decoded =
-        Arc::new(DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap());
-    let report = verify_sequential(&decoded, inputs, timesteps).unwrap();
-    assert!(
-        report.is_exact(),
-        "sparse fast path diverged from the reference implementation: {report:?}"
-    );
-    // The optimized axis: the compacted schedule must replay the raw walk
-    // bit for bit (outputs, chip state, errors with their original cycle
-    // numbers) — and the optimized program must still satisfy the
-    // fast-vs-reference property above.
-    let optimized = Arc::new(
-        DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap().optimize(),
-    );
-    let report = verify_compacted(&optimized, inputs, timesteps).unwrap();
-    assert!(report.is_exact(), "compacted schedule diverged from the raw walk: {report:?}");
-    let report = verify_sequential(&optimized, inputs, timesteps).unwrap();
-    assert!(
-        report.is_exact(),
-        "optimized program diverged from the reference implementation: {report:?}"
-    );
+    for program in programs(snn, arch) {
+        let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
+        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+        for (i, input) in inputs.iter().enumerate() {
+            let got = front.run_frame(input, timesteps);
+            let want = oracle.run_frame(input, timesteps).map_err(|failure| failure.error);
+            assert_eq!(got, want, "frame {i} (optimized: {})", program.optimized());
+            // An erroring frame legitimately leaves the two chips
+            // mid-cycle at different points; the next frame's reset
+            // clears all dynamic state.
+            if got.is_ok() {
+                assert_eq!(
+                    digest_batch_lane(0, front.chip(), 0),
+                    digest_chip(0, oracle.chip()),
+                    "state after frame {i} (optimized: {})",
+                    program.optimized()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -86,7 +98,7 @@ proptest! {
                 Tensor::from_vec(vec![n_in], vals).unwrap()
             })
             .collect();
-        assert_fast_equals_reference(&snn, &ArchSpec::tiny(), &inputs, timesteps);
+        assert_front_equals_oracle(&snn, &ArchSpec::tiny(), &inputs, timesteps);
     }
 
     /// Two chained layers: spikes produced by layer 1 feed layer 2 through
@@ -110,13 +122,13 @@ proptest! {
                 Tensor::from_vec(vec![n_in], pool[k * n_in..(k + 1) * n_in].to_vec()).unwrap()
             })
             .collect();
-        assert_fast_equals_reference(&snn, &ArchSpec::tiny(), &inputs, timesteps);
+        assert_front_equals_oracle(&snn, &ArchSpec::tiny(), &inputs, timesteps);
     }
 
     /// Overflow-inducing weights on an oversized custom core (512 inputs ×
     /// weight 15 can leave the 13-bit accumulator mid-sweep): erroring
-    /// frames must fail with exactly the reference's error, and benign
-    /// frames on the same program must still match bit for bit.
+    /// frames must fail with exactly the oracle's error, and benign
+    /// frames on the same replica must still match bit for bit.
     #[test]
     fn oversized_core_overflow_matches_reference(
         n_in in 280usize..=400,
@@ -138,13 +150,14 @@ proptest! {
         let snn = SnnNetwork::new(vec![dense_layer(&weights, n_in, 2, theta)]).unwrap();
         let hot = Tensor::from_vec(vec![n_in], vec![density; n_in]).unwrap();
         let cold = Tensor::from_vec(vec![n_in], vec![0.05; n_in]).unwrap();
-        assert_fast_equals_reference(&snn, &arch, &[hot, cold], timesteps);
+        assert_front_equals_oracle(&snn, &arch, &[hot, cold], timesteps);
     }
 }
 
 /// Pin the overflow scenario deterministically (not just via proptest
-/// sampling): a saturated frame must error identically on both paths, and
-/// the error must be the accumulator-width overflow.
+/// sampling): a saturated frame must error identically on the production
+/// path and on the oracle, and the error must be the accumulator-width
+/// overflow.
 #[test]
 fn saturated_frame_errors_identically_on_both_paths() {
     let arch = ArchSpec {
@@ -156,38 +169,26 @@ fn saturated_frame_errors_identically_on_both_paths() {
     };
     let weights = vec![15; 300 * 2];
     let snn = SnnNetwork::new(vec![dense_layer(&weights, 300, 2, 10)]).unwrap();
-    let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
-    let decoded =
-        Arc::new(DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap());
-
+    let [decoded, optimized] = programs(&snn, &arch);
     let input = Tensor::from_vec(vec![300], vec![1.0; 300]).unwrap();
-    let mut fast = CycleSim::from_decoded(Arc::clone(&decoded)).unwrap();
-    let mut reference = CycleSim::from_decoded(Arc::clone(&decoded)).unwrap();
-    reference.set_reference_mode(true);
 
-    let fast_err = fast.run_frame(&input, 4).unwrap_err();
-    let reference_err = reference.run_frame(&input, 4).unwrap_err();
-    assert_eq!(fast_err, reference_err);
+    let failure = OracleSim::from_decoded(Arc::clone(&decoded)).unwrap().run_frame(&input, 4);
+    let failure = failure.unwrap_err();
+    assert_eq!((failure.timestep, failure.cycle), (0, 0), "the very first ACC overflows");
     assert!(
-        matches!(fast_err, shenjing_core::Error::SumOverflow { bits: 13, .. }),
-        "expected a local accumulator overflow, got {fast_err:?}"
+        matches!(failure.error, shenjing_core::Error::SumOverflow { bits: 13, .. }),
+        "expected a local accumulator overflow, got {:?}",
+        failure.error
     );
-
-    let report = verify_sequential(&decoded, std::slice::from_ref(&input), 4).unwrap();
-    assert!(report.is_exact(), "matching errors must count as exact frames: {report:?}");
-
-    // The compacted schedule must surface the same overflow at the same
-    // *original* cycle number — the optimizer's per-op source-cycle remap
-    // is what keeps error identity across elision and coalescing.
-    let optimized = Arc::new(
-        DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
-    );
-    // Under SHENJING_NO_OPTIMIZE (the CI raw-walk axis) optimize() is an
-    // identity and this run degenerates into raw-vs-raw — still checked.
+    // The identity schedule and the compacted one surface the same
+    // overflow: same variant, same value.
     if let Some(compacted_cycles) = optimized.compacted_cycles() {
         assert!(compacted_cycles < optimized.block_cycles());
     }
-    let mut compacted = CycleSim::from_decoded(Arc::clone(&optimized)).unwrap();
-    let compacted_err = compacted.run_frame(&input, 4).unwrap_err();
-    assert_eq!(compacted_err, fast_err, "compacted errors must carry the original cycle number");
+    for program in [decoded, optimized] {
+        let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
+        assert_eq!(front.run_frame(&input, 4).unwrap_err(), failure.error);
+        let report = verify_lanes(&program, std::slice::from_ref(&input), 4, 1, &[0]).unwrap();
+        assert!(report.is_exact(), "matching errors must count as exact frames: {report:?}");
+    }
 }

@@ -60,8 +60,6 @@ pub struct EventArgs {
     pub name: Option<String>,
     /// Model id (request slices).
     pub model: Option<String>,
-    /// Carrying engine (request slices).
-    pub engine: Option<String>,
     /// Worker shard (request slices).
     pub worker: Option<u64>,
     /// Frames in the carrying batch (request slices).
@@ -122,7 +120,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> ChromeTrace {
             span.id,
             EventArgs {
                 model: Some(span.model.clone()),
-                engine: Some(span.engine.clone()),
                 worker: Some(span.worker),
                 batch_size: Some(span.batch_size),
                 attempts: Some(span.attempts),
@@ -237,7 +234,6 @@ mod tests {
             id: 7,
             model: "digits".into(),
             worker: 1,
-            engine: "batched".into(),
             batch_size: 4,
             attempts: 2,
             admitted_us: 10.0,

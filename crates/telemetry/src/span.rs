@@ -29,8 +29,6 @@ pub struct SpanRecord {
     pub model: String,
     /// Worker shard that served it.
     pub worker: u64,
-    /// Engine that carried the batch (`"sequential"` / `"batched"`).
-    pub engine: String,
     /// Frames in the batch it rode in.
     pub batch_size: u64,
     /// Executions performed before the reply, counting the successful

@@ -40,7 +40,6 @@ fn span(id: u64, raw: &[u64], profiled: bool) -> SpanRecord {
         id,
         model: format!("m{}", raw[6] % 3),
         worker: raw[7] % 4,
-        engine: if raw[8].is_multiple_of(2) { "sequential".into() } else { "batched".into() },
         batch_size: 1 + raw[9] % 16,
         attempts: 1 + raw[6] % 3,
         admitted_us: ts[0] as f64,

@@ -158,15 +158,7 @@ fn main() -> Result<()> {
             s.cold_starts,
         );
     }
-    println!(
-        "engine dispatch: {} frames sparse-sequential ({} batches), {} frames batched ({} batches), \
-         mean input density {:.1}%",
-        stats.sequential_frames,
-        stats.sequential_batches,
-        stats.batched_frames,
-        stats.batched_batches,
-        100.0 * stats.mean_input_density,
-    );
+    println!("mean input density {:.1}%", 100.0 * stats.mean_input_density);
     println!(
         "admission: {} queue-full, {} dead-on-arrival, {} expired in queue",
         stats.rejected_queue_full, stats.rejected_deadline, stats.expired_in_queue,
