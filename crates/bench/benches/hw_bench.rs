@@ -34,8 +34,7 @@ fn bench_hw(c: &mut Criterion) {
     // Codegen smoke check for the packed-lane kernel behind the batched
     // integrate sweep: it drives the kernel over a 1024-lane buffer, so a
     // lost autovectorization (the fixed-width chunked loop falling back
-    // to scalar) shows up as a multiple-x regression against the
-    // recorded baseline — the bench gate's >15% tolerance catches it
+    // to scalar) shows up as a multiple-x jump of the median CI uploads,
     // without inspecting assembly.
     let sums: Vec<i32> = (0..1024).map(|i| i % 7 - 3).collect();
     let mut pots: Vec<i32> = (0..1024).map(|i| i % 40).collect();

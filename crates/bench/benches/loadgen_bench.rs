@@ -12,9 +12,10 @@
 //!
 //! Not a criterion bench (`harness = false` with a hand-rolled main):
 //! the figures of merit are the served mix's per-model latency
-//! percentiles, not a median time per iteration. The output still
+//! percentiles (read from `RuntimeStats`, so good to one histogram
+//! bucket: ≤ 12.5 %), not a median time per iteration. The output still
 //! mimics criterion's `<name> median <value> <unit> (...)` lines so the
-//! `bench_gate` regression gate tracks them like any other bench.
+//! medians artifact CI uploads lists them like any other bench.
 //! `SHENJING_BENCH_SAMPLES` caps the number of traffic waves the same
 //! way it caps criterion samples (CI quick mode: 3).
 //!
@@ -22,8 +23,8 @@
 //! run doubles as a fault-tolerance smoke: scripted replica panics are
 //! injected mid-load, every offered request must still complete (the
 //! retry budget absorbs the faults — zero lost replies), and the median
-//! lines get a `_chaos` suffix so the regression gate's tracked names
-//! never mix clean and faulted latencies.
+//! lines get a `_chaos` suffix so the artifact never mixes clean and
+//! faulted latencies under one name.
 
 use std::time::{Duration, Instant};
 
@@ -61,8 +62,7 @@ fn frame(len: usize, seed: usize) -> Tensor {
 }
 
 fn print_median(name: &str, value: Duration, detail: &str) {
-    // The same shape the vendored criterion prints, so bench_gate's
-    // parser picks these up from the medians artifact.
+    // The same shape the vendored criterion prints.
     println!("{name:<40} median {:>9.3} ms  ({detail})", value.as_secs_f64() * 1e3);
 }
 

@@ -27,8 +27,7 @@ fn bench_sim(c: &mut Criterion) {
 
     // The single-frame headline number: one frame of the MNIST MLP on the
     // paper arch at T=8 (a one-lane pass), the configuration the
-    // ~1.84 s/frame seed baseline was quoted at. Tracked by the bench
-    // regression gate, not by prose.
+    // ~1.84 s/frame seed baseline was quoted at. CI uploads the median.
     c.bench_function("single_frame_mlp_t8", |b| b.iter(|| sim.run_frame(&input, 8).unwrap()));
 
     // The dense counterpart of `single_frame_mlp_t8`: the same mapped MLP

@@ -1,21 +1,10 @@
-//! The bench regression gate binary (CI's automated median comparison).
+//! The performance and observability gates CI runs.
 //!
 //! ```text
-//! bench_gate check  <medians.txt> [--baseline-dir DIR]   # fail on regression
-//! bench_gate update <medians.txt> [--baseline-dir DIR]   # rewrite baselines
 //! bench_gate trace-check <trace.json>                    # validate a telemetry trace
 //! bench_gate pair <parent-binary> <change-binary> [--pairs N] [--seconds S]
 //!                 [--seed K] [--workload NAME] [--manifest BENCHMARK.json]
 //! ```
-//!
-//! `check` parses the vendored-criterion median lines in `<medians.txt>`
-//! (the CI `bench-medians` artifact), compares them against the
-//! `BENCH_<name>.json` baselines committed under `crates/bench/baselines/`,
-//! and exits non-zero when any median regresses more than the tolerance
-//! (default 15%; override with `SHENJING_BENCH_TOLERANCE=0.25`) or a
-//! baselined benchmark disappears from the artifact. `update` regenerates
-//! the baseline files from the artifact — run it (and commit the result)
-//! when a perf change intentionally moves a median.
 //!
 //! `trace-check` parses a Chrome-trace JSON file exported by the
 //! runtime's telemetry layer (`Runtime::trace_json`, or the serving
@@ -24,7 +13,6 @@
 //! their execute window), and fails if the trace is malformed or
 //! records no requests — CI's proof that the observability path stays
 //! Perfetto-loadable.
-
 //!
 //! `pair` compares two builds of the repository benchmark
 //! (`benchmark/target/release/shenjing-benchmark` of a parent checkout
@@ -43,9 +31,6 @@ use std::process::ExitCode;
 
 use shenjing::telemetry::{validate, ChromeTrace};
 use shenjing_bench::pair;
-use shenjing_bench::regression::{
-    compare, parse_medians, read_baselines, write_baselines, DEFAULT_TOLERANCE,
-};
 
 fn trace_check(path: &PathBuf) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
@@ -150,14 +135,9 @@ fn pair_gate(args: &[String]) -> Result<bool, String> {
     Ok(ok)
 }
 
-fn default_baseline_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/baselines"))
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_gate <check|update> <medians.txt> [--baseline-dir DIR]\n       \
-         bench_gate trace-check <trace.json>\n       \
+        "usage: bench_gate trace-check <trace.json>\n       \
          bench_gate pair <parent-binary> <change-binary> [--pairs N] [--seconds S] \
          [--seed K] [--workload NAME] [--manifest BENCHMARK.json]"
     );
@@ -166,14 +146,12 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace-check") {
-        return match (args.get(1), args.len()) {
+    match args.first().map(String::as_str) {
+        Some("trace-check") => match (args.get(1), args.len()) {
             (Some(path), 2) => trace_check(&PathBuf::from(path)),
             _ => usage(),
-        };
-    }
-    if args.first().map(String::as_str) == Some("pair") {
-        return match pair_gate(&args[1..]) {
+        },
+        Some("pair") => match pair_gate(&args[1..]) {
             Ok(true) => ExitCode::SUCCESS,
             Ok(false) => {
                 eprintln!("bench_gate: FAIL a metric is worse than its bound (or a run was wrong)");
@@ -183,85 +161,7 @@ fn main() -> ExitCode {
                 eprintln!("bench_gate: {e}");
                 usage()
             }
-        };
-    }
-    let (mode, medians_path) = match (args.first(), args.get(1)) {
-        (Some(mode), Some(path)) if mode == "check" || mode == "update" => {
-            (mode.clone(), PathBuf::from(path))
-        }
-        _ => return usage(),
-    };
-    let baseline_dir = match args.get(2).map(String::as_str) {
-        Some("--baseline-dir") => match args.get(3) {
-            Some(dir) => PathBuf::from(dir),
-            None => return usage(),
         },
-        Some(_) => return usage(),
-        None => default_baseline_dir(),
-    };
-
-    let text = match std::fs::read_to_string(&medians_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read {}: {e}", medians_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let current = parse_medians(&text);
-    if current.is_empty() {
-        eprintln!("bench_gate: no criterion median lines found in {}", medians_path.display());
-        return ExitCode::from(2);
-    }
-
-    if mode == "update" {
-        if let Err(e) = write_baselines(&baseline_dir, &current) {
-            eprintln!("bench_gate: cannot write baselines: {e}");
-            return ExitCode::from(2);
-        }
-        println!("bench_gate: wrote {} baselines to {}", current.len(), baseline_dir.display());
-        return ExitCode::SUCCESS;
-    }
-
-    let tolerance = std::env::var("SHENJING_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE);
-    let baselines = match read_baselines(&baseline_dir) {
-        Ok(baselines) => baselines,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read baselines: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if baselines.is_empty() {
-        eprintln!(
-            "bench_gate: no baselines in {} — run `bench_gate update` and commit them",
-            baseline_dir.display()
-        );
-        return ExitCode::from(2);
-    }
-
-    for record in &current {
-        let against = baselines
-            .iter()
-            .find(|b| b.name == record.name)
-            .map(|b| format!("baseline {:.0} ns", b.median_ns))
-            .unwrap_or_else(|| "no baseline (new bench — commit one)".into());
-        println!("{:<40} {:>14.0} ns  vs {}", record.name, record.median_ns, against);
-    }
-
-    let failures = compare(&baselines, &current, tolerance);
-    if failures.is_empty() {
-        println!(
-            "bench_gate: OK — {} benchmarks within {:.0}% of baseline",
-            current.len(),
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        for failure in &failures {
-            eprintln!("bench_gate: FAIL {failure}");
-        }
-        ExitCode::FAILURE
+        _ => usage(),
     }
 }

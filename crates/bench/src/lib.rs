@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 
 pub mod pair;
-pub mod regression;
 
 use shenjing::datasets::{flatten_images, train_test_split};
 use shenjing::prelude::*;

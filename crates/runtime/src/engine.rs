@@ -43,16 +43,12 @@ pub trait Engine: Send {
     /// Turns per-pass phase profiling on for subsequent
     /// [`execute`](Engine::execute) calls (and off again). The scheduler
     /// enables this only for batches carrying a telemetry-sampled
-    /// request, so unprofiled batches run the untouched fast path. The
-    /// default is a no-op (the `telemetry` feature off).
-    fn set_profiling(&mut self, _on: bool) {}
+    /// request, so unprofiled batches run the untouched fast path.
+    fn set_profiling(&mut self, on: bool);
 
     /// Takes the phase profile accumulated since profiling was enabled,
-    /// stopping profiling. `None` when profiling was never on (or the
-    /// `telemetry` feature is off).
-    fn take_profile(&mut self) -> Option<shenjing_telemetry::PassProfile> {
-        None
-    }
+    /// stopping profiling. `None` when profiling was never on.
+    fn take_profile(&mut self) -> Option<shenjing_telemetry::PassProfile>;
 }
 
 impl Engine for BatchSim {
@@ -83,12 +79,10 @@ impl Engine for BatchSim {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_profiling(&mut self, on: bool) {
         BatchSim::set_profiling(self, on);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_profile(&mut self) -> Option<shenjing_telemetry::PassProfile> {
         BatchSim::take_profile(self)
     }
@@ -110,7 +104,6 @@ mod tests {
         CompiledModel::compile(&ArchSpec::tiny(), &snn).unwrap()
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn profiling_flows_through_the_trait() {
         let inputs: Vec<Tensor> =

@@ -30,24 +30,28 @@
 //!    **single-model** batches of up to `max_batch` requests (holding
 //!    under-full batches open at most `max_wait` for stragglers, capped
 //!    by the earliest queued deadline). Each batch is one pass of the
-//!    worker's replica of that model. Per-request latency (with
-//!    p50/p95/p99 percentiles), admission verdicts, a batch-occupancy
-//!    histogram and throughput land in [`RuntimeStats`], aggregate and
-//!    per model. Requests and replies round-trip through the JSON
-//!    [`wire`] format, so the tier can sit behind a socket.
-//! 4. **Telemetry** — every runtime owns a [`Telemetry`] hub: always-on
-//!    counters, gauges and timing histograms, plus sampled per-request
-//!    lifecycle spans (admitted → batch-formed → planned → executed →
-//!    drained → replied) whose carrying batches are phase-profiled
-//!    (ACC / SEND / transfer / drain pass time) through the [`Engine`]
-//!    trait. Export either as a Perfetto-loadable Chrome trace
-//!    ([`Runtime::trace_json`]) or as a Prometheus text snapshot with
-//!    queue-wait vs service-time quantiles ([`Runtime::metrics_text`]).
+//!    worker's replica of that model. Requests and replies round-trip
+//!    through the JSON [`wire`] format, so the tier can sit behind a
+//!    socket.
+//! 4. **Telemetry** — every runtime owns a [`Telemetry`] hub, and its
+//!    metric registry is the *only* place a serving number lives:
+//!    per-model request counters, admission verdicts, batches by frame
+//!    count, queue depth and queue-wait / service / end-to-end duration
+//!    histograms, per-worker health. Workers bump those atomics — no
+//!    lock, and before the reply is sent — and [`RuntimeStats`]
+//!    (latency p50/p95/p99 to one histogram bucket, ≤ 12.5 %; the
+//!    batch-occupancy histogram; throughput), aggregate and per model,
+//!    is a view read off them, exactly what [`Runtime::metrics_text`]
+//!    renders as Prometheus text. Sampled per-request lifecycle spans
+//!    (admitted → batch-formed → planned → executed → drained →
+//!    replied), their carrying batches phase-profiled (ACC / SEND /
+//!    transfer / drain pass time) through the [`Engine`] trait, export
+//!    as a Perfetto-loadable Chrome trace ([`Runtime::trace_json`]).
 //!
 //! The tier is **fault-tolerant**: each batch executes behind a panic
 //! guard (a panicking replica fails only its own batch), a supervisor
 //! thread respawns worker shards that die abnormally (counted in
-//! `shenjing_worker_restarts_total`), repeatedly-faulting replicas are
+//! `shenjing_worker_restarts_total{worker=}`), repeatedly-faulting replicas are
 //! quarantined — torn down and rebuilt from the compiled artifact —
 //! and requests hit by a replica fault are retried with exponential
 //! backoff inside their retry budget and deadline

@@ -112,16 +112,19 @@ impl CompiledModel {
         self.chips
     }
 
-    /// The Prometheus label set describing this artifact — the
-    /// serving tier registers a `shenjing_model_info` gauge with these
-    /// labels per registered model, the idiomatic way to expose static
-    /// facts (size, placement) next to live counters.
-    pub(crate) fn info_labels(&self, id: &str) -> String {
-        format!(
-            "{{model=\"{id}\",cores=\"{}\",chips=\"{}\",block_cycles=\"{}\"}}",
-            self.total_cores,
-            self.chips,
-            self.block_cycles()
+    /// The `shenjing_model_info{…}` series describing this artifact —
+    /// the serving tier sets one such gauge per registered model, the
+    /// idiomatic way to expose static facts (size, placement) next to
+    /// live counters.
+    pub(crate) fn info_series(&self, id: &str) -> String {
+        shenjing_telemetry::series(
+            "shenjing_model_info",
+            &[
+                ("model", id),
+                ("cores", &self.total_cores.to_string()),
+                ("chips", &self.chips.to_string()),
+                ("block_cycles", &self.block_cycles().to_string()),
+            ],
         )
     }
 

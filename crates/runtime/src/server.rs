@@ -15,17 +15,16 @@ use shenjing_core::{Error, RejectReason, Result};
 use shenjing_nn::Tensor;
 use shenjing_sim::BatchSim;
 use shenjing_snn::SnnOutput;
-use shenjing_telemetry::{Counter, Gauge, SpanRecord, Telemetry, TelemetryConfig, TimeHistogram};
+use shenjing_telemetry::{series, Counter, PassProfile, SpanRecord, Telemetry, TelemetryConfig};
 
 use crate::engine::Engine;
 use crate::model::{CompiledModel, ModelEntry, ModelRegistry, ServeOptions};
-use crate::stats::{self, RuntimeStats, StatsInner, WorkerHealthInner};
+use crate::stats::{self, ModelMetrics, RuntimeStats, WorkerMetrics};
 
 /// Acquires a mutex even when a previous holder panicked mid-critical-
-/// section. The serving state behind both runtime locks (the request
-/// queue and the stats counters) stays structurally consistent statement
-/// by statement — a panic can at worst lose one in-flight counter bump —
-/// so recovering from poison beats cascading a single replica panic into
+/// section. The serving state behind the runtime's one lock (the request
+/// queue) stays structurally consistent statement by statement, so
+/// recovering from poison beats cascading a single replica panic into
 /// every thread that touches the lock afterwards.
 fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
@@ -398,96 +397,14 @@ struct QueueInner {
     shutdown: bool,
 }
 
-/// Aggregate counters plus one [`StatsInner`] per registered model and
-/// one health record per worker shard, all under one lock so a
-/// request's counts move together.
-struct AllStats {
-    aggregate: StatsInner,
-    per_model: Vec<StatsInner>,
-    /// Indexed by shard id; written by the worker itself (faults,
-    /// quarantines) and the supervisor (restarts, abandonment).
-    workers: Vec<WorkerHealthInner>,
-}
-
-impl AllStats {
-    /// The two counter sets a model's event lands in.
-    fn both(&mut self, model: usize) -> [&mut StatsInner; 2] {
-        [&mut self.aggregate, &mut self.per_model[model]]
-    }
-}
-
 /// One registered model, resolved for serving.
 struct ModelRuntime {
     id: String,
     model: CompiledModel,
     options: ServeOptions,
     input_len: usize,
-}
-
-/// Pre-resolved hot-path instrument handles: the registry's
-/// get-or-create takes a lock and a name lookup, so the workers hold
-/// the `Arc`s directly and pay only the atomic update.
-struct TelemetryHandles {
-    /// Live `shenjing_queue_depth` gauge: +1 per admission, −1 per
-    /// dequeue (batch formation or in-queue expiry).
-    queue_depth: Arc<Gauge>,
-    /// `shenjing_queue_wait_duration_seconds` histogram.
-    queue_wait: Arc<TimeHistogram>,
-    /// `shenjing_service_duration_seconds` histogram.
-    service: Arc<TimeHistogram>,
-    /// `shenjing_request_duration_seconds` (end-to-end) histogram.
-    e2e: Arc<TimeHistogram>,
-    /// `shenjing_engine_phase_ns_total{phase=…}` counters, filled from
-    /// profiled batches' [`PassProfile`](shenjing_telemetry::PassProfile)s.
-    phases: [(&'static str, Arc<Counter>); 4],
-    /// `shenjing_profiled_batches_total`.
-    profiled_batches: Arc<Counter>,
-    /// `shenjing_worker_restarts_total`: worker threads the supervisor
-    /// respawned after an abnormal death.
-    worker_restarts: Arc<Counter>,
-    /// `shenjing_replica_quarantines_total`: replicas torn down and
-    /// rebuilt after a panic or error streak.
-    quarantines: Arc<Counter>,
-    /// `shenjing_retries_total{reason="panic"}`: requests requeued
-    /// because their batch's replica panicked.
-    retries_panic: Arc<Counter>,
-    /// `shenjing_retries_total{reason="quarantine"}`: requests requeued
-    /// because their batch tripped the error-streak quarantine.
-    retries_quarantine: Arc<Counter>,
-}
-
-impl TelemetryHandles {
-    fn new(telemetry: &Telemetry) -> TelemetryHandles {
-        let registry = telemetry.registry();
-        TelemetryHandles {
-            queue_depth: registry.gauge("shenjing_queue_depth"),
-            queue_wait: registry.histogram("shenjing_queue_wait_duration_seconds"),
-            service: registry.histogram("shenjing_service_duration_seconds"),
-            e2e: registry.histogram("shenjing_request_duration_seconds"),
-            phases: ["acc", "send", "transfer", "drain"].map(|phase| {
-                (
-                    phase,
-                    registry
-                        .counter(&format!("shenjing_engine_phase_ns_total{{phase=\"{phase}\"}}")),
-                )
-            }),
-            profiled_batches: registry.counter("shenjing_profiled_batches_total"),
-            // Created eagerly so the fault-tolerance families render
-            // (at 0) in every metrics snapshot, faulted or not.
-            worker_restarts: registry.counter("shenjing_worker_restarts_total"),
-            quarantines: registry.counter("shenjing_replica_quarantines_total"),
-            retries_panic: registry.counter("shenjing_retries_total{reason=\"panic\"}"),
-            retries_quarantine: registry.counter("shenjing_retries_total{reason=\"quarantine\"}"),
-        }
-    }
-
-    /// The retries counter for one fault kind.
-    fn retries(&self, kind: FaultKind) -> &Counter {
-        match kind {
-            FaultKind::Panic => &self.retries_panic,
-            FaultKind::Quarantine => &self.retries_quarantine,
-        }
-    }
+    /// The model's serving numbers — the only place they are kept.
+    metrics: ModelMetrics,
 }
 
 /// Why a whole batch was treated as a replica fault.
@@ -503,14 +420,22 @@ struct Shared {
     queue: Mutex<QueueInner>,
     /// Signalled on submit, on retry requeue, and on shutdown.
     arrivals: Condvar,
-    /// Lock order: `queue` before `stats`, never the reverse.
-    stats: Mutex<AllStats>,
     models: Vec<ModelRuntime>,
+    /// Per-shard health instruments, indexed by shard id.
+    workers: Vec<WorkerMetrics>,
     started: Instant,
     config: RuntimeConfig,
-    /// The runtime's telemetry hub (epoch, registry, span ring).
+    /// The runtime's telemetry hub (epoch, registry, span ring). Every
+    /// serving number is an instrument of its registry, resolved once in
+    /// [`Runtime::serve`] — the workers pay only the atomic update.
     telemetry: Arc<Telemetry>,
-    handles: TelemetryHandles,
+    /// Requests naming an unregistered model (no model to label).
+    unknown_model: Arc<Counter>,
+    /// `shenjing_engine_phase_ns_total{phase=}`, in
+    /// [`PassProfile::phase_ns`] order, filled from profiled batches.
+    phases: [Arc<Counter>; 4],
+    /// `shenjing_profiled_batches_total`.
+    profiled_batches: Arc<Counter>,
     /// Armed failure injection, shared by every worker so batch/tick
     /// ordinals are runtime-wide and deterministic.
     #[cfg(feature = "chaos")]
@@ -520,21 +445,19 @@ struct Shared {
 impl Shared {
     /// Drops every expired request in `pending`, answering each with
     /// [`RejectReason::DeadlineExpired`] — fail fast, no lane burned.
-    /// Caller holds the queue lock; the stats lock is taken inside
-    /// (queue→stats order). Requests backing off between retry attempts
-    /// expire here like any other: the deadline outranks the retry.
+    /// Caller holds the queue lock. Requests backing off between retry
+    /// attempts expire here like any other: the deadline outranks the
+    /// retry.
     fn sweep_expired(&self, pending: &mut VecDeque<Request>, now: Instant) {
         if pending.iter().all(|r| r.rider.deadline.is_none_or(|d| d > now)) {
             return;
         }
-        let mut stats = relock(&self.stats);
         let mut kept = VecDeque::with_capacity(pending.len());
         for request in pending.drain(..) {
             if request.rider.deadline.is_some_and(|d| d <= now) {
-                for s in stats.both(request.model) {
-                    s.expired_in_queue += 1;
-                }
-                self.handles.queue_depth.sub(1);
+                let metrics = &self.models[request.model].metrics;
+                metrics.expired_in_queue.inc();
+                metrics.queue_depth.sub(1);
                 let _ =
                     request.rider.reply.send(Err(Error::rejected(RejectReason::DeadlineExpired)));
             } else {
@@ -651,11 +574,14 @@ impl Runtime {
         if registry.is_empty() {
             return Err(Error::config("registry must hold at least one model"));
         }
+        let telemetry = Arc::new(Telemetry::new(config.telemetry.clone()));
+        let metrics = telemetry.registry();
         let entries: Vec<ModelEntry> = registry.into_entries();
         let models: Vec<ModelRuntime> = entries
             .into_iter()
             .map(|e| ModelRuntime {
                 input_len: e.model.input_len(),
+                metrics: ModelMetrics::new(metrics, &e.id, config.workers, config.max_batch),
                 id: e.id,
                 model: e.model,
                 options: e.options,
@@ -672,31 +598,21 @@ impl Runtime {
             }
             worker_replicas.push(slots);
         }
-        let per_model = vec![StatsInner::default(); models.len()];
-        let telemetry = Arc::new(Telemetry::new(config.telemetry.clone()));
         // Static facts as info gauges, the Prometheus idiom for joining
         // live counters with model size/placement at query time.
         for m in &models {
-            let labels = m.model.info_labels(&m.id);
-            telemetry.registry().gauge(&format!("shenjing_model_info{labels}")).set(1);
+            metrics.gauge(&m.model.info_series(&m.id)).set(1);
             // Raw vs compacted cycles per pass — what the schedule
             // optimizer bought this model.
             let raw = m.model.block_cycles();
             let compacted = m.model.program().compacted_cycles().unwrap_or(raw);
-            let id = &m.id;
-            telemetry
-                .registry()
-                .gauge(&format!("shenjing_schedule_cycles{{model=\"{id}\",stage=\"raw\"}}"))
-                .set(raw as i64);
-            telemetry
-                .registry()
-                .gauge(&format!("shenjing_schedule_cycles{{model=\"{id}\",stage=\"compacted\"}}"))
-                .set(compacted as i64);
+            for (stage, cycles) in [("raw", raw), ("compacted", compacted)] {
+                let labels = [("model", m.id.as_str()), ("stage", stage)];
+                metrics.gauge(&series("shenjing_schedule_cycles", &labels)).set(cycles as i64);
+            }
         }
-        let handles = TelemetryHandles::new(&telemetry);
         #[cfg(feature = "chaos")]
         let chaos = config.chaos.clone().map(crate::chaos::ChaosInjector::new);
-        let worker_health = vec![WorkerHealthInner::default(); config.workers];
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueInner {
                 pending: VecDeque::new(),
@@ -704,16 +620,16 @@ impl Runtime {
                 shutdown: false,
             }),
             arrivals: Condvar::new(),
-            stats: Mutex::new(AllStats {
-                aggregate: StatsInner::default(),
-                per_model,
-                workers: worker_health,
-            }),
             models,
+            workers: (0..config.workers).map(|w| WorkerMetrics::new(metrics, w)).collect(),
             started: Instant::now(),
             config,
-            telemetry,
-            handles,
+            unknown_model: stats::rejected(metrics, None, "unknown_model"),
+            phases: PassProfile::default().phase_ns().map(|(phase, _)| {
+                metrics.counter(&series("shenjing_engine_phase_ns_total", &[("phase", phase)]))
+            }),
+            profiled_batches: metrics.counter("shenjing_profiled_batches_total"),
+            telemetry: Arc::clone(&telemetry),
             #[cfg(feature = "chaos")]
             chaos,
         });
@@ -753,8 +669,7 @@ impl Runtime {
     pub fn submit(&self, request: InferenceRequest) -> Result<PendingReply> {
         let InferenceRequest { model_id, input, deadline, priority } = request;
         let Some(model) = self.shared.models.iter().position(|m| m.id == model_id) else {
-            let mut stats = relock(&self.shared.stats);
-            stats.aggregate.rejected_unknown_model += 1;
+            self.shared.unknown_model.inc();
             return Err(Error::rejected(RejectReason::UnknownModel { id: model_id }));
         };
         let entry = &self.shared.models[model];
@@ -766,10 +681,7 @@ impl Runtime {
         }
         let budget = deadline.or(entry.options.deadline);
         if budget.is_some_and(|b| b.is_zero()) {
-            let mut stats = relock(&self.shared.stats);
-            for s in stats.both(model) {
-                s.rejected_deadline += 1;
-            }
+            entry.metrics.rejected_deadline.inc();
             return Err(Error::rejected(RejectReason::DeadlineExpired));
         }
         let priority = priority.unwrap_or(entry.options.priority);
@@ -781,10 +693,7 @@ impl Runtime {
             }
             if queue.pending.len() >= self.shared.config.queue_depth {
                 let limit = self.shared.config.queue_depth;
-                let mut stats = relock(&self.shared.stats);
-                for s in stats.both(model) {
-                    s.rejected_queue_full += 1;
-                }
+                entry.metrics.rejected_queue_full.inc();
                 return Err(Error::rejected(RejectReason::QueueFull { limit }));
             }
             let now = Instant::now();
@@ -804,7 +713,7 @@ impl Runtime {
                     reply: tx,
                 },
             });
-            self.shared.handles.queue_depth.add(1);
+            entry.metrics.queue_depth.add(1);
         }
         // `notify_all`, not `notify_one`: the one woken worker might be
         // mid-straggler-wait on another model's batch and go back to
@@ -837,22 +746,20 @@ impl Runtime {
     /// [`ModelStats`](crate::ModelStats) per registered model in
     /// [`RuntimeStats::models`].
     pub fn stats(&self) -> RuntimeStats {
-        let (depth, per_model) = self.queue_depths();
-        let stats = relock(&self.shared.stats);
-        self.snapshot(&stats, depth, &per_model)
+        let shared = &self.shared;
+        RuntimeStats::of_runtime(
+            shared.models.iter().map(|m| (m.id.as_str(), &m.metrics)),
+            &shared.workers,
+            &shared.unknown_model,
+            shared.started.elapsed(),
+        )
     }
 
     /// The statistics of one registered model, or `None` for an unknown
     /// id.
     pub fn model_stats(&self, id: &str) -> Option<RuntimeStats> {
-        let model = self.shared.models.iter().position(|m| m.id == id)?;
-        let (_, per_model) = self.queue_depths();
-        let stats = relock(&self.shared.stats);
-        Some(RuntimeStats::snapshot(
-            &stats.per_model[model],
-            self.shared.started.elapsed(),
-            per_model[model],
-        ))
+        let model = self.shared.models.iter().find(|m| m.id == id)?;
+        Some(RuntimeStats::of_model(&model.metrics, self.shared.started.elapsed()))
     }
 
     /// The runtime's telemetry hub: the live metric registry, the
@@ -863,15 +770,14 @@ impl Runtime {
         Arc::clone(&self.shared.telemetry)
     }
 
-    /// The full Prometheus-style text metrics snapshot: the live
-    /// registry (queue-depth gauge, duration histograms, per-phase
-    /// pass-time totals, model info) followed by the stats-derived
-    /// families (request counters, admission verdicts, and queue-wait
-    /// vs service-time quantiles, aggregate and per model).
+    /// The Prometheus-style text metrics snapshot of the telemetry
+    /// registry — the same atomics [`stats`](Runtime::stats) reads:
+    /// per-model request counters, admission verdicts, batches by frame
+    /// count, queue depth and queue-wait / service / end-to-end duration
+    /// histograms, per-worker health, per-phase pass-time totals and
+    /// model info.
     pub fn metrics_text(&self) -> String {
-        let mut out = self.shared.telemetry.prometheus();
-        stats::render_prometheus(&self.stats(), &mut out);
-        out
+        self.shared.telemetry.prometheus()
     }
 
     /// The sampled request spans as Chrome-trace JSON — load the string
@@ -883,38 +789,6 @@ impl Runtime {
     /// Propagates serialization failures as [`Error::InvalidConfig`].
     pub fn trace_json(&self) -> Result<String> {
         self.shared.telemetry.chrome_trace_json()
-    }
-
-    /// Counts the queued requests, aggregate and per model index. Takes
-    /// (and releases) the queue lock only, so callers honor the
-    /// queue→stats lock order by calling this *before* locking stats.
-    fn queue_depths(&self) -> (u64, Vec<u64>) {
-        let queue = relock(&self.shared.queue);
-        let mut per_model = vec![0u64; self.shared.models.len()];
-        for r in &queue.pending {
-            per_model[r.model] += 1;
-        }
-        (queue.pending.len() as u64, per_model)
-    }
-
-    fn snapshot(
-        &self,
-        stats: &MutexGuard<'_, AllStats>,
-        queue_depth: u64,
-        per_model_depth: &[u64],
-    ) -> RuntimeStats {
-        RuntimeStats::snapshot_with_models(
-            &stats.aggregate,
-            self.shared
-                .models
-                .iter()
-                .zip(stats.per_model.iter())
-                .zip(per_model_depth)
-                .map(|((m, inner), &depth)| (m.id.as_str(), inner, depth)),
-            &stats.workers,
-            self.shared.started.elapsed(),
-            queue_depth,
-        )
     }
 
     /// Stops accepting requests, drains the queue (including pending
@@ -982,8 +856,8 @@ fn spawn_worker(
 /// cold replica slots, so the respawn also sheds whatever replica state
 /// the panic left behind. Each shard gets at most
 /// [`MAX_WORKER_RESTARTS`] respawns; beyond that it is abandoned (its
-/// health record marks `gave_up` and shutdown reports it). Returns the
-/// abandoned shard ids once every worker thread has exited.
+/// `shenjing_worker_healthy` gauge drops to 0 and shutdown reports it).
+/// Returns the abandoned shard ids once every worker thread has exited.
 fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> Vec<usize> {
     let mut abandoned: Vec<usize> = Vec::new();
     loop {
@@ -1000,13 +874,9 @@ fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> 
             // The worker thread itself died (a panic outside the
             // per-batch guard). Respawn it so the queue keeps draining —
             // even mid-shutdown: queued requests still deserve answers.
-            let restarts = {
-                let mut stats = relock(&shared.stats);
-                stats.workers[id].restarts += 1;
-                stats.workers[id].restarts
-            };
-            shared.handles.worker_restarts.inc();
-            let respawned = (restarts <= MAX_WORKER_RESTARTS)
+            // Only this thread bumps the counter, so it reads back its own.
+            shared.workers[id].restarts.inc();
+            let respawned = (shared.workers[id].restarts.get() <= MAX_WORKER_RESTARTS)
                 .then(|| {
                     let replicas: Vec<Option<Replica>> =
                         (0..shared.models.len()).map(|_| None).collect();
@@ -1016,7 +886,7 @@ fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> 
             match respawned {
                 Some(handle) => *slot = Some(handle),
                 None => {
-                    relock(&shared.stats).workers[id].gave_up = true;
+                    shared.workers[id].healthy.set(0);
                     abandoned.push(id);
                 }
             }
@@ -1032,16 +902,10 @@ fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> 
                     queue.pending.drain(..).collect()
                 };
                 let lost = Error::WorkerLost { worker: abandoned.first().copied() };
-                if !orphans.is_empty() {
-                    shared.handles.queue_depth.sub(orphans.len() as i64);
-                    let mut stats = relock(&shared.stats);
-                    for r in &orphans {
-                        for s in stats.both(r.model) {
-                            s.failed += 1;
-                        }
-                    }
-                }
                 for r in orphans {
+                    let metrics = &shared.models[r.model].metrics;
+                    metrics.queue_depth.sub(1);
+                    metrics.failed.inc();
                     let _ = r.rider.reply.send(Err(lost.clone()));
                 }
             }
@@ -1087,38 +951,11 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// empty and the next batch retries via the ordinary cold-start path.
 fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
     replicas[model] = None;
-    let rebuilt = Replica::build(&shared.models[model].model, &shared.config).ok();
-    let rebuilt_ok = rebuilt.is_some();
-    replicas[model] = rebuilt;
-    shared.handles.quarantines.inc();
-    let mut stats = relock(&shared.stats);
-    stats.workers[id].quarantines += 1;
-    for s in stats.both(model) {
-        s.quarantines += 1;
-        if rebuilt_ok {
-            s.cold_starts += 1;
-        }
-    }
-}
-
-/// Books one executed batch into a model's throughput/occupancy
-/// counters (the per-frame verdict counters are booked separately).
-fn account_batch(
-    stats: &mut AllStats,
-    model: usize,
-    frames: usize,
-    busy: Duration,
-    density: f64,
-    max_batch: usize,
-) {
-    for s in stats.both(model) {
-        s.batches += 1;
-        s.busy_time += busy;
-        if frames == max_batch {
-            s.full_batches += 1;
-        }
-        s.record_occupancy(frames, max_batch);
-        s.density_weighted_sum += density * frames as f64;
+    let entry = &shared.models[model];
+    replicas[model] = Replica::build(&entry.model, &shared.config).ok();
+    entry.metrics.quarantines[id].inc();
+    if replicas[model].is_some() {
+        entry.metrics.cold_starts.inc();
     }
 }
 
@@ -1156,24 +993,6 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                 if queue.pending.is_empty() {
                     continue;
                 }
-                // Everything queued is backing off between retry
-                // attempts: nap until the earliest window opens (works
-                // under shutdown too, so retries still drain).
-                if !queue.pending.iter().any(|r| r.ready(now)) {
-                    let wake = queue
-                        .pending
-                        .iter()
-                        .filter_map(|r| r.not_before)
-                        .min()
-                        .expect("an unready request has a backoff window");
-                    let nap = wake.saturating_duration_since(now).max(Duration::from_micros(50));
-                    let (q, _timeout) = shared
-                        .arrivals
-                        .wait_timeout(queue, nap)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue = q;
-                    continue;
-                }
                 // The batch forms around the most urgent ready request;
                 // only its model's ready requests may ride along.
                 let head = queue
@@ -1181,8 +1000,21 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                     .iter()
                     .filter(|r| r.ready(now))
                     .min_by(|a, b| schedule_order(a, b))
-                    .expect("a ready request exists");
-                let (model, head_enqueued) = (head.model, head.rider.enqueued);
+                    .map(|head| (head.model, head.rider.enqueued));
+                let Some((model, head_enqueued)) = head else {
+                    // Everything queued is backing off between retry
+                    // attempts: nap until the earliest window opens
+                    // (works under shutdown too, so retries still drain).
+                    const MIN_NAP: Duration = Duration::from_micros(50);
+                    let wake = queue.pending.iter().filter_map(|r| r.not_before).min();
+                    let nap = wake.map_or(MIN_NAP, |at| at.saturating_duration_since(now));
+                    let (q, _timeout) = shared
+                        .arrivals
+                        .wait_timeout(queue, nap.max(MIN_NAP))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    queue = q;
+                    continue;
+                };
                 let gathered = queue.pending.iter().filter(|r| r.model == model && r.ready(now));
                 let count = gathered.clone().count();
                 if count >= config.max_batch || queue.shutdown {
@@ -1214,7 +1046,8 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
         }
         // The batch exists from here: queue wait ends, service begins.
         let formed = Instant::now();
-        shared.handles.queue_depth.sub(batch.len() as i64);
+        let metrics = &shared.models[model].metrics;
+        metrics.queue_depth.sub(batch.len() as i64);
 
         // Move the tensors out instead of cloning them onto the hot path;
         // the riders (metadata + reply channel) outlive the execution,
@@ -1241,17 +1074,10 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
             match Replica::build(&shared.models[model].model, config) {
                 Ok(built) => {
                     replicas[model] = Some(built);
-                    let mut stats = relock(&shared.stats);
-                    for s in stats.both(model) {
-                        s.cold_starts += 1;
-                    }
+                    metrics.cold_starts.inc();
                 }
                 Err(e) => {
-                    let mut stats = relock(&shared.stats);
-                    for s in stats.both(model) {
-                        s.failed += frames as u64;
-                    }
-                    drop(stats);
+                    metrics.failed.add(frames as u64);
                     for rider in riders {
                         let _ = rider.reply.send(Err(e.clone()));
                     }
@@ -1342,21 +1168,15 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                 // (unsampled) batch runs the untouched fast path.
                 let profile = if profiling { sim.take_profile() } else { None };
                 if let Some(p) = &profile {
-                    for (name, ns) in p.phase_ns() {
-                        let counter = shared
-                            .handles
-                            .phases
-                            .iter()
-                            .find(|(phase, _)| *phase == name)
-                            .map(|(_, counter)| counter)
-                            .expect("the four phase counters cover every profile phase");
+                    for (counter, (_, ns)) in shared.phases.iter().zip(p.phase_ns()) {
                         counter.add(ns);
                     }
-                    shared.handles.profiled_batches.inc();
+                    shared.profiled_batches.inc();
                 }
 
-                let mut stats = relock(&shared.stats);
-                account_batch(&mut stats, model, frames, busy, density, config.max_batch);
+                // Every number is booked before its reply is sent: a
+                // client holding a reply finds it already counted.
+                metrics.record_batch(frames, busy, density);
                 for (rider, result) in riders.into_iter().zip(results) {
                     match result {
                         Ok(output) => {
@@ -1366,16 +1186,10 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                             // by every rider.
                             let queue_wait = formed.saturating_duration_since(rider.enqueued);
                             let service = answered.saturating_duration_since(formed);
-                            let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                            for s in stats.both(model) {
-                                s.completed += 1;
-                                s.total_latency += latency;
-                                s.max_latency = s.max_latency.max(latency);
-                                s.record_latency(ns(latency), ns(queue_wait), ns(service));
-                            }
-                            shared.handles.e2e.record(latency);
-                            shared.handles.queue_wait.record(queue_wait);
-                            shared.handles.service.record(service);
+                            metrics.completed.inc();
+                            metrics.e2e.record(latency);
+                            metrics.queue_wait.record(queue_wait);
+                            metrics.service.record(service);
                             let reply = InferenceReply {
                                 model_id: shared.models[model].id.clone(),
                                 predicted: output.predicted_class(),
@@ -1406,16 +1220,14 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                             }
                         }
                         Err(e) => {
-                            for s in stats.both(model) {
-                                s.failed += 1;
-                            }
+                            metrics.failed.inc();
                             let _ = rider.reply.send(Err(e));
                         }
                     }
                 }
             }
             Outcome::Fault { kind, reason } => {
-                // Decide every rider's fate locklessly: retry when the
+                // Decide every rider's fate first: retry when the
                 // budget has room *and* the backoff nap still lands
                 // before the deadline; otherwise fail typed.
                 let now = Instant::now();
@@ -1435,25 +1247,21 @@ fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
                         terminal.push(rider);
                     }
                 }
-                let retried = requeue.len();
-                let failed = terminal.len();
-                if retried > 0 {
-                    // Queue before stats, per the lock order.
-                    let mut queue = relock(&shared.queue);
-                    queue.pending.extend(requeue);
+                metrics.record_batch(frames, busy, density);
+                shared.workers[id].replica_faults.inc();
+                metrics.failed.add(terminal.len() as u64);
+                if !requeue.is_empty() {
+                    let retries = match kind {
+                        FaultKind::Panic => &metrics.retries_panic,
+                        FaultKind::Quarantine => &metrics.retries_quarantine,
+                    };
+                    retries.add(requeue.len() as u64);
+                    // Counted as queued before another worker can see
+                    // (and dequeue) them, so the gauge never dips below 0.
+                    metrics.queue_depth.add(requeue.len() as i64);
+                    relock(&shared.queue).pending.extend(requeue);
                     shared.arrivals.notify_all();
-                    drop(queue);
-                    shared.handles.queue_depth.add(retried as i64);
-                    shared.handles.retries(kind).add(retried as u64);
                 }
-                let mut stats = relock(&shared.stats);
-                account_batch(&mut stats, model, frames, busy, density, config.max_batch);
-                stats.workers[id].replica_faults += 1;
-                for s in stats.both(model) {
-                    s.retries += retried as u64;
-                    s.failed += failed as u64;
-                }
-                drop(stats);
                 for rider in terminal {
                     let fault = Error::ReplicaFault {
                         worker: id,
@@ -1548,6 +1356,219 @@ mod tests {
     /// Frames a model's batches carried, from its occupancy histogram.
     fn frames_served(stats: &RuntimeStats) -> u64 {
         stats.occupancy_histogram.iter().enumerate().map(|(n, c)| n as u64 * c).sum()
+    }
+
+    /// One sample line of the exposition text: family, labels
+    /// (unescaped), value.
+    type Sample = (String, Vec<(String, String)>, f64);
+
+    /// Parses Prometheus text line by line, panicking on anything that
+    /// is not `# TYPE family kind` or `family[{k="v",…}] number` — so a
+    /// label value that escaped its quotes fails here.
+    fn parse_metrics(text: &str) -> Vec<Sample> {
+        let name =
+            |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+        let mut types: Vec<&str> = Vec::new();
+        let mut samples = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let parts: Vec<&str> = rest.split(' ').collect();
+                assert!(parts.len() == 2 && name(parts[0]), "bad TYPE line: {line:?}");
+                assert!(!types.contains(&parts[0]), "family {} declared twice", parts[0]);
+                types.push(parts[0]);
+                continue;
+            }
+            let brace = line.find(['{', ' ']).unwrap_or_else(|| panic!("bad line {line:?}"));
+            let family = &line[..brace];
+            assert!(name(family), "bad family in {line:?}");
+            let mut labels = Vec::new();
+            let mut rest = &line[brace..];
+            while rest.starts_with(['{', ',']) {
+                let eq = rest.find("=\"").unwrap_or_else(|| panic!("bad label in {line:?}"));
+                assert!(name(&rest[1..eq]), "bad label name in {line:?}");
+                let (mut value, mut chars) = (String::new(), rest[eq + 2..].char_indices());
+                let end = loop {
+                    match chars.next().unwrap_or_else(|| panic!("unterminated label in {line:?}")) {
+                        (i, '"') => break eq + 2 + i + 1,
+                        (_, '\\') => value.push(match chars.next().map(|(_, c)| c) {
+                            Some('n') => '\n',
+                            Some(c @ ('\\' | '"')) => c,
+                            other => panic!("bad escape {other:?} in {line:?}"),
+                        }),
+                        (_, c) => value.push(c),
+                    }
+                };
+                labels.push((rest[1..eq].to_string(), value));
+                rest = &rest[end..];
+            }
+            if !labels.is_empty() {
+                rest =
+                    rest.strip_prefix('}').unwrap_or_else(|| panic!("unclosed labels in {line:?}"));
+            }
+            let value = rest.strip_prefix(' ').and_then(|v| v.parse::<f64>().ok());
+            samples.push((
+                family.to_string(),
+                labels,
+                value.unwrap_or_else(|| panic!("bad value in {line:?}")),
+            ));
+        }
+        samples
+    }
+
+    /// Σ of `family`'s samples carrying every label in `want`.
+    fn metric(samples: &[Sample], family: &str, want: &[(&str, &str)]) -> u64 {
+        let has = |labels: &[(String, String)], (k, v): &(&str, &str)| {
+            labels.iter().any(|(lk, lv)| lk == k && lv == v)
+        };
+        samples
+            .iter()
+            .filter(|(f, labels, _)| f == family && want.iter().all(|w| has(labels, w)))
+            .map(|(_, _, value)| *value as u64)
+            .sum()
+    }
+
+    /// A stats field and the metric it must equal: family, the labels
+    /// that select its samples, value.
+    type Field = (&'static str, Vec<(&'static str, &'static str)>, u64);
+
+    /// Every counter-like field of a stats view.
+    fn counter_fields(s: &RuntimeStats) -> Vec<Field> {
+        const REJECTED: &str = "shenjing_requests_rejected_total";
+        vec![
+            ("shenjing_requests_completed_total", vec![], s.completed),
+            ("shenjing_requests_failed_total", vec![], s.failed),
+            ("shenjing_batches_total", vec![], s.batches),
+            (REJECTED, vec![("reason", "queue_full")], s.rejected_queue_full),
+            (REJECTED, vec![("reason", "deadline")], s.rejected_deadline),
+            (REJECTED, vec![("reason", "expired_in_queue")], s.expired_in_queue),
+            ("shenjing_cold_starts_total", vec![], s.cold_starts),
+            ("shenjing_retries_total", vec![], s.retries),
+            ("shenjing_replica_quarantines_total", vec![], s.quarantines),
+            ("shenjing_busy_ns_total", vec![], s.busy_time.as_nanos() as u64),
+            ("shenjing_queue_depth", vec![], s.queue_depth),
+            ("shenjing_request_duration_seconds_count", vec![], s.completed),
+            ("shenjing_queue_wait_duration_seconds_count", vec![], s.completed),
+            ("shenjing_service_duration_seconds_count", vec![], s.completed),
+        ]
+    }
+
+    #[test]
+    fn every_stats_counter_equals_its_metrics_text_series() {
+        // One worker parked in a straggler wait on `pin` while the test
+        // piles every kind of verdict up behind it: completions on two
+        // models, a failed frame (`broken` serves zero-timestep trains,
+        // which the engine refuses per batch), a queue-full and a
+        // spent-deadline rejection, an in-queue expiry, an unknown model.
+        let registry = ModelRegistry::new()
+            .with_model("pin", model(), ServeOptions::default().with_priority(10))
+            .unwrap()
+            .with_model("bulk", model_b(), ServeOptions::default())
+            .unwrap()
+            .with_model("broken", model_b(), ServeOptions::default().with_timesteps(0))
+            .unwrap();
+        let config = RuntimeConfig {
+            workers: 1,
+            max_batch: 2,
+            max_wait: Duration::from_millis(200),
+            timesteps: 3,
+            queue_depth: 5,
+            ..Default::default()
+        };
+        let runtime = Runtime::serve(registry, config).unwrap();
+        let bulk = |k| InferenceRequest::new("bulk", frame_b(k));
+        assert!(runtime.submit(InferenceRequest::new("ghost", frame(0))).is_err());
+        assert!(runtime.submit(bulk(0).with_deadline(Duration::ZERO)).is_err());
+        let pin = runtime.submit(InferenceRequest::new("pin", frame(0))).unwrap();
+        let doomed = runtime.submit(bulk(1).with_deadline(Duration::from_millis(50))).unwrap();
+        let broken = runtime.submit(InferenceRequest::new("broken", frame_b(2))).unwrap();
+        let served: Vec<PendingReply> = (3..5).map(|k| runtime.submit(bulk(k)).unwrap()).collect();
+        let full = runtime.submit(bulk(5)).unwrap_err();
+        assert_eq!(full.reject_reason(), Some(&RejectReason::QueueFull { limit: 5 }));
+        assert_eq!(
+            doomed.wait().unwrap_err().reject_reason(),
+            Some(&RejectReason::DeadlineExpired)
+        );
+        assert!(broken.wait().is_err(), "a zero-timestep pass fails its frame");
+        assert!(pin.wait().is_ok());
+        assert!(served.into_iter().all(|p| p.wait().is_ok()));
+
+        let stats = runtime.stats();
+        let samples = parse_metrics(&runtime.metrics_text());
+        assert_eq!((stats.completed, stats.failed), (3, 1));
+        assert_eq!((stats.rejected_queue_full, stats.rejected_deadline), (1, 1));
+        assert_eq!((stats.expired_in_queue, stats.rejected_unknown_model), (1, 1));
+        assert_eq!(
+            metric(&samples, "shenjing_requests_rejected_total", &[("reason", "unknown_model")]),
+            stats.rejected_unknown_model
+        );
+        // The aggregate is every sample of a family; a model's view is
+        // the samples labelled with it — and the views sum to the whole.
+        for (i, (family, labels, value)) in counter_fields(&stats).into_iter().enumerate() {
+            assert_eq!(metric(&samples, family, &labels), value, "aggregate {family} {labels:?}");
+            let mut sum = 0;
+            for m in &stats.models {
+                let of_model = counter_fields(&m.stats).swap_remove(i).2;
+                let mut labels: Vec<(&str, &str)> = labels.clone();
+                labels.push(("model", &m.id));
+                assert_eq!(metric(&samples, family, &labels), of_model, "{} {family}", m.id);
+                sum += of_model;
+            }
+            assert_eq!(sum, value, "per-model {family} {labels:?} must sum to the aggregate");
+        }
+        for s in std::iter::once(&stats).chain(stats.models.iter().map(|m| &m.stats)) {
+            assert_eq!(frames_served(s), s.completed + s.failed, "Σ n·occupancy[n]");
+            assert_eq!(s.full_batches, s.occupancy_histogram.get(2).copied().unwrap_or(0));
+        }
+        for (n, &count) in stats.occupancy_histogram.iter().enumerate().skip(1) {
+            let frames = n.to_string();
+            assert_eq!(metric(&samples, "shenjing_batches_total", &[("frames", &frames)]), count);
+        }
+        assert_eq!(stats.workers.len(), 1);
+        for (family, value) in [
+            ("shenjing_worker_restarts_total", stats.workers[0].restarts),
+            ("shenjing_replica_faults_total", stats.workers[0].replica_faults),
+            ("shenjing_replica_quarantines_total", stats.workers[0].quarantines),
+            ("shenjing_worker_healthy", u64::from(stats.workers[0].healthy)),
+        ] {
+            assert_eq!(metric(&samples, family, &[("worker", "0")]), value, "{family}");
+        }
+        assert!(stats.workers[0].healthy);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn hostile_model_ids_cannot_corrupt_the_exposition_text() {
+        let id = "we\"ird\\id\nshenjing_fake_total 1";
+        let registry =
+            ModelRegistry::new().with_model(id, model(), ServeOptions::default()).unwrap();
+        let runtime = Runtime::serve(registry, RuntimeConfig::default()).unwrap();
+        runtime.infer(InferenceRequest::new(id, frame(0))).unwrap();
+        // Every line still parses, and the id reads back whole from each
+        // of its series — the model info gauge included.
+        let samples = parse_metrics(&runtime.metrics_text());
+        assert_eq!(metric(&samples, "shenjing_requests_completed_total", &[("model", id)]), 1);
+        assert_eq!(metric(&samples, "shenjing_model_info", &[("model", id)]), 1);
+        assert_eq!(
+            metric(&samples, "shenjing_request_duration_seconds_count", &[("model", id)]),
+            1
+        );
+        assert!(samples.iter().all(|(family, ..)| family != "shenjing_fake_total"));
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_reply_in_hand_is_already_counted() {
+        // Workers book a request before they send its reply, so a client
+        // never observes a reply the stats have not seen.
+        let runtime =
+            single(model(), RuntimeConfig { workers: 2, timesteps: 3, ..Default::default() });
+        for replies in 1..=40u64 {
+            runtime.infer(request(replies as usize)).unwrap();
+            let stats = runtime.stats();
+            assert!(stats.completed >= replies, "{} counted, {replies} received", stats.completed);
+            assert!(stats.models[0].stats.completed >= replies);
+        }
+        runtime.shutdown().unwrap();
     }
 
     #[test]
@@ -1778,11 +1799,12 @@ mod tests {
         let summary = shenjing_telemetry::validate(&telemetry.chrome_trace()).unwrap();
         assert_eq!(summary.requests, 6);
         assert!(summary.phase_slices > 0);
-        // And the text snapshot exposes both the registry families and
-        // the stats-derived quantile split.
+        // And the text snapshot exposes the engine phases next to the
+        // per-model queue-wait / service split.
         assert!(metrics.contains("shenjing_engine_phase_ns_total{phase=\"acc\"}"));
         assert!(metrics.contains("shenjing_profiled_batches_total 6"));
-        assert!(metrics.contains("shenjing_queue_wait_seconds{quantile=\"0.5\"}"));
+        assert!(metrics.contains("shenjing_queue_wait_duration_seconds_count{model=\"pin\"} 3"));
+        assert!(metrics.contains("shenjing_service_duration_seconds_count{model=\"bulk\"} 3"));
         assert!(metrics.contains("shenjing_model_info{model=\"pin\""));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"raw\"}"));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"compacted\"}"));
@@ -1806,7 +1828,9 @@ mod tests {
         runtime.shutdown().unwrap();
         assert!(telemetry.spans().is_empty(), "disabled sampling records nothing");
         assert!(
-            telemetry.prometheus().contains("shenjing_request_duration_seconds_count 1"),
+            telemetry
+                .prometheus()
+                .contains("shenjing_request_duration_seconds_count{model=\"m\"} 1"),
             "counters stay live even with sampling disabled"
         );
     }

@@ -2,112 +2,146 @@
 //! with latency percentiles, a batch-occupancy histogram, admission
 //! verdicts, and per-model views so the multi-model serving tier is
 //! observable end to end.
+//!
+//! Every number lives in the runtime's telemetry `Registry` and
+//! nowhere else: `ModelMetrics` and `WorkerMetrics` are the handle
+//! sets the workers bump (each family's one definition site), and
+//! [`RuntimeStats`] / [`ModelStats`] / [`WorkerHealth`] are views read
+//! off those same atomics — so a snapshot and
+//! [`Runtime::metrics_text`](crate::Runtime::metrics_text) cannot
+//! disagree. Percentiles come from the duration histograms and are good
+//! to one bucket: at most 12.5 % above the exact nearest-rank value.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Cap on each retained timing sample. Beyond it, reservoir sampling
-/// keeps a uniform subset, bounding both the memory of a long-running
-/// server and the clone-and-sort cost of every snapshot (taken under the
-/// stats lock the workers share).
-pub(crate) const LATENCY_SAMPLE_CAP: usize = 4096;
+use shenjing_telemetry::{series, Counter, Gauge, Registry, TimeHistogram};
 
-/// A bounded, uniform sample of nanosecond timings (Algorithm R: the
-/// `k`-th observed value replaces a uniformly random slot with
-/// probability `CAP / k`). The randomness is a SplitMix64 hash of the
-/// sample count — deterministic for a given arrival order, no RNG state
-/// to carry.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Reservoir {
-    pub samples: Vec<u64>,
-    /// Values observed so far (the reservoir's `k`).
-    pub seen: u64,
+/// Fixed-point scale of `shenjing_input_density_micro_total`: a batch
+/// adds `density × frames` in millionths.
+const DENSITY_SCALE: f64 = 1e6;
+
+/// The `shenjing_requests_rejected_total` counter for one verdict:
+/// `{model=, reason=}` for a registered model, `{reason=}` alone for the
+/// one verdict no model owns (`unknown_model`).
+pub(crate) fn rejected(registry: &Registry, model: Option<&str>, reason: &str) -> Arc<Counter> {
+    let labels: Vec<_> =
+        model.map(|id| ("model", id)).into_iter().chain([("reason", reason)]).collect();
+    registry.counter(&series("shenjing_requests_rejected_total", &labels))
 }
 
-impl Reservoir {
-    /// Records one value into the bounded reservoir.
-    pub(crate) fn record(&mut self, ns: u64) {
-        self.seen += 1;
-        if self.samples.len() < LATENCY_SAMPLE_CAP {
-            self.samples.push(ns);
-            return;
-        }
-        let mut z = self.seen.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let slot = (z % self.seen) as usize;
-        if slot < LATENCY_SAMPLE_CAP {
-            self.samples[slot] = ns;
+/// One registered model's instruments, all labelled `{model=}`.
+pub(crate) struct ModelMetrics {
+    /// Requests answered successfully / with an error.
+    pub completed: Arc<Counter>,
+    pub failed: Arc<Counter>,
+    /// Admission verdicts: queue at its depth bound, deadline already
+    /// spent on arrival, deadline passed while queued.
+    pub rejected_queue_full: Arc<Counter>,
+    pub rejected_deadline: Arc<Counter>,
+    pub expired_in_queue: Arc<Counter>,
+    /// Replicas instantiated outside the warm pool (quarantine rebuilds
+    /// included).
+    pub cold_starts: Arc<Counter>,
+    /// Requests requeued after a replica panic / an error-streak
+    /// quarantine (`{reason=}`).
+    pub retries_panic: Arc<Counter>,
+    pub retries_quarantine: Arc<Counter>,
+    /// Replica teardown-and-rebuilds, one counter per worker shard
+    /// (`{worker=}`): the model's view sums over workers, a worker's
+    /// over models.
+    pub quarantines: Vec<Arc<Counter>>,
+    /// Wall-clock the workers spent executing this model's batches.
+    pub busy_ns: Arc<Counter>,
+    /// Σ observed input density × frames, in millionths.
+    pub density_micro: Arc<Counter>,
+    /// `batches[n - 1]` = executed batches that carried `n` frames
+    /// (`{frames=}`), `n` in `1..=max_batch`.
+    pub batches: Vec<Arc<Counter>>,
+    /// Requests of this model queued right now.
+    pub queue_depth: Arc<Gauge>,
+    /// Successful requests' enqueue→batch-formed, batch-formed→answered
+    /// and enqueue→answered times. Queue wait and service partition the
+    /// end-to-end latency, so a fat p99 points at the queue or at the
+    /// engine, not at both.
+    pub queue_wait: Arc<TimeHistogram>,
+    pub service: Arc<TimeHistogram>,
+    pub e2e: Arc<TimeHistogram>,
+}
+
+impl ModelMetrics {
+    pub(crate) fn new(registry: &Registry, id: &str, workers: usize, max_batch: usize) -> Self {
+        let name = |family: &str| series(family, &[("model", id)]);
+        let retries = |reason: &str| {
+            registry
+                .counter(&series("shenjing_retries_total", &[("model", id), ("reason", reason)]))
+        };
+        ModelMetrics {
+            completed: registry.counter(&name("shenjing_requests_completed_total")),
+            failed: registry.counter(&name("shenjing_requests_failed_total")),
+            rejected_queue_full: rejected(registry, Some(id), "queue_full"),
+            rejected_deadline: rejected(registry, Some(id), "deadline"),
+            expired_in_queue: rejected(registry, Some(id), "expired_in_queue"),
+            cold_starts: registry.counter(&name("shenjing_cold_starts_total")),
+            retries_panic: retries("panic"),
+            retries_quarantine: retries("quarantine"),
+            quarantines: (0..workers)
+                .map(|w| {
+                    registry.counter(&series(
+                        "shenjing_replica_quarantines_total",
+                        &[("model", id), ("worker", &w.to_string())],
+                    ))
+                })
+                .collect(),
+            busy_ns: registry.counter(&name("shenjing_busy_ns_total")),
+            density_micro: registry.counter(&name("shenjing_input_density_micro_total")),
+            batches: (1..=max_batch)
+                .map(|n| {
+                    registry.counter(&series(
+                        "shenjing_batches_total",
+                        &[("model", id), ("frames", &n.to_string())],
+                    ))
+                })
+                .collect(),
+            queue_depth: registry.gauge(&name("shenjing_queue_depth")),
+            queue_wait: registry.histogram(&name("shenjing_queue_wait_duration_seconds")),
+            service: registry.histogram(&name("shenjing_service_duration_seconds")),
+            e2e: registry.histogram(&name("shenjing_request_duration_seconds")),
         }
     }
 
-    /// The retained sample, ascending — the form [`percentile`] wants.
-    pub(crate) fn sorted(&self) -> Vec<u64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        sorted
+    /// Books one executed batch of `frames` frames: its occupancy, the
+    /// wall-clock it kept the worker busy, and its input density.
+    pub(crate) fn record_batch(&self, frames: usize, busy: Duration, density: f64) {
+        self.batches[frames - 1].inc();
+        self.busy_ns.add(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
+        self.density_micro.add((density * frames as f64 * DENSITY_SCALE).round() as u64);
     }
 }
 
-/// Mutable counters the workers update under the stats lock.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StatsInner {
-    pub completed: u64,
-    pub failed: u64,
-    pub batches: u64,
-    pub full_batches: u64,
-    pub total_latency: Duration,
-    pub max_latency: Duration,
-    pub busy_time: Duration,
-    /// Successful requests' end-to-end enqueue→reply latencies.
-    pub latency: Reservoir,
-    /// The queue-wait share of those latencies: enqueue→batch-formed,
-    /// the time admission control and scheduling cost the request.
-    pub queue_wait: Reservoir,
-    /// The service share: batch-formed→answered, the time the engines
-    /// cost it. Queue wait and service partition the end-to-end latency,
-    /// so a fat p99 points at the queue or at the engines, not at both.
-    pub service: Reservoir,
-    /// Σ (observed input activity density × frames), over all batches —
-    /// the rate-coded input's mean pixel value is the expected fraction
-    /// of input axons spiking per timestep.
-    pub density_weighted_sum: f64,
-    /// `occupancy_counts[n]` = batches that carried `n` frames (index 0
-    /// unused; sized `max_batch + 1` on first record).
-    pub occupancy_counts: Vec<u64>,
-    /// Requests refused at admission because the shared queue was at its
-    /// configured depth bound.
-    pub rejected_queue_full: u64,
-    /// Requests refused at admission because their deadline budget was
-    /// already spent (zero or negative on arrival).
-    pub rejected_deadline: u64,
-    /// Requests admitted but dropped from the queue when their deadline
-    /// passed before a worker could serve them (failed fast, no lane
-    /// occupied).
-    pub expired_in_queue: u64,
-    /// Requests naming a model id with no registration (aggregate only:
-    /// there is no model to attribute them to).
-    pub rejected_unknown_model: u64,
-    /// Times a worker had to instantiate a replica on demand because the
-    /// model's warm pool did not cover it.
-    pub cold_starts: u64,
-    /// Requests requeued for another execution after a replica fault
-    /// (each requeue counts once, however many a single request needs).
-    pub retries: u64,
-    /// Replica teardown-and-rebuilds after a panic or a repeated error
-    /// streak (each also counts a cold start for the rebuild).
-    pub quarantines: u64,
+/// One worker shard's instruments, all labelled `{worker=}`.
+pub(crate) struct WorkerMetrics {
+    /// Times the supervisor respawned the shard's thread.
+    pub restarts: Arc<Counter>,
+    /// Batches the shard lost to replica faults.
+    pub replica_faults: Arc<Counter>,
+    /// 1 while the shard serves (or stopped cleanly), 0 once the
+    /// supervisor abandoned it.
+    pub healthy: Arc<Gauge>,
 }
 
-/// Mutable per-worker health counters, updated under the stats lock by
-/// the worker itself (faults, quarantines) and by the supervisor
-/// (restarts, abandonment).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WorkerHealthInner {
-    pub restarts: u64,
-    pub replica_faults: u64,
-    pub quarantines: u64,
-    pub gave_up: bool,
+impl WorkerMetrics {
+    pub(crate) fn new(registry: &Registry, worker: usize) -> WorkerMetrics {
+        let worker = worker.to_string();
+        let name = |family: &str| series(family, &[("worker", &worker)]);
+        let healthy = registry.gauge(&name("shenjing_worker_healthy"));
+        healthy.set(1);
+        WorkerMetrics {
+            restarts: registry.counter(&name("shenjing_worker_restarts_total")),
+            replica_faults: registry.counter(&name("shenjing_replica_faults_total")),
+            healthy,
+        }
+    }
 }
 
 /// A snapshot of the runtime's aggregate serving statistics.
@@ -223,198 +257,146 @@ pub struct ModelStats {
     pub stats: RuntimeStats,
 }
 
-impl StatsInner {
-    /// Records one successful request's timing split into the three
-    /// bounded reservoirs: end-to-end latency, its queue-wait share, and
-    /// its service share.
-    pub(crate) fn record_latency(&mut self, latency_ns: u64, queue_wait_ns: u64, service_ns: u64) {
-        self.latency.record(latency_ns);
-        self.queue_wait.record(queue_wait_ns);
-        self.service.record(service_ns);
-    }
+/// The raw sums a view is computed from: one model's instruments, or the
+/// fold over every model's.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    failed: u64,
+    rejected_queue_full: u64,
+    rejected_deadline: u64,
+    expired_in_queue: u64,
+    cold_starts: u64,
+    retries: u64,
+    quarantines: u64,
+    busy_ns: u64,
+    density_micro: u64,
+    batches: Vec<u64>,
+    queue_depth: i64,
+    queue_wait: TimeHistogram,
+    service: TimeHistogram,
+    e2e: TimeHistogram,
+}
 
-    /// Counts one executed batch of `frames` frames into the occupancy
-    /// histogram (lazily sized to `max_batch + 1` slots).
-    pub(crate) fn record_occupancy(&mut self, frames: usize, max_batch: usize) {
-        if self.occupancy_counts.len() <= max_batch.max(frames) {
-            self.occupancy_counts.resize(max_batch.max(frames) + 1, 0);
+impl Tally {
+    fn add(&mut self, m: &ModelMetrics) {
+        self.completed += m.completed.get();
+        self.failed += m.failed.get();
+        self.rejected_queue_full += m.rejected_queue_full.get();
+        self.rejected_deadline += m.rejected_deadline.get();
+        self.expired_in_queue += m.expired_in_queue.get();
+        self.cold_starts += m.cold_starts.get();
+        self.retries += m.retries_panic.get() + m.retries_quarantine.get();
+        self.quarantines += m.quarantines.iter().map(|c| c.get()).sum::<u64>();
+        self.busy_ns += m.busy_ns.get();
+        self.density_micro += m.density_micro.get();
+        self.batches.resize(self.batches.len().max(m.batches.len()), 0);
+        for (sum, counter) in self.batches.iter_mut().zip(&m.batches) {
+            *sum += counter.get();
         }
-        self.occupancy_counts[frames] += 1;
+        self.queue_depth += m.queue_depth.get();
+        self.queue_wait.merge_from(&m.queue_wait);
+        self.service.merge_from(&m.service);
+        self.e2e.merge_from(&m.e2e);
     }
-}
 
-/// The `q`-quantile (0..=1) of an ascending-sorted latency sample, by
-/// the nearest-rank method. Zero for an empty sample.
-fn percentile(sorted_ns: &[u64], q: f64) -> Duration {
-    if sorted_ns.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    Duration::from_nanos(sorted_ns[rank - 1])
-}
-
-impl RuntimeStats {
-    pub(crate) fn snapshot(
-        inner: &StatsInner,
-        elapsed: Duration,
-        queue_depth: u64,
-    ) -> RuntimeStats {
-        let done = inner.completed + inner.failed;
-        let sorted = inner.latency.sorted();
-        let sorted_wait = inner.queue_wait.sorted();
-        let sorted_service = inner.service.sorted();
+    fn view(&self, elapsed: Duration) -> RuntimeStats {
+        let batches: u64 = self.batches.iter().sum();
+        let done = self.completed + self.failed;
+        let per = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
+        let quantiles = |h: &TimeHistogram| [0.50, 0.95, 0.99].map(|q| h.quantile(q));
+        // Quantiles before the max: a sample landing in between can only
+        // raise the max, so p99 ≤ max holds on a live runtime too.
+        let [p50_latency, p95_latency, p99_latency] = quantiles(&self.e2e);
+        let [p50_queue_wait, p95_queue_wait, p99_queue_wait] = quantiles(&self.queue_wait);
+        let [p50_service, p95_service, p99_service] = quantiles(&self.service);
         RuntimeStats {
-            completed: inner.completed,
-            failed: inner.failed,
-            batches: inner.batches,
-            full_batches: inner.full_batches,
-            mean_batch_occupancy: if inner.batches == 0 {
-                0.0
+            completed: self.completed,
+            failed: self.failed,
+            batches,
+            full_batches: self.batches.last().copied().unwrap_or(0),
+            mean_batch_occupancy: per(done as f64, batches),
+            occupancy_histogram: if batches == 0 {
+                Vec::new()
             } else {
-                done as f64 / inner.batches as f64
+                std::iter::once(0).chain(self.batches.iter().copied()).collect()
             },
-            occupancy_histogram: inner.occupancy_counts.clone(),
-            mean_latency: if inner.completed == 0 {
-                Duration::ZERO
-            } else {
-                inner.total_latency / u32::try_from(inner.completed).unwrap_or(u32::MAX)
-            },
-            p50_latency: percentile(&sorted, 0.50),
-            p95_latency: percentile(&sorted, 0.95),
-            p99_latency: percentile(&sorted, 0.99),
-            max_latency: inner.max_latency,
-            p50_queue_wait: percentile(&sorted_wait, 0.50),
-            p95_queue_wait: percentile(&sorted_wait, 0.95),
-            p99_queue_wait: percentile(&sorted_wait, 0.99),
-            p50_service: percentile(&sorted_service, 0.50),
-            p95_service: percentile(&sorted_service, 0.95),
-            p99_service: percentile(&sorted_service, 0.99),
-            queue_depth,
-            mean_input_density: if done == 0 {
-                0.0
-            } else {
-                inner.density_weighted_sum / done as f64
-            },
-            busy_time: inner.busy_time,
+            mean_latency: Duration::from_nanos(
+                self.e2e.sum_ns().checked_div(self.e2e.count()).unwrap_or(0),
+            ),
+            p50_latency,
+            p95_latency,
+            p99_latency,
+            max_latency: Duration::from_nanos(self.e2e.max_ns()),
+            p50_queue_wait,
+            p95_queue_wait,
+            p99_queue_wait,
+            p50_service,
+            p95_service,
+            p99_service,
+            queue_depth: u64::try_from(self.queue_depth).unwrap_or(0),
+            mean_input_density: per(self.density_micro as f64 / DENSITY_SCALE, done),
+            busy_time: Duration::from_nanos(self.busy_ns),
             elapsed,
             frames_per_sec: if elapsed.is_zero() {
                 0.0
             } else {
-                inner.completed as f64 / elapsed.as_secs_f64()
+                self.completed as f64 / elapsed.as_secs_f64()
             },
-            rejected_queue_full: inner.rejected_queue_full,
-            rejected_deadline: inner.rejected_deadline,
-            expired_in_queue: inner.expired_in_queue,
-            rejected_unknown_model: inner.rejected_unknown_model,
-            cold_starts: inner.cold_starts,
-            retries: inner.retries,
-            quarantines: inner.quarantines,
+            rejected_queue_full: self.rejected_queue_full,
+            rejected_deadline: self.rejected_deadline,
+            expired_in_queue: self.expired_in_queue,
+            rejected_unknown_model: 0,
+            cold_starts: self.cold_starts,
+            retries: self.retries,
+            quarantines: self.quarantines,
             worker_restarts: 0,
             workers: Vec::new(),
             models: Vec::new(),
         }
     }
+}
 
-    /// Snapshots an aggregate plus its per-model views in one pass; each
-    /// model's item carries its share of the current queue depth.
-    pub(crate) fn snapshot_with_models<'a>(
-        aggregate: &StatsInner,
-        models: impl Iterator<Item = (&'a str, &'a StatsInner, u64)>,
-        workers: &[WorkerHealthInner],
+impl RuntimeStats {
+    /// One model's view, read off its instruments.
+    pub(crate) fn of_model(model: &ModelMetrics, elapsed: Duration) -> RuntimeStats {
+        let mut tally = Tally::default();
+        tally.add(model);
+        tally.view(elapsed)
+    }
+
+    /// The aggregate view: the fold over every model plus the one
+    /// verdict no model owns, with the per-model and per-worker views
+    /// nested inside.
+    pub(crate) fn of_runtime<'a>(
+        models: impl Iterator<Item = (&'a str, &'a ModelMetrics)> + Clone,
+        workers: &[WorkerMetrics],
+        unknown_model: &Counter,
         elapsed: Duration,
-        queue_depth: u64,
     ) -> RuntimeStats {
-        let mut stats = RuntimeStats::snapshot(aggregate, elapsed, queue_depth);
-        stats.models = models
-            .map(|(id, inner, depth)| ModelStats {
-                id: id.to_string(),
-                stats: RuntimeStats::snapshot(inner, elapsed, depth),
-            })
-            .collect();
-        stats.worker_restarts = workers.iter().map(|w| w.restarts).sum();
+        let mut tally = Tally::default();
+        models.clone().for_each(|(_, m)| tally.add(m));
+        let mut stats = tally.view(elapsed);
+        stats.rejected_unknown_model = unknown_model.get();
         stats.workers = workers
             .iter()
             .enumerate()
             .map(|(worker, w)| WorkerHealth {
                 worker,
-                restarts: w.restarts,
-                replica_faults: w.replica_faults,
-                quarantines: w.quarantines,
-                healthy: !w.gave_up,
+                restarts: w.restarts.get(),
+                replica_faults: w.replica_faults.get(),
+                quarantines: models.clone().map(|(_, m)| m.quarantines[worker].get()).sum(),
+                healthy: w.healthy.get() != 0,
+            })
+            .collect();
+        stats.worker_restarts = stats.workers.iter().map(|w| w.restarts).sum();
+        stats.models = models
+            .map(|(id, m)| ModelStats {
+                id: id.to_string(),
+                stats: RuntimeStats::of_model(m, elapsed),
             })
             .collect();
         stats
-    }
-}
-
-/// Renders the stats-snapshot families (request counters, admission
-/// verdicts, and the queue-wait / service / end-to-end quantiles) as
-/// Prometheus text exposition lines, appended to `out`. Complements the
-/// live-registry render: together they form
-/// [`Runtime::metrics_text`](crate::Runtime::metrics_text).
-pub(crate) fn render_prometheus(stats: &RuntimeStats, out: &mut String) {
-    use std::fmt::Write;
-    let mut family = |name: &str, kind: &str, lines: &[(String, String)]| {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in lines {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
-    };
-    let count = |v: u64| (String::new(), v.to_string());
-    family("shenjing_requests_completed_total", "counter", &[count(stats.completed)]);
-    family("shenjing_requests_failed_total", "counter", &[count(stats.failed)]);
-    family("shenjing_batches_total", "counter", &[count(stats.batches)]);
-    family("shenjing_cold_starts_total", "counter", &[count(stats.cold_starts)]);
-    family(
-        "shenjing_requests_rejected_total",
-        "counter",
-        &[
-            ("{reason=\"queue_full\"}".into(), stats.rejected_queue_full.to_string()),
-            ("{reason=\"deadline\"}".into(), stats.rejected_deadline.to_string()),
-            ("{reason=\"expired_in_queue\"}".into(), stats.expired_in_queue.to_string()),
-            ("{reason=\"unknown_model\"}".into(), stats.rejected_unknown_model.to_string()),
-        ],
-    );
-    let quantiles = |p50: Duration, p95: Duration, p99: Duration| {
-        vec![
-            ("{quantile=\"0.5\"}".to_string(), format!("{}", p50.as_secs_f64())),
-            ("{quantile=\"0.95\"}".to_string(), format!("{}", p95.as_secs_f64())),
-            ("{quantile=\"0.99\"}".to_string(), format!("{}", p99.as_secs_f64())),
-        ]
-    };
-    family(
-        "shenjing_request_latency_seconds",
-        "gauge",
-        &quantiles(stats.p50_latency, stats.p95_latency, stats.p99_latency),
-    );
-    family(
-        "shenjing_queue_wait_seconds",
-        "gauge",
-        &quantiles(stats.p50_queue_wait, stats.p95_queue_wait, stats.p99_queue_wait),
-    );
-    family(
-        "shenjing_service_time_seconds",
-        "gauge",
-        &quantiles(stats.p50_service, stats.p95_service, stats.p99_service),
-    );
-    let per_model = |field: fn(&RuntimeStats) -> u64| {
-        stats
-            .models
-            .iter()
-            .map(|m| (format!("{{model=\"{}\"}}", m.id), field(&m.stats).to_string()))
-            .collect::<Vec<_>>()
-    };
-    if !stats.models.is_empty() {
-        family("shenjing_model_completed_total", "counter", &per_model(|s| s.completed));
-        family("shenjing_model_queue_depth", "gauge", &per_model(|s| s.queue_depth));
-    }
-    if !stats.workers.is_empty() {
-        let health: Vec<(String, String)> = stats
-            .workers
-            .iter()
-            .map(|w| (format!("{{worker=\"{}\"}}", w.worker), u64::from(w.healthy).to_string()))
-            .collect();
-        family("shenjing_worker_healthy", "gauge", &health);
     }
 }
 
@@ -423,123 +405,91 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_reservoir_is_bounded() {
-        let mut reservoir = Reservoir::default();
-        for i in 0..3 * LATENCY_SAMPLE_CAP as u64 {
-            reservoir.record(i);
+    fn occupancy_histogram_counts_by_frames() {
+        let registry = Registry::new();
+        let m = ModelMetrics::new(&registry, "m", 1, 4);
+        assert!(RuntimeStats::of_model(&m, Duration::from_secs(1)).occupancy_histogram.is_empty());
+        for frames in [1, 4, 4, 2] {
+            m.record_batch(frames, Duration::from_micros(10), 0.5);
         }
-        assert_eq!(reservoir.samples.len(), LATENCY_SAMPLE_CAP, "reservoir stays capped");
-        assert_eq!(reservoir.seen, 3 * LATENCY_SAMPLE_CAP as u64);
-        // The retained sample is not just the first CAP values: later
-        // arrivals must have displaced some early ones.
-        assert!(
-            reservoir.samples.iter().any(|&ns| ns >= LATENCY_SAMPLE_CAP as u64),
-            "reservoir must admit samples beyond the cap"
-        );
-    }
-
-    #[test]
-    fn record_latency_feeds_all_three_reservoirs() {
-        let mut inner = StatsInner::default();
-        inner.record_latency(100, 30, 70);
-        inner.record_latency(200, 50, 150);
-        assert_eq!(inner.latency.samples, vec![100, 200]);
-        assert_eq!(inner.queue_wait.samples, vec![30, 50]);
-        assert_eq!(inner.service.samples, vec![70, 150]);
-        assert_eq!(inner.latency.seen, 2);
+        let stats = RuntimeStats::of_model(&m, Duration::from_secs(1));
+        assert_eq!(stats.occupancy_histogram, vec![0, 1, 1, 0, 2]);
+        assert_eq!((stats.batches, stats.full_batches), (4, 2));
+        assert_eq!(stats.busy_time, Duration::from_micros(40));
+        assert!(registry.render().contains("shenjing_batches_total{model=\"m\",frames=\"4\"} 2"));
     }
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 0.50), Duration::from_nanos(50));
-        assert_eq!(percentile(&sorted, 0.95), Duration::from_nanos(95));
-        assert_eq!(percentile(&sorted, 0.99), Duration::from_nanos(99));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-        assert_eq!(percentile(&[7], 0.99), Duration::from_nanos(7));
-    }
-
-    #[test]
-    fn occupancy_histogram_counts_by_frames() {
-        let mut inner = StatsInner::default();
-        inner.record_occupancy(1, 4);
-        inner.record_occupancy(4, 4);
-        inner.record_occupancy(4, 4);
-        inner.record_occupancy(2, 4);
-        assert_eq!(inner.occupancy_counts, vec![0, 1, 1, 0, 2]);
-        let stats = RuntimeStats::snapshot(&inner, Duration::from_secs(1), 0);
-        assert_eq!(stats.occupancy_histogram, vec![0, 1, 1, 0, 2]);
+        // 1..=100 µs: the nearest-rank p50 / p95 / p99 are 50, 95 and
+        // 99 µs, and each view field reads its own rank to one bucket.
+        let registry = Registry::new();
+        let m = ModelMetrics::new(&registry, "m", 1, 1);
+        for us in 1..=100 {
+            m.e2e.record(Duration::from_micros(us));
+        }
+        let stats = RuntimeStats::of_model(&m, Duration::from_secs(1));
+        for (got, exact_us) in
+            [(stats.p50_latency, 50), (stats.p95_latency, 95), (stats.p99_latency, 99)]
+        {
+            let exact = Duration::from_micros(exact_us);
+            assert!(got >= exact && got - exact <= exact / 8, "{got:?} vs {exact:?}");
+        }
+        assert_eq!(stats.max_latency, Duration::from_micros(100));
     }
 
     #[test]
     fn snapshot_derives_percentiles_and_density() {
-        let inner = StatsInner {
-            completed: 4,
-            batches: 2,
-            latency: Reservoir { samples: vec![400, 100, 300, 200], seen: 4 },
-            queue_wait: Reservoir { samples: vec![40, 10, 30, 20], seen: 4 },
-            service: Reservoir { samples: vec![360, 90, 270, 180], seen: 4 },
-            density_weighted_sum: 4.0 * 0.25,
-            ..Default::default()
-        };
-        let stats = RuntimeStats::snapshot(&inner, Duration::from_secs(1), 7);
-        assert_eq!(stats.p50_latency, Duration::from_nanos(200));
+        let registry = Registry::new();
+        let m = ModelMetrics::new(&registry, "m", 1, 4);
+        m.record_batch(4, Duration::ZERO, 0.25);
+        for ns in [400u64, 100, 300, 200] {
+            m.completed.inc();
+            m.e2e.record(Duration::from_nanos(ns));
+            m.queue_wait.record(Duration::from_nanos(ns / 10));
+            m.service.record(Duration::from_nanos(ns - ns / 10));
+        }
+        m.queue_depth.add(7);
+        let stats = RuntimeStats::of_model(&m, Duration::from_secs(2));
+        // Nearest rank, to the bucket: 200 ns sits in (192, 208], 180 ns
+        // in (176, 192]; below 16 ns and at the max the value is exact.
+        assert_eq!(stats.p50_latency, Duration::from_nanos(208));
         assert_eq!(stats.p99_latency, Duration::from_nanos(400));
+        assert_eq!(stats.max_latency, Duration::from_nanos(400));
+        assert_eq!(stats.mean_latency, Duration::from_nanos(250));
         assert_eq!(stats.p50_queue_wait, Duration::from_nanos(20));
         assert_eq!(stats.p99_queue_wait, Duration::from_nanos(40));
-        assert_eq!(stats.p50_service, Duration::from_nanos(180));
+        assert_eq!(stats.p50_service, Duration::from_nanos(192));
         assert_eq!(stats.p99_service, Duration::from_nanos(360));
         assert_eq!(stats.queue_depth, 7);
-        assert!((stats.mean_input_density - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prometheus_render_exposes_quantiles_and_verdicts() {
-        let inner = StatsInner {
-            completed: 3,
-            rejected_queue_full: 2,
-            latency: Reservoir { samples: vec![1_000_000, 2_000_000, 3_000_000], seen: 3 },
-            queue_wait: Reservoir { samples: vec![250_000, 500_000, 750_000], seen: 3 },
-            service: Reservoir { samples: vec![750_000, 1_500_000, 2_250_000], seen: 3 },
-            ..Default::default()
-        };
-        let workers = vec![
-            WorkerHealthInner { restarts: 1, replica_faults: 2, quarantines: 1, gave_up: false },
-            WorkerHealthInner { restarts: 9, gave_up: true, ..Default::default() },
-        ];
-        let stats = RuntimeStats::snapshot_with_models(
-            &inner,
-            std::iter::once(("digits", &inner, 4)),
-            &workers,
-            Duration::from_secs(1),
-            4,
-        );
-        let mut out = String::new();
-        render_prometheus(&stats, &mut out);
-        assert!(out.contains("# TYPE shenjing_queue_wait_seconds gauge"));
-        assert!(out.contains("shenjing_queue_wait_seconds{quantile=\"0.5\"} 0.0005"));
-        assert!(out.contains("shenjing_service_time_seconds{quantile=\"0.99\"} 0.00225"));
-        assert!(out.contains("shenjing_requests_rejected_total{reason=\"queue_full\"} 2"));
-        assert!(out.contains("shenjing_model_completed_total{model=\"digits\"} 3"));
-        assert!(out.contains("shenjing_model_queue_depth{model=\"digits\"} 4"));
-        assert!(out.contains("shenjing_worker_healthy{worker=\"0\"} 1"));
-        assert!(out.contains("shenjing_worker_healthy{worker=\"1\"} 0"));
+        assert!((stats.mean_input_density - 0.25).abs() < 1e-6);
+        assert!((stats.mean_batch_occupancy - 4.0).abs() < 1e-12);
+        assert!((stats.frames_per_sec - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn worker_health_snapshot_maps_indices_and_abandonment() {
-        let workers = vec![
-            WorkerHealthInner::default(),
-            WorkerHealthInner { restarts: 3, replica_faults: 5, quarantines: 2, gave_up: true },
-        ];
-        let stats = RuntimeStats::snapshot_with_models(
-            &StatsInner::default(),
-            std::iter::empty(),
+        let registry = Registry::new();
+        let models =
+            [ModelMetrics::new(&registry, "a", 2, 1), ModelMetrics::new(&registry, "b", 2, 1)];
+        let workers = [WorkerMetrics::new(&registry, 0), WorkerMetrics::new(&registry, 1)];
+        workers[1].restarts.add(3);
+        workers[1].replica_faults.add(5);
+        workers[1].healthy.set(0);
+        models[0].quarantines[1].inc();
+        models[1].quarantines[1].inc();
+        let unknown = rejected(&registry, None, "unknown_model");
+        unknown.add(2);
+        let stats = RuntimeStats::of_runtime(
+            ["a", "b"].into_iter().zip(&models),
             &workers,
+            &unknown,
             Duration::from_secs(1),
-            0,
         );
-        assert_eq!(stats.worker_restarts, 3);
+        assert_eq!(
+            (stats.worker_restarts, stats.quarantines, stats.rejected_unknown_model),
+            (3, 2, 2)
+        );
         assert_eq!(
             stats.workers,
             vec![
@@ -553,7 +503,13 @@ mod tests {
                 },
             ]
         );
-        // The plain per-model snapshot never carries worker detail.
-        assert!(stats.models.is_empty());
+        // The views nest one level deep: a model's carries neither
+        // worker detail nor the modelless verdict.
+        assert_eq!(stats.models.iter().map(|m| m.id.as_str()).collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(stats.models[0].stats.quarantines, 1);
+        assert!(stats.models[0].stats.workers.is_empty());
+        let text = registry.render();
+        assert!(text.contains("shenjing_requests_rejected_total{reason=\"unknown_model\"} 2"));
+        assert!(text.contains("shenjing_worker_healthy{worker=\"1\"} 0"));
     }
 }

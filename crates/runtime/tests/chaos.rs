@@ -14,7 +14,8 @@ use shenjing_core::{ArchSpec, Error, W5};
 use shenjing_nn::Tensor;
 use shenjing_runtime::chaos::{compile_damaged, ChaosConfig, Fault};
 use shenjing_runtime::{
-    CompiledModel, InferenceRequest, ModelRegistry, Runtime, RuntimeConfig, ServeOptions,
+    CompiledModel, InferenceRequest, ModelRegistry, Runtime, RuntimeConfig, RuntimeStats,
+    ServeOptions,
 };
 use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
 
@@ -30,6 +31,32 @@ fn model() -> CompiledModel {
 
 fn frame(seed: usize) -> Tensor {
     Tensor::from_vec(vec![12], (0..12).map(|i| ((i + seed) % 4) as f64 / 3.0).collect()).unwrap()
+}
+
+/// Σ of the samples of `family` in `metrics` whose labels include
+/// `label` (`""` = every sample): what a stats field must equal, read
+/// back out of the exposition text.
+fn metric(metrics: &str, family: &str, label: &str) -> u64 {
+    metrics
+        .lines()
+        .filter(|l| l.starts_with(&format!("{family}{{")) && l.contains(label))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// The fault-tolerance fields of a final snapshot against the metrics
+/// text of the same (quiescent) runtime: one store, so they must agree.
+fn assert_fault_stats_match(stats: &RuntimeStats, metrics: &str) {
+    assert_eq!(stats.retries, metric(metrics, "shenjing_retries_total", ""));
+    assert_eq!(stats.quarantines, metric(metrics, "shenjing_replica_quarantines_total", ""));
+    assert_eq!(stats.worker_restarts, metric(metrics, "shenjing_worker_restarts_total", ""));
+    for w in &stats.workers {
+        let label = format!("worker=\"{}\"", w.worker);
+        assert_eq!(w.restarts, metric(metrics, "shenjing_worker_restarts_total", &label));
+        assert_eq!(w.replica_faults, metric(metrics, "shenjing_replica_faults_total", &label));
+        assert_eq!(w.quarantines, metric(metrics, "shenjing_replica_quarantines_total", &label));
+        assert_eq!(u64::from(w.healthy), metric(metrics, "shenjing_worker_healthy", &label));
+    }
 }
 
 /// A single-worker runtime with the given chaos schedule and retry
@@ -71,10 +98,11 @@ fn panic_without_budget_fails_only_that_batch_typed() {
     assert_eq!(reply.attempts, 1);
     let metrics = runtime.metrics_text();
     assert!(
-        metrics.contains("shenjing_replica_quarantines_total 1"),
+        metrics.contains("shenjing_replica_quarantines_total{model=\"m\",worker=\"0\"} 1"),
         "quarantine family must render: {metrics}"
     );
     let stats = runtime.shutdown().unwrap();
+    assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.quarantines, 1);
     assert_eq!(stats.retries, 0);
     assert_eq!(stats.completed, 1);
@@ -96,10 +124,11 @@ fn retried_request_succeeds_within_budget() {
     assert_eq!(reply.attempts, 2, "one faulted attempt plus the successful one");
     let metrics = runtime.metrics_text();
     assert!(
-        metrics.contains("shenjing_retries_total{reason=\"panic\"} 1"),
+        metrics.contains("shenjing_retries_total{model=\"m\",reason=\"panic\"} 1"),
         "retry family must render with its reason label: {metrics}"
     );
     let stats = runtime.shutdown().unwrap();
+    assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.quarantines, 1);
     assert_eq!(stats.completed, 1);
@@ -130,8 +159,12 @@ fn error_streak_quarantines_and_then_retries() {
     let reply = runtime.infer(InferenceRequest::new("m", frame(2))).unwrap();
     assert_eq!(reply.attempts, 2);
     let metrics = runtime.metrics_text();
-    assert!(metrics.contains("shenjing_retries_total{reason=\"quarantine\"} 1"), "{metrics}");
+    assert!(
+        metrics.contains("shenjing_retries_total{model=\"m\",reason=\"quarantine\"} 1"),
+        "{metrics}"
+    );
     let stats = runtime.shutdown().unwrap();
+    assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.quarantines, 1);
     assert_eq!(stats.completed, 1);
@@ -199,11 +232,12 @@ fn worker_kill_mid_load_loses_no_replies() {
     }
     assert!(retried_replies >= 1, "the panicked batch's riders were retried");
     let metrics = runtime.metrics_text();
-    assert!(metrics.contains("shenjing_worker_restarts_total 1"), "{metrics}");
+    assert!(metrics.contains("shenjing_worker_restarts_total{worker=\"0\"} 1"), "{metrics}");
     // Retries count requests, not batches: every rider of the panicked
     // batch retried, and how many rode in it depends on arrival timing.
-    assert!(metrics.contains("shenjing_retries_total{reason=\"panic\"}"), "{metrics}");
+    assert!(metric(&metrics, "shenjing_retries_total", "reason=\"panic\"") >= 1, "{metrics}");
     let stats = runtime.shutdown().unwrap();
+    assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.completed, 16);
     assert_eq!(stats.failed, 0);
     assert!(stats.retries >= 1);

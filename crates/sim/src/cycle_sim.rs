@@ -446,7 +446,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn profiling_accounts_passes_and_stays_bit_exact() {
         // What the front runs — a one-lane pass — profiled.
@@ -619,7 +618,6 @@ mod tests {
             assert_eq!(identity.run_frame(&input, 12).unwrap(), want);
         }
 
-        #[cfg(feature = "telemetry")]
         #[test]
         fn profiling_counts_compacted_cycles() {
             let arch = ArchSpec::tiny();

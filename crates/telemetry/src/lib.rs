@@ -6,8 +6,10 @@
 //! of visibility on a live workload. Three pieces:
 //!
 //! 1. **Metrics** ([`Registry`]) — always-on atomic [`Counter`]s,
-//!    [`Gauge`]s and log2-bucketed [`TimeHistogram`]s, rendered as a
-//!    Prometheus text exposition snapshot.
+//!    [`Gauge`]s and [`TimeHistogram`]s (eight buckets an octave, so
+//!    their quantiles are good to 12.5 %), labelled through [`series`],
+//!    rendered as a Prometheus text exposition snapshot. The serving
+//!    tier keeps every number it reports here and nowhere else.
 //! 2. **Spans** ([`SpanRecord`], [`SpanRing`]) — per-request lifecycle
 //!    timestamps (admitted → batch-formed → planned → executed →
 //!    drained → replied) recorded into a bounded ring for a sampled
@@ -51,7 +53,7 @@ pub mod profile;
 pub mod span;
 
 pub use chrome::{chrome_trace, validate, ChromeEvent, ChromeTrace, EventArgs, TraceSummary};
-pub use metrics::{Counter, Gauge, Registry, TimeHistogram};
+pub use metrics::{series, Counter, Gauge, Registry, TimeHistogram};
 pub use profile::PassProfile;
 pub use span::{SpanRecord, SpanRing};
 

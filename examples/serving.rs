@@ -131,8 +131,10 @@ fn main() -> Result<()> {
     for line in metrics.lines().filter(|l| {
         l.starts_with("shenjing_engine_phase_ns_total")
             || l.starts_with("shenjing_profiled_batches_total ")
-            || l.starts_with("shenjing_queue_wait_seconds")
-            || l.starts_with("shenjing_service_time_seconds")
+            || l.starts_with("shenjing_queue_wait_duration_seconds_sum")
+            || l.starts_with("shenjing_queue_wait_duration_seconds_count")
+            || l.starts_with("shenjing_service_duration_seconds_sum")
+            || l.starts_with("shenjing_service_duration_seconds_count")
     }) {
         println!("  {line}");
     }
