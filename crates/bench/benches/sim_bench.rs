@@ -15,7 +15,7 @@ fn bench_sim(c: &mut Criterion) {
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
     // The production shape: decode once, run the schedule optimizer, and
     // execute the compacted schedule (what `CompiledModel::compile`
-    // serves). `SHENJING_NO_OPTIMIZE=1` re-measures the identity schedule.
+    // serves).
     let program = Arc::new(
         DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
     );

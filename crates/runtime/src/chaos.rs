@@ -2,7 +2,7 @@
 //!
 //! Gated behind the default-off `chaos` feature, this module arms a
 //! [`Runtime`](crate::Runtime) with scripted failures so the
-//! supervision, retry, and quarantine machinery can be exercised — and
+//! restart, retry, and quarantine machinery can be exercised — and
 //! asserted on — without any real hardware fault:
 //!
 //! - **Replica panics** ([`ChaosConfig::with_panic_on_batches`] /
@@ -15,8 +15,8 @@
 //! - **Pass delay** ([`ChaosConfig::with_delay`]): every execution
 //!   sleeps first, stretching latency tails for deadline/backoff tests.
 //! - **Worker kills** ([`ChaosConfig::with_kill_worker_on_ticks`]): the
-//!   Nth worker-loop tick panics *outside* the guard, killing the whole
-//!   worker thread so the supervisor's respawn path runs.
+//!   Nth worker-loop tick panics *outside* the guard, unwinding the
+//!   whole worker loop so the worker's own restart path runs.
 //! - **Damaged weights** ([`compile_damaged`]): compiles a model whose
 //!   mapping was corrupted through `sim::fault` injection — a silently
 //!   wrong replica rather than a loud one.
@@ -57,7 +57,7 @@ pub struct ChaosConfig {
     pub error_on_batches: Vec<u64>,
     /// Sleep this long before every batch execution.
     pub delay: Option<Duration>,
-    /// Worker-loop tick ordinals that kill the whole worker thread.
+    /// Worker-loop tick ordinals that kill the whole worker loop.
     pub kill_worker_on_ticks: Vec<u64>,
 }
 
@@ -90,7 +90,7 @@ impl ChaosConfig {
         self
     }
 
-    /// Kills the worker thread on the listed worker-loop ticks.
+    /// Kills the worker loop on the listed worker-loop ticks.
     #[must_use]
     pub fn with_kill_worker_on_ticks(mut self, ticks: impl Into<Vec<u64>>) -> ChaosConfig {
         self.kill_worker_on_ticks = ticks.into();
@@ -161,7 +161,7 @@ impl ChaosInjector {
     }
 
     /// Called at the top of every worker-loop iteration, outside every
-    /// lock and guard; a scripted tick panic kills the worker thread.
+    /// lock and guard; a scripted tick panic unwinds the worker loop.
     pub(crate) fn on_worker_tick(&self) {
         let n = self.ticks.fetch_add(1, Ordering::SeqCst) + 1;
         if self.config.kill_worker_on_ticks.contains(&n) {

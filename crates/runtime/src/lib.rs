@@ -24,15 +24,17 @@
 //!    puts one admission-controlled, depth-bounded request queue in
 //!    front of them: typed [`InferenceRequest`]s are admitted or
 //!    refused with a [`RejectReason`](shenjing_core::RejectReason)
-//!    (queue full, unknown model, expired deadline, shutdown); workers
-//!    dequeue deadline-aware (priority, then earliest deadline),
-//!    fail expired requests fast without burning a lane, and gather
-//!    **single-model** batches of up to `max_batch` requests (holding
-//!    under-full batches open at most `max_wait` for stragglers, capped
-//!    by the earliest queued deadline). Each batch is one pass of the
-//!    worker's replica of that model. Requests and replies round-trip
-//!    through the JSON [`wire`] format, so the tier can sit behind a
-//!    socket.
+//!    (queue full, unknown model, expired deadline, shutdown), or
+//!    failed as caller bugs (wrong length, values outside `[0, 1]`).
+//!    One pure, clock-injected scheduler decides what each pass carries:
+//!    it fails expired requests fast without burning a lane, picks the
+//!    most urgent ready request (priority, then earliest deadline, then
+//!    FIFO) and gathers a **single-model** batch of up to `max_batch`
+//!    requests around it (holding an under-full batch open at most
+//!    `max_wait` for stragglers, capped by the earliest queued deadline).
+//!    Each batch is one pass of the worker's replica of that model.
+//!    Requests and replies round-trip through the JSON [`wire`] format,
+//!    so the tier can sit behind a socket.
 //! 4. **Telemetry** — every runtime owns a [`Telemetry`] hub, and its
 //!    metric registry is the *only* place a serving number lives:
 //!    per-model request counters, admission verdicts, batches by frame
@@ -49,19 +51,20 @@
 //!    as a Perfetto-loadable Chrome trace ([`Runtime::trace_json`]).
 //!
 //! The tier is **fault-tolerant**: each batch executes behind a panic
-//! guard (a panicking replica fails only its own batch), a supervisor
-//! thread respawns worker shards that die abnormally (counted in
-//! `shenjing_worker_restarts_total{worker=}`), repeatedly-faulting replicas are
-//! quarantined — torn down and rebuilt from the compiled artifact —
-//! and requests hit by a replica fault are retried with exponential
-//! backoff inside their retry budget and deadline
-//! ([`RuntimeConfig::retry_budget`]). Terminal infrastructure failures
-//! surface typed as
+//! guard (a panicking replica fails only its own batch), a worker whose
+//! loop panics outside that guard restarts it in place with cold
+//! replicas (counted in `shenjing_worker_restarts_total{worker=}`; past
+//! its restart budget it gives up, and the last worker standing fails
+//! the queue typed), repeatedly-faulting replicas are quarantined — torn
+//! down and rebuilt from the compiled artifact — and requests hit by a
+//! replica fault are retried with exponential backoff inside their retry
+//! budget and deadline ([`RuntimeConfig::retry_budget`]). Terminal
+//! infrastructure failures surface typed as
 //! [`Error::ReplicaFault`](shenjing_core::Error::ReplicaFault) /
 //! [`Error::WorkerLost`](shenjing_core::Error::WorkerLost). The
 //! default-off `chaos` feature adds the `chaos` module: deterministic
 //! failure injection (panic on the Nth batch, injected batch errors,
-//! artificial delay, worker-thread kills, damaged weights via
+//! artificial delay, worker-loop kills, damaged weights via
 //! `sim::fault`) for drills and tests.
 //!
 //! # Example
@@ -108,6 +111,7 @@
 pub mod chaos;
 pub mod engine;
 pub mod model;
+mod sched;
 pub mod server;
 pub mod stats;
 pub mod wire;

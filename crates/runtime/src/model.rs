@@ -61,9 +61,7 @@ impl CompiledModel {
     /// the [`Mapping`] for statistics or a custom placement strategy),
     /// then runs the schedule optimizer
     /// ([`DecodedProgram::optimize`]) so every replica instantiated from
-    /// this artifact executes the compacted schedule. Set
-    /// `SHENJING_NO_OPTIMIZE=1` to keep the identity schedule (one entry
-    /// per scheduled cycle) instead.
+    /// this artifact executes the compacted schedule.
     ///
     /// # Errors
     ///

@@ -1,11 +1,10 @@
-//! The multi-model scheduler/serving layer: a registry of compiled
-//! models behind one admission-controlled request queue, deadline-aware
-//! dequeue ordering, per-model batch formation, and worker shards that
-//! run every batch as one occupancy-bound pass of a batched replica.
+//! The multi-model serving layer: a registry of compiled models behind
+//! one admission-controlled request queue (the crate-private `sched`
+//! decides what each pass carries), and worker shards that run every
+//! batch as one occupancy-bound pass of a batched replica.
 
-use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -19,6 +18,7 @@ use shenjing_telemetry::{series, Counter, PassProfile, SpanRecord, Telemetry, Te
 
 use crate::engine::Engine;
 use crate::model::{CompiledModel, ModelEntry, ModelRegistry, ServeOptions};
+use crate::sched::{Next, Request, Rider, Scheduler};
 use crate::stats::{self, ModelMetrics, RuntimeStats, WorkerMetrics};
 
 /// Acquires a mutex even when a previous holder panicked mid-critical-
@@ -38,15 +38,10 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 /// unwound replica's state is unknowable.
 const QUARANTINE_ERROR_STREAK: u32 = 3;
 
-/// How many times the supervisor respawns one worker shard before
-/// abandoning it. A worker that dies deterministically on arrival (e.g.
-/// a poisoned environment) would otherwise crash-loop forever.
+/// How many times one worker shard restarts its own loop before giving
+/// up. A worker that dies deterministically on arrival (e.g. a poisoned
+/// environment) would otherwise crash-loop forever.
 const MAX_WORKER_RESTARTS: u64 = 8;
-
-/// How often the supervisor polls for dead worker threads while the
-/// runtime serves; detection latency for a crashed shard is at most this
-/// (shutdown unparks it immediately).
-const SUPERVISE_POLL: Duration = Duration::from_millis(5);
 
 /// Batching, sharding and admission policy of a [`Runtime`].
 ///
@@ -324,77 +319,11 @@ pub struct InferenceReply {
     pub attempts: u32,
 }
 
-struct Request {
-    model: usize,
-    input: Tensor,
-    /// Not dequeuable before this instant — the retry backoff window.
-    /// `None` for first-execution requests (always ready).
-    not_before: Option<Instant>,
-    rider: Rider,
-}
-
-/// The part of a queued request that outlives its execution: identity,
-/// scheduling facts, and the reply channel. The input tensor is moved
-/// out for execution and rejoined on requeue, so a faulted batch retries
-/// without cloning frames.
-struct Rider {
-    enqueued: Instant,
-    /// Absolute expiry, resolved at admission from the request's budget
-    /// (or the model's default SLO). Retries keep it: the SLO is
-    /// measured from original submission, not from the latest attempt.
-    deadline: Option<Instant>,
-    priority: u8,
-    /// Admission order, the FIFO tie-breaker (stable across retries).
-    seq: u64,
-    /// Whether this request won the telemetry sampling decision at
-    /// admission: its lifecycle becomes a span, and the batch carrying
-    /// it is phase-profiled.
-    sampled: bool,
-    /// Executions already performed (0 until the first replica fault).
-    attempts: u32,
-    reply: mpsc::Sender<Result<InferenceReply>>,
-}
-
-impl Request {
-    /// Whether the request may be dequeued at `now` (its retry backoff,
-    /// if any, has elapsed).
-    fn ready(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| t <= now)
-    }
-
-    /// Splits the request into the frame to execute and the rider that
-    /// outlives the execution.
-    fn split(self) -> (Tensor, Rider) {
-        (self.input, self.rider)
-    }
-}
-
 /// The exponential per-attempt backoff: `base << prior_attempts`,
 /// saturating (the shift is clamped so a pathological budget cannot
 /// overflow).
 fn retry_backoff(base: Duration, prior_attempts: u32) -> Duration {
     base.saturating_mul(1u32 << prior_attempts.min(16))
-}
-
-/// The dequeue order: priority (higher first), then deadline (earlier
-/// first, deadline-less last), then admission order.
-fn schedule_order(a: &Request, b: &Request) -> Ordering {
-    b.rider
-        .priority
-        .cmp(&a.rider.priority)
-        .then_with(|| match (a.rider.deadline, b.rider.deadline) {
-            (Some(x), Some(y)) => x.cmp(&y),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => Ordering::Equal,
-        })
-        .then_with(|| a.rider.seq.cmp(&b.rider.seq))
-}
-
-struct QueueInner {
-    pending: VecDeque<Request>,
-    next_seq: u64,
-    shutdown: bool,
 }
 
 /// One registered model, resolved for serving.
@@ -407,22 +336,15 @@ struct ModelRuntime {
     metrics: ModelMetrics,
 }
 
-/// Why a whole batch was treated as a replica fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultKind {
-    /// The replica panicked mid-execution.
-    Panic,
-    /// The replica tripped the consecutive-error quarantine threshold.
-    Quarantine,
-}
-
 struct Shared {
-    queue: Mutex<QueueInner>,
+    queue: Mutex<Scheduler>,
     /// Signalled on submit, on retry requeue, and on shutdown.
     arrivals: Condvar,
     models: Vec<ModelRuntime>,
     /// Per-shard health instruments, indexed by shard id.
     workers: Vec<WorkerMetrics>,
+    /// Worker threads that have not finished yet.
+    live_workers: AtomicUsize,
     started: Instant,
     config: RuntimeConfig,
     /// The runtime's telemetry hub (epoch, registry, span ring). Every
@@ -443,28 +365,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Drops every expired request in `pending`, answering each with
-    /// [`RejectReason::DeadlineExpired`] — fail fast, no lane burned.
-    /// Caller holds the queue lock. Requests backing off between retry
-    /// attempts expire here like any other: the deadline outranks the
-    /// retry.
-    fn sweep_expired(&self, pending: &mut VecDeque<Request>, now: Instant) {
-        if pending.iter().all(|r| r.rider.deadline.is_none_or(|d| d > now)) {
-            return;
-        }
-        let mut kept = VecDeque::with_capacity(pending.len());
-        for request in pending.drain(..) {
-            if request.rider.deadline.is_some_and(|d| d <= now) {
-                let metrics = &self.models[request.model].metrics;
-                metrics.expired_in_queue.inc();
-                metrics.queue_depth.sub(1);
-                let _ =
-                    request.rider.reply.send(Err(Error::rejected(RejectReason::DeadlineExpired)));
-            } else {
-                kept.push_back(request);
-            }
-        }
-        *pending = kept;
+    /// The lowest-numbered worker shard that gave up, if any.
+    fn lost_worker(&self) -> Option<usize> {
+        self.workers.iter().position(|w| w.healthy.get() == 0)
     }
 }
 
@@ -484,9 +387,10 @@ impl PendingReply {
     /// [`Error::Rejected`] when the request expired in the queue,
     /// [`Error::ReplicaFault`] when replica faults exhausted the retry
     /// budget or the deadline, or [`Error::WorkerLost`] when the runtime
-    /// dropped the request unanswered (it was torn down, or a worker
-    /// died with no supervisor left to respawn it) — both of the latter
-    /// are [`retryable`](Error::is_retryable) against a live runtime.
+    /// dropped the request unanswered (it was torn down, its batch was
+    /// lost to a worker restart, or every worker gave up) — both of the
+    /// latter are [`retryable`](Error::is_retryable) against a live
+    /// runtime.
     pub fn wait(self) -> Result<InferenceReply> {
         self.rx.recv().unwrap_or(Err(Error::WorkerLost { worker: None }))
     }
@@ -532,10 +436,9 @@ impl PendingReply {
 /// ```
 pub struct Runtime {
     shared: Arc<Shared>,
-    /// The supervisor thread owns the worker join handles: it detects
-    /// dead workers, respawns them (bounded by [`MAX_WORKER_RESTARTS`]),
-    /// and returns the shard ids it abandoned.
-    supervisor: Option<JoinHandle<Vec<usize>>>,
+    /// One thread per worker shard. Each restarts its own loop after a
+    /// panic, so joining them is all a shutdown has to do.
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// One worker shard's replica of one model.
@@ -614,14 +517,16 @@ impl Runtime {
         #[cfg(feature = "chaos")]
         let chaos = config.chaos.clone().map(crate::chaos::ChaosInjector::new);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueInner {
-                pending: VecDeque::new(),
-                next_seq: 0,
-                shutdown: false,
-            }),
+            queue: Mutex::new(Scheduler::new(
+                config.max_batch,
+                config.max_wait,
+                config.queue_depth,
+                models.iter().map(|m| Arc::clone(&m.metrics.queue_depth)).collect(),
+            )),
             arrivals: Condvar::new(),
             models,
             workers: (0..config.workers).map(|w| WorkerMetrics::new(metrics, w)).collect(),
+            live_workers: AtomicUsize::new(config.workers),
             started: Instant::now(),
             config,
             unknown_model: stats::rejected(metrics, None, "unknown_model"),
@@ -633,19 +538,18 @@ impl Runtime {
             #[cfg(feature = "chaos")]
             chaos,
         });
-        let workers: Vec<Option<JoinHandle<()>>> = worker_replicas
-            .into_iter()
-            .enumerate()
-            .map(|(id, replicas)| spawn_worker(id, replicas, Arc::clone(&shared)).map(Some))
-            .collect::<Result<_>>()?;
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("shenjing-supervisor".into())
-                .spawn(move || supervise(workers, &shared))
-                .map_err(|e| Error::config(format!("spawning the supervisor failed: {e}")))?
-        };
-        Ok(Runtime { shared, supervisor: Some(supervisor) })
+        // A failed spawn drops `runtime`, which stops the shards already
+        // running.
+        let mut runtime = Runtime { shared, workers: Vec::with_capacity(worker_replicas.len()) };
+        for (id, replicas) in worker_replicas.into_iter().enumerate() {
+            let shared = Arc::clone(&runtime.shared);
+            let worker = std::thread::Builder::new()
+                .name(format!("shenjing-worker-{id}"))
+                .spawn(move || run_worker(id, replicas, &shared))
+                .map_err(|e| Error::config(format!("spawning worker {id} failed: {e}")))?;
+            runtime.workers.push(worker);
+        }
+        Ok(runtime)
     }
 
     /// The registered model ids, in registration order.
@@ -658,14 +562,15 @@ impl Runtime {
     /// Admission control happens here: unknown model ids, zero deadline
     /// budgets, a full queue and a shutting-down runtime are refused
     /// with typed [`Error::Rejected`] reasons (each counted in
-    /// [`RuntimeStats`]); wrong-length inputs are a caller bug and fail
-    /// with [`Error::ShapeMismatch`].
+    /// [`RuntimeStats`]); wrong-length inputs and input values that are
+    /// not a spike probability (non-finite, or outside `[0, 1]`) are a
+    /// caller bug and fail uncounted.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Rejected`] (match on
-    /// [`reject_reason`](Error::reject_reason)) or
-    /// [`Error::ShapeMismatch`].
+    /// [`reject_reason`](Error::reject_reason)), [`Error::ShapeMismatch`]
+    /// or [`Error::OutOfBounds`].
     pub fn submit(&self, request: InferenceRequest) -> Result<PendingReply> {
         let InferenceRequest { model_id, input, deadline, priority } = request;
         let Some(model) = self.shared.models.iter().position(|m| m.id == model_id) else {
@@ -679,41 +584,42 @@ impl Runtime {
                 format!("{}", input.len()),
             ));
         }
+        // Rate coding reads each value as a per-timestep spike probability.
+        let data = input.data();
+        if let Some(i) = data.iter().position(|v| !(0.0..=1.0).contains(v)) {
+            return Err(Error::out_of_bounds(format!(
+                "input {i} of model `{model_id}` is {}, outside [0, 1]",
+                data[i]
+            )));
+        }
         let budget = deadline.or(entry.options.deadline);
         if budget.is_some_and(|b| b.is_zero()) {
             entry.metrics.rejected_deadline.inc();
             return Err(Error::rejected(RejectReason::DeadlineExpired));
         }
-        let priority = priority.unwrap_or(entry.options.priority);
         let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = relock(&self.shared.queue);
-            if queue.shutdown {
-                return Err(Error::rejected(RejectReason::ShuttingDown));
-            }
-            if queue.pending.len() >= self.shared.config.queue_depth {
-                let limit = self.shared.config.queue_depth;
+        let now = Instant::now();
+        let request = Request {
+            model,
+            input,
+            not_before: None,
+            rider: Rider {
+                enqueued: now,
+                // A budget past the end of the clock is no deadline.
+                deadline: budget.and_then(|b| now.checked_add(b)),
+                priority: priority.unwrap_or(entry.options.priority),
+                seq: 0,
+                sampled: self.shared.telemetry.sample(),
+                attempts: 0,
+                reply: tx,
+            },
+        };
+        let admitted = relock(&self.shared.queue).admit(request);
+        if let Err(reason) = admitted {
+            if matches!(reason, RejectReason::QueueFull { .. }) {
                 entry.metrics.rejected_queue_full.inc();
-                return Err(Error::rejected(RejectReason::QueueFull { limit }));
             }
-            let now = Instant::now();
-            let seq = queue.next_seq;
-            queue.next_seq += 1;
-            queue.pending.push_back(Request {
-                model,
-                input,
-                not_before: None,
-                rider: Rider {
-                    enqueued: now,
-                    deadline: budget.map(|b| now + b),
-                    priority,
-                    seq,
-                    sampled: self.shared.telemetry.sample(),
-                    attempts: 0,
-                    reply: tx,
-                },
-            });
-            entry.metrics.queue_depth.add(1);
+            return Err(Error::rejected(reason));
         }
         // `notify_all`, not `notify_one`: the one woken worker might be
         // mid-straggler-wait on another model's batch and go back to
@@ -791,147 +697,125 @@ impl Runtime {
         self.shared.telemetry.chrome_trace_json()
     }
 
-    /// Stops accepting requests, drains the queue (including pending
-    /// retries), joins the supervision tree and returns the final
+    /// Stops accepting requests, lets the workers drain the queue
+    /// (pending retries included), joins them and returns the final
     /// statistics.
     ///
-    /// A worker that panicked *and was respawned* does not fail
+    /// A worker that panicked *and restarted its loop* does not fail
     /// shutdown — the heal shows up in [`RuntimeStats::worker_restarts`]
     /// and the per-worker health, not as an error.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::WorkerLost`] naming the first worker the
-    /// supervisor abandoned (its restart budget exhausted), or with no
-    /// worker id if the supervisor thread itself died.
+    /// Returns [`Error::WorkerLost`] naming the lowest-numbered worker
+    /// that exhausted its restart budget and gave up.
     pub fn shutdown(mut self) -> Result<RuntimeStats> {
-        self.begin_shutdown();
-        if let Some(handle) = self.supervisor.take() {
-            let abandoned = handle.join().map_err(|_| Error::WorkerLost { worker: None })?;
-            if let Some(&worker) = abandoned.first() {
-                return Err(Error::WorkerLost { worker: Some(worker) });
-            }
+        self.stop();
+        match self.shared.lost_worker() {
+            Some(worker) => Err(Error::WorkerLost { worker: Some(worker) }),
+            None => Ok(self.stats()),
         }
-        Ok(self.stats())
     }
 
     fn begin_shutdown(&self) {
-        let mut queue = relock(&self.shared.queue);
-        queue.shutdown = true;
-        drop(queue);
+        relock(&self.shared.queue).close();
         self.shared.arrivals.notify_all();
-        // Wake the supervisor out of its poll nap so clean shutdowns
-        // don't pay a full poll interval of latency.
-        if let Some(supervisor) = &self.supervisor {
-            supervisor.thread().unpark();
+    }
+
+    /// Closes admission and joins every worker once the queue drained.
+    fn stop(&mut self) {
+        self.begin_shutdown();
+        for (id, worker) in self.workers.drain(..).enumerate() {
+            if worker.join().is_err() {
+                // Only a panic in the restart bookkeeping itself lands here.
+                self.shared.workers[id].healthy.set(0);
+            }
         }
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        // `shutdown()` already joined; otherwise stop the supervision
-        // tree so the process does not leak blocked threads.
-        self.begin_shutdown();
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
+        // `shutdown()` already joined; otherwise stop the workers so the
+        // process does not leak blocked threads.
+        self.stop();
+    }
+}
+
+/// Answers `rider` with `error` — the one place a request fails. The
+/// verdict's counter is booked before the reply is sent, so a client
+/// holding a reply finds it already counted.
+fn fail(counter: &Counter, rider: Rider, error: Error) {
+    counter.inc();
+    let _ = rider.reply.send(Err(error));
+}
+
+/// One worker shard's thread. A panic that escapes the per-batch guard
+/// (the batch in hand, if any, is lost: its callers see
+/// [`Error::WorkerLost`]) restarts the loop cold, every replica shed;
+/// past [`MAX_WORKER_RESTARTS`] the shard gives up — its
+/// `shenjing_worker_healthy` gauge drops to 0 and shutdown reports it.
+/// The last shard to finish fails whatever is still queued (nothing,
+/// after a clean drain) with the typed worker loss.
+fn run_worker(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
+    let health = &shared.workers[id];
+    while std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(id, &mut replicas, shared)))
+        .is_err()
+    {
+        health.restarts.inc();
+        if health.restarts.get() > MAX_WORKER_RESTARTS {
+            health.healthy.set(0);
+            break;
+        }
+        replicas.fill_with(|| None);
+    }
+    if shared.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let lost = Error::WorkerLost { worker: shared.lost_worker() };
+        for orphan in relock(&shared.queue).abandon() {
+            fail(&shared.models[orphan.model].metrics.failed, orphan.rider, lost.clone());
         }
     }
 }
 
-/// Spawns one worker shard thread.
-fn spawn_worker(
-    id: usize,
-    replicas: Vec<Option<Replica>>,
-    shared: Arc<Shared>,
-) -> Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("shenjing-worker-{id}"))
-        .spawn(move || worker_loop(id, replicas, &shared))
-        .map_err(|e| Error::config(format!("spawning worker {id} failed: {e}")))
-}
-
-/// The supervision loop: owns the worker join handles, polls for dead
-/// threads, and respawns any shard whose thread died abnormally — with
-/// cold replica slots, so the respawn also sheds whatever replica state
-/// the panic left behind. Each shard gets at most
-/// [`MAX_WORKER_RESTARTS`] respawns; beyond that it is abandoned (its
-/// `shenjing_worker_healthy` gauge drops to 0 and shutdown reports it).
-/// Returns the abandoned shard ids once every worker thread has exited.
-fn supervise(mut workers: Vec<Option<JoinHandle<()>>>, shared: &Arc<Shared>) -> Vec<usize> {
-    let mut abandoned: Vec<usize> = Vec::new();
+/// Serves until the queue closes and drains: asks the scheduler what to
+/// do at this instant, answers the requests it expired, and either
+/// sleeps at the one wait site or runs the batch it was handed.
+fn worker_loop(id: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
+    let mut expired = Vec::new();
     loop {
-        for (id, slot) in workers.iter_mut().enumerate() {
-            let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
-                continue;
-            }
-            let handle = slot.take().expect("finished implies present");
-            if handle.join().is_ok() {
-                // Clean exit: the shard drained the queue under shutdown.
-                continue;
-            }
-            // The worker thread itself died (a panic outside the
-            // per-batch guard). Respawn it so the queue keeps draining —
-            // even mid-shutdown: queued requests still deserve answers.
-            // Only this thread bumps the counter, so it reads back its own.
-            shared.workers[id].restarts.inc();
-            let respawned = (shared.workers[id].restarts.get() <= MAX_WORKER_RESTARTS)
-                .then(|| {
-                    let replicas: Vec<Option<Replica>> =
-                        (0..shared.models.len()).map(|_| None).collect();
-                    spawn_worker(id, replicas, Arc::clone(shared)).ok()
-                })
-                .flatten();
-            match respawned {
-                Some(handle) => *slot = Some(handle),
-                None => {
-                    shared.workers[id].healthy.set(0);
-                    abandoned.push(id);
-                }
-            }
+        #[cfg(feature = "chaos")]
+        if let Some(chaos) = &shared.chaos {
+            // Outside every lock and the per-batch guard: an injected
+            // tick panic unwinds the whole loop, exercising the restart.
+            chaos.on_worker_tick();
         }
-        if workers.iter().all(Option::is_none) {
-            if !abandoned.is_empty() {
-                // No shard remains. Close admission and fail anything
-                // still queued with the typed worker-loss reason rather
-                // than hanging its callers forever.
-                let orphans: Vec<Request> = {
-                    let mut queue = relock(&shared.queue);
-                    queue.shutdown = true;
-                    queue.pending.drain(..).collect()
+        let (model, batch) = {
+            let mut queue = relock(&shared.queue);
+            loop {
+                let now = Instant::now();
+                let next = queue.next(now, &mut expired);
+                // Expired requests fail fast, no lane burned.
+                for request in expired.drain(..) {
+                    let expiry = &shared.models[request.model].metrics.expired_in_queue;
+                    fail(expiry, request.rider, Error::rejected(RejectReason::DeadlineExpired));
+                }
+                let wake = match next {
+                    Next::Dispatch { model, batch } => break (model, batch),
+                    Next::Exit => return,
+                    Next::Wait(wake) => wake,
                 };
-                let lost = Error::WorkerLost { worker: abandoned.first().copied() };
-                for r in orphans {
-                    let metrics = &shared.models[r.model].metrics;
-                    metrics.queue_depth.sub(1);
-                    metrics.failed.inc();
-                    let _ = r.rider.reply.send(Err(lost.clone()));
-                }
+                // An empty queue waits untimed (`Duration::MAX` is
+                // forever); a submit, requeue or shutdown wakes it early.
+                let timeout = wake.map_or(Duration::MAX, |t| t.saturating_duration_since(now));
+                queue = shared
+                    .arrivals
+                    .wait_timeout(queue, timeout)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
-            return abandoned;
-        }
-        let shutting_down = relock(&shared.queue).shutdown;
-        // Park rather than sleep so `begin_shutdown` can cut the nap
-        // short; poll faster during shutdown to join promptly.
-        std::thread::park_timeout(if shutting_down {
-            Duration::from_micros(200)
-        } else {
-            SUPERVISE_POLL
-        });
+        };
+        serve_batch(id, model, batch, replicas, shared);
     }
-}
-
-/// How one executed batch resolved, after panic isolation and error
-/// classification.
-enum Outcome {
-    /// The replica answered: per-frame verdicts plus the plan/execute
-    /// edge timestamps.
-    Served(Vec<Result<SnnOutput>>, Instant, Instant),
-    /// The whole batch fell to a replica fault (panic, or an error
-    /// streak that tripped quarantine); every rider is retried or failed
-    /// with [`Error::ReplicaFault`].
-    Fault { kind: FaultKind, reason: String },
 }
 
 /// A human-readable reason out of a caught panic payload.
@@ -959,345 +843,203 @@ fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<Replica>],
     }
 }
 
-/// Picks the most urgent *ready* queued request (requests backing off
-/// between retry attempts wait for their `not_before`), gathers a
-/// single-model batch around it per the max-batch/max-wait policy
-/// (capped by that model's earliest queued deadline), sweeps expired
-/// requests out without burning lanes, runs the batch on the model's
-/// replica behind a panic guard, and answers every rider —
-/// requeueing them with backoff when the replica faulted and the retry
-/// budget and deadline allow. On shutdown, drains the queue first.
-fn worker_loop(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
+/// Runs one batch on this worker's replica of `model` behind a panic
+/// guard and answers every rider — requeueing them with backoff when the
+/// replica faulted and the retry budget and deadline allow.
+fn serve_batch(
+    id: usize,
+    model: usize,
+    batch: Vec<Request>,
+    replicas: &mut [Option<Replica>],
+    shared: &Shared,
+) {
     let config = &shared.config;
-    'serve: loop {
-        #[cfg(feature = "chaos")]
-        if let Some(chaos) = &shared.chaos {
-            // Outside every lock and the per-batch guard: an injected
-            // tick panic kills this worker thread wholesale, exercising
-            // the supervisor's detect-and-respawn path.
-            chaos.on_worker_tick();
-        }
-        let (model, batch) = {
-            let mut queue = relock(&shared.queue);
-            loop {
-                while queue.pending.is_empty() {
-                    if queue.shutdown {
-                        return;
-                    }
-                    queue = shared.arrivals.wait(queue).unwrap_or_else(PoisonError::into_inner);
-                }
-                let now = Instant::now();
-                // Expired requests fail fast here — before one could be
-                // picked as the batch head or ride along in a batch.
-                shared.sweep_expired(&mut queue.pending, now);
-                if queue.pending.is_empty() {
-                    continue;
-                }
-                // The batch forms around the most urgent ready request;
-                // only its model's ready requests may ride along.
-                let head = queue
-                    .pending
-                    .iter()
-                    .filter(|r| r.ready(now))
-                    .min_by(|a, b| schedule_order(a, b))
-                    .map(|head| (head.model, head.rider.enqueued));
-                let Some((model, head_enqueued)) = head else {
-                    // Everything queued is backing off between retry
-                    // attempts: nap until the earliest window opens
-                    // (works under shutdown too, so retries still drain).
-                    const MIN_NAP: Duration = Duration::from_micros(50);
-                    let wake = queue.pending.iter().filter_map(|r| r.not_before).min();
-                    let nap = wake.map_or(MIN_NAP, |at| at.saturating_duration_since(now));
-                    let (q, _timeout) = shared
-                        .arrivals
-                        .wait_timeout(queue, nap.max(MIN_NAP))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue = q;
-                    continue;
-                };
-                let gathered = queue.pending.iter().filter(|r| r.model == model && r.ready(now));
-                let count = gathered.clone().count();
-                if count >= config.max_batch || queue.shutdown {
-                    break (model, take_batch(&mut queue.pending, model, config.max_batch, now));
-                }
-                // Hold the batch open for stragglers — but never past the
-                // earliest deadline it would have to answer.
-                let mut wait_until = head_enqueued + config.max_wait;
-                if let Some(earliest) = gathered.clone().filter_map(|r| r.rider.deadline).min() {
-                    wait_until = wait_until.min(earliest);
-                }
-                let now = Instant::now();
-                let Some(remaining) =
-                    wait_until.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    break (model, take_batch(&mut queue.pending, model, config.max_batch, now));
-                };
-                let (q, _timeout) = shared
-                    .arrivals
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = q;
-                // Loop around: re-sweep, re-pick (a higher-priority
-                // arrival may have moved the head), re-count.
-            }
-        };
-        if batch.is_empty() {
-            continue 'serve;
-        }
-        // The batch exists from here: queue wait ends, service begins.
-        let formed = Instant::now();
-        let metrics = &shared.models[model].metrics;
-        metrics.queue_depth.sub(batch.len() as i64);
-
-        // Move the tensors out instead of cloning them onto the hot path;
-        // the riders (metadata + reply channel) outlive the execution,
-        // and the tensors stay whole in case a fault requeues them.
-        let (inputs, riders): (Vec<Tensor>, Vec<Rider>) =
-            batch.into_iter().map(Request::split).unzip();
-        let frames = inputs.len();
-        // One sampled rider is enough to phase-profile the whole batch
-        // (the profile describes the shared passes, not one request).
-        let profiling = riders.iter().any(|r| r.sampled);
-        // Observed input activity density: under rate coding, a pixel's
-        // value is its per-timestep spike probability, so the mean value
-        // is the expected fraction of input axons spiking per step.
-        let density = inputs
-            .iter()
-            .map(|t| t.data().iter().sum::<f64>() / t.len().max(1) as f64)
-            .sum::<f64>()
+    let entry = &shared.models[model];
+    let metrics = &entry.metrics;
+    // The batch exists from here: queue wait ends, service begins.
+    let formed = Instant::now();
+    // Move the tensors out instead of cloning them onto the hot path;
+    // the riders (metadata + reply channel) outlive the execution, and
+    // the tensors stay whole in case a fault requeues them.
+    let (inputs, riders): (Vec<Tensor>, Vec<Rider>) = batch.into_iter().map(Request::split).unzip();
+    let frames = inputs.len();
+    // One sampled rider is enough to phase-profile the whole batch (the
+    // profile describes the shared passes, not one request).
+    let profiling = riders.iter().any(|r| r.sampled);
+    // Observed input activity density: under rate coding, a pixel's
+    // value is its per-timestep spike probability, so the mean value is
+    // the expected fraction of input axons spiking per step.
+    let density =
+        inputs.iter().map(|t| t.data().iter().sum::<f64>() / t.len().max(1) as f64).sum::<f64>()
             / frames as f64;
 
-        // Outside the warm pool this worker instantiates on first use —
-        // one cold start per (worker, model), then the replica persists
-        // until a quarantine sheds it.
-        if replicas[model].is_none() {
-            match Replica::build(&shared.models[model].model, config) {
-                Ok(built) => {
-                    replicas[model] = Some(built);
-                    metrics.cold_starts.inc();
+    // Outside the warm pool this worker instantiates on first use — one
+    // cold start per (worker, model), then the replica persists until a
+    // quarantine sheds it.
+    let replica = match &mut replicas[model] {
+        Some(replica) => replica,
+        slot => match Replica::build(&entry.model, config) {
+            Ok(built) => {
+                metrics.cold_starts.inc();
+                slot.insert(built)
+            }
+            Err(e) => {
+                for rider in riders {
+                    fail(&metrics.failed, rider, e.clone());
                 }
-                Err(e) => {
-                    metrics.failed.add(frames as u64);
-                    for rider in riders {
-                        let _ = rider.reply.send(Err(e.clone()));
-                    }
-                    continue 'serve;
+                return;
+            }
+        },
+    };
+    let timesteps = entry.options.timesteps.unwrap_or(config.timesteps);
+
+    // The plan → execute → drain lifecycle over the model's replica,
+    // behind a panic guard: a panicking replica fails only this batch,
+    // never the worker thread. The replica state behind the guard is
+    // presumed corrupt after an unwind, which is exactly why a panic
+    // quarantines it.
+    let exec_start = Instant::now();
+    let guarded = {
+        let sim = &mut replica.sim;
+        if profiling {
+            sim.set_profiling(true);
+        }
+        std::panic::catch_unwind(AssertUnwindSafe(
+            || -> Result<(Vec<Result<SnnOutput>>, Instant, Instant)> {
+                #[cfg(feature = "chaos")]
+                if let Some(chaos) = &shared.chaos {
+                    chaos.on_execute()?;
                 }
+                sim.plan(frames)?;
+                let planned_at = Instant::now();
+                let results = sim.execute(&inputs, timesteps);
+                let executed_at = Instant::now();
+                sim.drain();
+                Ok((results, planned_at, executed_at))
+            },
+        ))
+    };
+    let busy = exec_start.elapsed();
+    let answered = Instant::now();
+
+    // A whole-batch error (plan failure or injected fault) reaches the
+    // riders frame by frame. One all-error batch passes through — the
+    // input may be at fault — but a streak of them indicts the replica.
+    // A replica fault names the retry counter its requeues book.
+    let served = match guarded {
+        Err(payload) => Err((&metrics.retries_panic, panic_reason(&*payload))),
+        Ok(pass) => {
+            let (results, planned_at, executed_at) = pass.unwrap_or_else(|e| {
+                ((0..frames).map(|_| Err(e.clone())).collect(), answered, answered)
+            });
+            let all_failed = !results.is_empty() && results.iter().all(Result::is_err);
+            replica.error_streak = if all_failed { replica.error_streak + 1 } else { 0 };
+            match results.iter().find_map(|r| r.as_ref().err()) {
+                Some(e) if replica.error_streak >= QUARANTINE_ERROR_STREAK => {
+                    Err((&metrics.retries_quarantine, e.to_string()))
+                }
+                _ => Ok((results, planned_at, executed_at)),
             }
         }
-        let replica = replicas[model].as_mut().expect("instantiated above");
-        let timesteps = shared.models[model].options.timesteps.unwrap_or(config.timesteps);
+    };
 
-        // The plan → execute → drain lifecycle over the model's
-        // replica, behind a panic guard: a panicking replica fails only
-        // this batch, never the worker thread. The replica state behind
-        // the guard is presumed corrupt after an unwind, which is
-        // exactly why the panic arm below quarantines it.
-        let exec_start = Instant::now();
-        let guarded = {
-            let sim = &mut replica.sim;
-            if profiling {
-                sim.set_profiling(true);
-            }
-            std::panic::catch_unwind(AssertUnwindSafe(
-                || -> Result<(Vec<Result<SnnOutput>>, Instant, Instant)> {
-                    #[cfg(feature = "chaos")]
-                    if let Some(chaos) = &shared.chaos {
-                        chaos.on_execute()?;
+    let (results, planned_at, executed_at) = match served {
+        Ok(served) => served,
+        Err((retries, reason)) => {
+            quarantine_replica(id, model, replicas, shared);
+            metrics.record_batch(frames, busy, density);
+            shared.workers[id].replica_faults.inc();
+            // Retry when the budget has room *and* the backoff nap still
+            // lands before the deadline; otherwise fail typed.
+            let now = Instant::now();
+            let mut requeue: Vec<Request> = Vec::new();
+            for (input, rider) in inputs.into_iter().zip(riders) {
+                let backoff = retry_backoff(config.retry_backoff, rider.attempts);
+                let retry_at = now.checked_add(backoff).filter(|&at| {
+                    rider.attempts < config.retry_budget && rider.deadline.is_none_or(|d| at < d)
+                });
+                let attempts = rider.attempts + 1;
+                match retry_at {
+                    Some(at) => requeue.push(Request {
+                        model,
+                        input,
+                        not_before: Some(at),
+                        rider: Rider { attempts, ..rider },
+                    }),
+                    None => {
+                        let fault =
+                            Error::ReplicaFault { worker: id, attempts, reason: reason.clone() };
+                        fail(&metrics.failed, rider, fault);
                     }
-                    sim.plan(frames)?;
-                    let planned_at = Instant::now();
-                    let results = sim.execute(&inputs, timesteps);
-                    let executed_at = Instant::now();
-                    sim.drain();
-                    Ok((results, planned_at, executed_at))
-                },
-            ))
-        };
-        let busy = exec_start.elapsed();
-        let answered = Instant::now();
-
-        let streak_bump = |replicas: &mut Vec<Option<Replica>>| {
-            let me = replicas[model].as_mut().expect("instantiated above");
-            me.error_streak += 1;
-            me.error_streak >= QUARANTINE_ERROR_STREAK
-        };
-        let outcome = match guarded {
-            // The replica panicked mid-batch: quarantine immediately.
-            Err(payload) => {
-                quarantine_replica(id, model, &mut replicas, shared);
-                Outcome::Fault { kind: FaultKind::Panic, reason: panic_reason(&*payload) }
-            }
-            // The whole batch errored before per-frame verdicts (plan
-            // failure or injected fault): one occurrence passes through
-            // to the riders — it may be the request's own fault — but a
-            // streak indicts the replica.
-            Ok(Err(e)) => {
-                if streak_bump(&mut replicas) {
-                    quarantine_replica(id, model, &mut replicas, shared);
-                    Outcome::Fault { kind: FaultKind::Quarantine, reason: e.to_string() }
-                } else {
-                    let now = Instant::now();
-                    Outcome::Served((0..frames).map(|_| Err(e.clone())).collect(), now, now)
                 }
             }
-            Ok(Ok((results, planned_at, executed_at))) => {
-                if !results.is_empty() && results.iter().all(Result::is_err) {
-                    if streak_bump(&mut replicas) {
-                        let reason = results
-                            .iter()
-                            .find_map(|r| r.as_ref().err())
-                            .map(ToString::to_string)
-                            .unwrap_or_else(|| "every frame errored".to_string());
-                        quarantine_replica(id, model, &mut replicas, shared);
-                        Outcome::Fault { kind: FaultKind::Quarantine, reason }
-                    } else {
-                        Outcome::Served(results, planned_at, executed_at)
-                    }
-                } else {
-                    replicas[model].as_mut().expect("instantiated above").error_streak = 0;
-                    Outcome::Served(results, planned_at, executed_at)
-                }
+            if !requeue.is_empty() {
+                retries.add(requeue.len() as u64);
+                relock(&shared.queue).requeue(requeue);
+                shared.arrivals.notify_all();
+            }
+            return;
+        }
+    };
+
+    // `take_profile` also stops profiling, so the next (unsampled) batch
+    // runs the untouched fast path.
+    let profile = if profiling { replica.sim.take_profile() } else { None };
+    if let Some(p) = &profile {
+        for (counter, (_, ns)) in shared.phases.iter().zip(p.phase_ns()) {
+            counter.add(ns);
+        }
+        shared.profiled_batches.inc();
+    }
+    // Every number is booked before its reply is sent: a client holding
+    // a reply finds it already counted.
+    metrics.record_batch(frames, busy, density);
+    for (rider, result) in riders.into_iter().zip(results) {
+        let output = match result {
+            Ok(output) => output,
+            Err(e) => {
+                fail(&metrics.failed, rider, e);
+                continue;
             }
         };
-
-        match outcome {
-            Outcome::Served(results, planned_at, executed_at) => {
-                let sim = &mut replicas[model].as_mut().expect("instantiated above").sim;
-                // `take_profile` also stops profiling, so the next
-                // (unsampled) batch runs the untouched fast path.
-                let profile = if profiling { sim.take_profile() } else { None };
-                if let Some(p) = &profile {
-                    for (counter, (_, ns)) in shared.phases.iter().zip(p.phase_ns()) {
-                        counter.add(ns);
-                    }
-                    shared.profiled_batches.inc();
-                }
-
-                // Every number is booked before its reply is sent: a
-                // client holding a reply finds it already counted.
-                metrics.record_batch(frames, busy, density);
-                for (rider, result) in riders.into_iter().zip(results) {
-                    match result {
-                        Ok(output) => {
-                            let latency = answered.duration_since(rider.enqueued);
-                            // Queue wait and service partition the
-                            // latency at the batch-formed instant shared
-                            // by every rider.
-                            let queue_wait = formed.saturating_duration_since(rider.enqueued);
-                            let service = answered.saturating_duration_since(formed);
-                            metrics.completed.inc();
-                            metrics.e2e.record(latency);
-                            metrics.queue_wait.record(queue_wait);
-                            metrics.service.record(service);
-                            let reply = InferenceReply {
-                                model_id: shared.models[model].id.clone(),
-                                predicted: output.predicted_class(),
-                                output,
-                                latency,
-                                queue_wait,
-                                worker: id,
-                                batch_size: frames,
-                                attempts: rider.attempts + 1,
-                            };
-                            let _ = rider.reply.send(Ok(reply));
-                            if rider.sampled {
-                                let t = &shared.telemetry;
-                                t.record_span(SpanRecord {
-                                    id: rider.seq,
-                                    model: shared.models[model].id.clone(),
-                                    worker: id as u64,
-                                    batch_size: frames as u64,
-                                    attempts: u64::from(rider.attempts) + 1,
-                                    admitted_us: t.instant_us(rider.enqueued),
-                                    formed_us: t.instant_us(formed),
-                                    planned_us: t.instant_us(planned_at),
-                                    executed_us: t.instant_us(executed_at),
-                                    drained_us: t.instant_us(answered),
-                                    replied_us: t.now_us(),
-                                    phases: profile.clone(),
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            metrics.failed.inc();
-                            let _ = rider.reply.send(Err(e));
-                        }
-                    }
-                }
-            }
-            Outcome::Fault { kind, reason } => {
-                // Decide every rider's fate first: retry when the
-                // budget has room *and* the backoff nap still lands
-                // before the deadline; otherwise fail typed.
-                let now = Instant::now();
-                let mut requeue: Vec<Request> = Vec::new();
-                let mut terminal: Vec<Rider> = Vec::new();
-                for (input, rider) in inputs.into_iter().zip(riders) {
-                    let backoff = retry_backoff(config.retry_backoff, rider.attempts);
-                    let within_deadline = rider.deadline.is_none_or(|d| now + backoff < d);
-                    if rider.attempts < config.retry_budget && within_deadline {
-                        requeue.push(Request {
-                            model,
-                            input,
-                            not_before: Some(now + backoff),
-                            rider: Rider { attempts: rider.attempts + 1, ..rider },
-                        });
-                    } else {
-                        terminal.push(rider);
-                    }
-                }
-                metrics.record_batch(frames, busy, density);
-                shared.workers[id].replica_faults.inc();
-                metrics.failed.add(terminal.len() as u64);
-                if !requeue.is_empty() {
-                    let retries = match kind {
-                        FaultKind::Panic => &metrics.retries_panic,
-                        FaultKind::Quarantine => &metrics.retries_quarantine,
-                    };
-                    retries.add(requeue.len() as u64);
-                    // Counted as queued before another worker can see
-                    // (and dequeue) them, so the gauge never dips below 0.
-                    metrics.queue_depth.add(requeue.len() as i64);
-                    relock(&shared.queue).pending.extend(requeue);
-                    shared.arrivals.notify_all();
-                }
-                for rider in terminal {
-                    let fault = Error::ReplicaFault {
-                        worker: id,
-                        attempts: rider.attempts + 1,
-                        reason: reason.clone(),
-                    };
-                    let _ = rider.reply.send(Err(fault));
-                }
-            }
+        let latency = answered.duration_since(rider.enqueued);
+        // Queue wait and service partition the latency at the
+        // batch-formed instant shared by every rider.
+        let queue_wait = formed.saturating_duration_since(rider.enqueued);
+        let service = answered.saturating_duration_since(formed);
+        metrics.completed.inc();
+        metrics.e2e.record(latency);
+        metrics.queue_wait.record(queue_wait);
+        metrics.service.record(service);
+        let reply = InferenceReply {
+            model_id: entry.id.clone(),
+            predicted: output.predicted_class(),
+            output,
+            latency,
+            queue_wait,
+            worker: id,
+            batch_size: frames,
+            attempts: rider.attempts + 1,
+        };
+        let _ = rider.reply.send(Ok(reply));
+        if rider.sampled {
+            let t = &shared.telemetry;
+            t.record_span(SpanRecord {
+                id: rider.seq,
+                model: entry.id.clone(),
+                worker: id as u64,
+                batch_size: frames as u64,
+                attempts: u64::from(rider.attempts) + 1,
+                admitted_us: t.instant_us(rider.enqueued),
+                formed_us: t.instant_us(formed),
+                planned_us: t.instant_us(planned_at),
+                executed_us: t.instant_us(executed_at),
+                drained_us: t.instant_us(answered),
+                replied_us: t.now_us(),
+                phases: profile.clone(),
+            });
         }
     }
-}
-
-/// Removes up to `max_batch` of `model`'s *ready* requests from
-/// `pending` in schedule order (see [`schedule_order`]) and returns
-/// them, most urgent first. Other models' requests — and requests still
-/// backing off before a retry — stay queued untouched.
-fn take_batch(
-    pending: &mut VecDeque<Request>,
-    model: usize,
-    max_batch: usize,
-    now: Instant,
-) -> Vec<Request> {
-    let mut picked: Vec<usize> = pending
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.model == model && r.ready(now))
-        .map(|(i, _)| i)
-        .collect();
-    picked.sort_by(|&a, &b| schedule_order(&pending[a], &pending[b]));
-    picked.truncate(max_batch);
-    // Remove back-to-front so earlier indices stay valid.
-    picked.sort_unstable_by(|a, b| b.cmp(a));
-    let mut batch: Vec<Request> = picked.into_iter().filter_map(|i| pending.remove(i)).collect();
-    batch.sort_by(schedule_order);
-    batch
 }
 
 #[cfg(test)]
@@ -1685,6 +1427,38 @@ mod tests {
     }
 
     #[test]
+    fn admission_rejects_values_that_are_not_spike_probabilities() {
+        let runtime = single(model(), RuntimeConfig::default());
+        let with = |value: f64| {
+            let mut values = frame(0).data().to_vec();
+            values[5] = value;
+            InferenceRequest::new("m", Tensor::from_vec(vec![12], values).unwrap())
+        };
+        // `1e999` is what a hostile client sends; the wire parses it to +inf.
+        let json = crate::wire::encode_request(&with(0.5)).unwrap().replacen("0.5", "1e999", 1);
+        let off_the_wire = crate::wire::decode_request(&json).unwrap();
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1.5].map(with);
+        for request in hostile.into_iter().chain([off_the_wire]) {
+            let value = request.input.data()[5];
+            match runtime.submit(request).unwrap_err() {
+                Error::OutOfBounds { what } => {
+                    assert_eq!(what, format!("input 5 of model `m` is {value}, outside [0, 1]"));
+                }
+                other => panic!("expected OutOfBounds for {value}, got {other:?}"),
+            }
+        }
+        // Negative zero is zero, and a budget past the end of the clock is
+        // no deadline at all.
+        runtime.infer(with(-0.0)).unwrap();
+        runtime.infer(with(1.0).with_deadline(Duration::MAX)).unwrap();
+        let stats = runtime.shutdown().unwrap();
+        assert_eq!(stats.completed, 2);
+        let rejected = stats.rejected_queue_full + stats.rejected_deadline;
+        assert_eq!(rejected + stats.rejected_unknown_model, 0, "caller bugs stay uncounted");
+        assert!((0.0..=1.0).contains(&stats.mean_input_density));
+    }
+
+    #[test]
     fn spent_deadline_budget_fails_fast_without_burning_a_lane() {
         let runtime = single(model(), RuntimeConfig::default());
         let err = runtime
@@ -1910,66 +1684,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_order_ranks_priority_then_deadline_then_fifo() {
-        let now = Instant::now();
-        let (tx, _rx) = mpsc::channel();
-        let req = |priority: u8, deadline: Option<Duration>, seq: u64| Request {
-            model: 0,
-            input: frame(0),
-            not_before: None,
-            rider: Rider {
-                enqueued: now,
-                deadline: deadline.map(|d| now + d),
-                priority,
-                seq,
-                sampled: false,
-                attempts: 0,
-                reply: tx.clone(),
-            },
-        };
-        let urgent = req(5, Some(Duration::from_millis(1)), 10);
-        let urgent_later = req(5, Some(Duration::from_millis(9)), 2);
-        let urgent_open = req(5, None, 0);
-        let background = req(0, Some(Duration::from_micros(1)), 1);
-        assert_eq!(schedule_order(&urgent, &background), Ordering::Less, "priority first");
-        assert_eq!(
-            schedule_order(&urgent, &urgent_later),
-            Ordering::Less,
-            "earlier deadline breaks priority ties"
-        );
-        assert_eq!(
-            schedule_order(&urgent_later, &urgent_open),
-            Ordering::Less,
-            "any deadline outranks none"
-        );
-        assert_eq!(
-            schedule_order(&req(1, None, 3), &req(1, None, 7)),
-            Ordering::Less,
-            "FIFO among equals"
-        );
-
-        // take_batch honors the order and leaves other models queued.
-        let mut pending: VecDeque<Request> = VecDeque::new();
-        pending.push_back(req(0, None, 0));
-        pending.push_back(req(3, None, 1));
-        let mut other = req(9, None, 2);
-        other.model = 1;
-        pending.push_back(other);
-        pending.push_back(req(3, Some(Duration::from_millis(5)), 3));
-        let batch = take_batch(&mut pending, 0, 2, Instant::now());
-        assert_eq!(
-            batch.iter().map(|r| r.rider.seq).collect::<Vec<_>>(),
-            vec![3, 1],
-            "deadline-bearing priority-3 first, then FIFO priority-3"
-        );
-        assert_eq!(
-            pending.iter().map(|r| (r.model, r.rider.seq)).collect::<Vec<_>>(),
-            vec![(0, 0), (1, 2)],
-            "the other model's request and the overflow stay queued"
-        );
-    }
-
-    #[test]
     fn retry_backoff_doubles_per_prior_attempt() {
         let base = Duration::from_micros(200);
         assert_eq!(retry_backoff(base, 0), base);
@@ -1978,43 +1692,6 @@ mod tests {
         // Far past any sane budget, the shift clamps instead of
         // overflowing.
         assert_eq!(retry_backoff(base, 40), base * (1 << 16));
-    }
-
-    #[test]
-    fn requests_in_backoff_are_not_ready_and_not_batched() {
-        let now = Instant::now();
-        let (tx, _rx) = mpsc::channel();
-        let req = |not_before: Option<Instant>, seq: u64| Request {
-            model: 0,
-            input: frame(0),
-            not_before,
-            rider: Rider {
-                enqueued: now,
-                deadline: None,
-                priority: 0,
-                seq,
-                sampled: false,
-                attempts: 1,
-                reply: tx.clone(),
-            },
-        };
-        let open = req(None, 0);
-        let waiting = req(Some(now + Duration::from_secs(60)), 1);
-        let elapsed = req(Some(now - Duration::from_millis(1)), 2);
-        assert!(open.ready(now));
-        assert!(!waiting.ready(now));
-        assert!(elapsed.ready(now));
-
-        let mut pending: VecDeque<Request> = VecDeque::new();
-        pending.push_back(req(Some(now + Duration::from_secs(60)), 3));
-        pending.push_back(req(None, 4));
-        let batch = take_batch(&mut pending, 0, 4, now);
-        assert_eq!(batch.iter().map(|r| r.rider.seq).collect::<Vec<_>>(), vec![4]);
-        assert_eq!(
-            pending.iter().map(|r| r.rider.seq).collect::<Vec<_>>(),
-            vec![3],
-            "the backing-off request stays queued"
-        );
     }
 
     #[test]

@@ -121,12 +121,12 @@ impl ModelMetrics {
 
 /// One worker shard's instruments, all labelled `{worker=}`.
 pub(crate) struct WorkerMetrics {
-    /// Times the supervisor respawned the shard's thread.
+    /// Times the shard restarted its loop after a panic escaped it.
     pub restarts: Arc<Counter>,
     /// Batches the shard lost to replica faults.
     pub replica_faults: Arc<Counter>,
-    /// 1 while the shard serves (or stopped cleanly), 0 once the
-    /// supervisor abandoned it.
+    /// 1 while the shard serves (or stopped cleanly), 0 once it
+    /// exhausted its restart budget and gave up.
     pub healthy: Arc<Gauge>,
 }
 
@@ -216,8 +216,8 @@ pub struct RuntimeStats {
     pub retries: u64,
     /// Replica teardown-and-rebuilds after a panic or error streak.
     pub quarantines: u64,
-    /// Worker threads the supervisor respawned after they died
-    /// (aggregate view only; per-worker detail is in [`workers`]).
+    /// Worker loops restarted after a panic escaped them (aggregate
+    /// view only; per-worker detail is in [`workers`]).
     ///
     /// [`workers`]: RuntimeStats::workers
     pub worker_restarts: u64,
@@ -234,15 +234,15 @@ pub struct RuntimeStats {
 pub struct WorkerHealth {
     /// The shard id (its index in the worker pool).
     pub worker: usize,
-    /// Times the supervisor respawned this worker after its thread died.
+    /// Times this worker restarted its loop after a panic escaped it.
     pub restarts: u64,
     /// Batches this worker lost to replica faults (panics or quarantine
     /// trips); the requests themselves were retried or failed typed.
     pub replica_faults: u64,
     /// Replicas this worker tore down and rebuilt.
     pub quarantines: u64,
-    /// `false` once the supervisor exhausted the restart budget and
-    /// abandoned the shard; `true` for a serving or cleanly-stopped one.
+    /// `false` once the shard exhausted its restart budget and gave up;
+    /// `true` for a serving or cleanly-stopped one.
     pub healthy: bool,
 }
 

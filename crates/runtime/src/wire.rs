@@ -180,4 +180,14 @@ mod tests {
         assert!(decode_request("{not json").is_err());
         assert!(decode_reply("42").is_err());
     }
+
+    #[test]
+    fn million_deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep_array = "[".repeat(1 << 20);
+        let deep_object = "{\"input\":".repeat(1 << 20);
+        for json in [&deep_array, &deep_object] {
+            assert!(matches!(decode_request(json), Err(Error::InvalidConfig { .. })));
+            assert!(matches!(decode_reply(json), Err(Error::InvalidConfig { .. })));
+        }
+    }
 }

@@ -1,13 +1,15 @@
 //! Deterministic fault-tolerance drills: scripted replica panics, batch
 //! errors and worker kills against a single-worker runtime, asserting
-//! the supervision / retry / quarantine semantics end to end.
+//! the restart / retry / quarantine semantics end to end.
 //!
 //! One worker makes every chaos schedule deterministic: batch and tick
 //! ordinals advance one at a time, so each test pins exactly which
-//! execution faults and what the caller must see.
+//! execution faults and what the caller must see. The soak at the end
+//! runs every fault at once through two workers and two models.
 
 #![cfg(feature = "chaos")]
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use shenjing_core::{ArchSpec, Error, W5};
@@ -17,7 +19,8 @@ use shenjing_runtime::{
     CompiledModel, InferenceRequest, ModelRegistry, Runtime, RuntimeConfig, RuntimeStats,
     ServeOptions,
 };
-use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
+use shenjing_sim::OracleSim;
+use shenjing_snn::{SnnLayer, SnnNetwork, SnnOutput, SpikingDense};
 
 fn snn() -> SnnNetwork {
     let weights: Vec<W5> = (0..12 * 3).map(|i| W5::saturating(i % 11 - 5)).collect();
@@ -31,6 +34,19 @@ fn model() -> CompiledModel {
 
 fn frame(seed: usize) -> Tensor {
     Tensor::from_vec(vec![12], (0..12).map(|i| ((i + seed) % 4) as f64 / 3.0).collect()).unwrap()
+}
+
+/// An 8-input, 2-output second model for mixed traffic.
+fn model_b() -> CompiledModel {
+    let weights: Vec<W5> = (0..8 * 2).map(|i| W5::saturating(i % 7 - 3)).collect();
+    let snn =
+        SnnNetwork::new(vec![SnnLayer::Dense(SpikingDense::new(weights, 8, 2, 3, 1.0).unwrap())])
+            .unwrap();
+    CompiledModel::compile(&ArchSpec::tiny(), &snn).unwrap()
+}
+
+fn frame_b(seed: usize) -> Tensor {
+    Tensor::from_vec(vec![8], (0..8).map(|i| ((i + seed) % 3) as f64 / 2.0).collect()).unwrap()
 }
 
 /// Σ of the samples of `family` in `metrics` whose labels include
@@ -243,14 +259,14 @@ fn worker_kill_mid_load_loses_no_replies() {
     assert!(stats.retries >= 1);
     assert_eq!(stats.worker_restarts, 1);
     assert_eq!(stats.workers[0].restarts, 1);
-    assert!(stats.workers[0].healthy, "a respawned worker is healthy again");
+    assert!(stats.workers[0].healthy, "a restarted worker is healthy again");
 }
 
 #[test]
 fn crash_looping_worker_is_abandoned_and_reported() {
-    // Every respawn dies on its first tick; after the restart budget the
-    // supervisor abandons the shard, fails whatever is queued with the
-    // typed loss, and shutdown names the dead worker.
+    // Every restart dies on its first tick; past the restart budget the
+    // shard gives up, fails whatever is queued with the typed loss, and
+    // shutdown names the dead worker.
     let ticks: Vec<u64> = (1..=20).collect();
     let runtime = chaotic(
         ChaosConfig::default().with_kill_worker_on_ticks(ticks),
@@ -291,4 +307,85 @@ fn damaged_weights_change_what_the_replica_computes() {
         h != d
     });
     assert!(diverged, "a -3 threshold upset must change some probe's output");
+}
+
+#[test]
+fn soak_through_every_fault_answers_each_request_once_and_exactly() {
+    // Two workers, two models, 5 000 requests; every 13th pass panics, a
+    // run of 21 consecutive passes errors (a streak on whichever replicas
+    // serve them), and two worker loops die between batches.
+    const T: u32 = 4;
+    const FRAMES: usize = 32;
+    const WAVE: usize = 250;
+    const WAVES: usize = 20;
+    let models = [model(), model_b()];
+    let frames: [Vec<Tensor>; 2] =
+        [(0..FRAMES).map(frame).collect(), (0..FRAMES).map(frame_b).collect()];
+    let want: Vec<Vec<SnnOutput>> = models
+        .iter()
+        .zip(&frames)
+        .map(|(m, frames)| {
+            let mut oracle = OracleSim::from_decoded(Arc::clone(m.program())).unwrap();
+            frames.iter().map(|f| oracle.run_frame(f, T).unwrap()).collect()
+        })
+        .collect();
+    let [a, b] = models;
+    let registry = ModelRegistry::new()
+        .with_model("a", a, ServeOptions::default().with_warm_replicas(2))
+        .unwrap()
+        .with_model("b", b, ServeOptions::default())
+        .unwrap();
+    let chaos = ChaosConfig::default()
+        .with_panic_every(13)
+        .with_error_on_batches((40..=60).collect::<Vec<u64>>())
+        .with_kill_worker_on_ticks([25u64, 400]);
+    let config = RuntimeConfig::builder()
+        .workers(2)
+        .max_batch(8)
+        .timesteps(T)
+        .queue_depth(WAVE)
+        .retry_budget(3)
+        .retry_backoff(Duration::from_micros(50))
+        .chaos(chaos)
+        .build()
+        .unwrap();
+    let runtime = Runtime::serve(registry, config).unwrap();
+    let (mut completed, mut failed) = (0u64, 0u64);
+    for wave in 0..WAVES {
+        let pending: Vec<_> = (wave * WAVE..(wave + 1) * WAVE)
+            .map(|n| {
+                let (m, f) = (n % 2, n / 2 % FRAMES);
+                let request = InferenceRequest::new(["a", "b"][m], frames[m][f].clone());
+                (m, f, runtime.submit(request).unwrap())
+            })
+            .collect();
+        for (m, f, reply) in pending {
+            match reply.wait() {
+                Ok(reply) => {
+                    assert_eq!(reply.output, want[m][f], "model {m} frame {f} vs the oracle");
+                    completed += 1;
+                }
+                Err(e) => {
+                    let typed =
+                        matches!(e, Error::ReplicaFault { .. } | Error::InvalidControl { .. });
+                    assert!(typed, "a request was lost, not answered: {e:?}");
+                    failed += 1;
+                }
+            }
+        }
+    }
+    let metrics = runtime.metrics_text();
+    let stats = runtime.shutdown().unwrap();
+    assert_fault_stats_match(&stats, &metrics);
+    assert_eq!(completed + failed, (WAVE * WAVES) as u64, "one terminal outcome per request");
+    assert_eq!((stats.completed, stats.failed), (completed, failed), "each booked exactly once");
+    assert_eq!(stats.queue_depth, 0);
+    assert!(stats.models.iter().all(|m| m.stats.queue_depth == 0));
+    assert!(metrics
+        .lines()
+        .filter(|l| l.starts_with("shenjing_queue_depth{"))
+        .all(|l| l.ends_with(" 0")));
+    assert_eq!(stats.worker_restarts, 2, "both kills healed in place");
+    assert!(stats.workers.iter().all(|w| w.healthy));
+    assert!(stats.quarantines > 0 && stats.retries > 0, "{stats:?}");
 }

@@ -6,7 +6,8 @@
 //! the runtime sees exactly that after the wire, and the client sees
 //! exactly the runtime's verdict (including typed rejection reasons)
 //! after the reply hop. Random tensors, options and reply shapes pin
-//! both directions.
+//! both directions — and hostile bytes must come back as typed errors,
+//! never as a panic.
 
 use std::time::Duration;
 
@@ -87,5 +88,42 @@ proptest! {
         let json = encode_reply(&envelope).unwrap();
         let back = decode_reply(&json).unwrap();
         prop_assert_eq!(back, envelope);
+    }
+}
+
+/// One valid encoding of each direction, to truncate and mutate.
+fn valid_encodings() -> [String; 2] {
+    let input = Tensor::from_vec(vec![3], vec![0.0, 0.5, 1.0]).unwrap();
+    let request = InferenceRequest::new(IDS[3], input)
+        .with_deadline(Duration::from_micros(1_500))
+        .with_priority(7);
+    let reply = WireReply::Failed { message: "frame 3 failed".into(), attempts: 2 };
+    [encode_request(&request).unwrap(), encode_reply(&reply).unwrap()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Hostile bytes — arbitrary, or a valid encoding truncated or with
+    /// one byte overwritten — decode to `Ok` or a typed `Err`, never a
+    /// panic.
+    #[test]
+    fn hostile_bytes_never_panic_the_decoders(
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in 0usize..1_000,
+        at in 0usize..1_000,
+        byte in any::<u8>(),
+    ) {
+        let mut inputs = vec![String::from_utf8_lossy(&noise).into_owned()];
+        for valid in valid_encodings() {
+            let bytes = valid.into_bytes();
+            inputs.push(String::from_utf8_lossy(&bytes[..cut % (bytes.len() + 1)]).into_owned());
+            let mut mutated = bytes.clone();
+            mutated[at % bytes.len()] = byte;
+            inputs.push(String::from_utf8_lossy(&mutated).into_owned());
+        }
+        for text in &inputs {
+            let _ = decode_request(text);
+            let _ = decode_reply(text);
+        }
     }
 }

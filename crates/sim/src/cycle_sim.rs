@@ -521,6 +521,26 @@ mod tests {
         }
 
         #[test]
+        fn decode_attaches_the_identity_schedule() {
+            // Every scheduled cycle is its own entry with every op it was
+            // given, in cycle order; nothing is optimized.
+            let arch = ArchSpec::tiny();
+            let mapping = mlp_mapping(&arch);
+            let raw = DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap();
+            assert!(!raw.optimized() && raw.compacted_cycles().is_none());
+            let entries: Vec<(u64, usize)> =
+                raw.entries().iter().map(|e| (e.transfer_cycle, e.op_count())).collect();
+            let scheduled: Vec<(u64, usize)> =
+                raw.schedule.iter().map(|(cycle, ops)| (*cycle, ops.len())).collect();
+            assert_eq!(entries, scheduled);
+            for (entry, (_, ops)) in raw.entries().iter().zip(&raw.schedule) {
+                let tiles: Vec<_> = ops.iter().map(|(coord, _)| raw.tiles.slot(*coord)).collect();
+                let slots: Vec<_> = entry.ops.iter().map(|op| Some(op.tile)).collect();
+                assert_eq!(slots, tiles, "ops keep their order and tiles");
+            }
+        }
+
+        #[test]
         fn op_off_the_mesh_is_rejected() {
             let err = decode_err(|p| {
                 p.config
@@ -623,10 +643,8 @@ mod tests {
             let arch = ArchSpec::tiny();
             let program = Arc::new(decoded(&arch).optimize());
             let entries = program.entries().len() as u64;
-            if let Some(compacted_cycles) = program.compacted_cycles() {
-                assert_eq!(compacted_cycles, entries);
-                assert!(compacted_cycles < program.block_cycles());
-            }
+            assert_eq!(program.compacted_cycles(), Some(entries));
+            assert!(entries < program.block_cycles());
             let mut sim = BatchSim::from_decoded(program, 1).unwrap();
             sim.set_profiling(true);
             let input = Tensor::from_vec(vec![8], vec![0.6; 8]).unwrap();
@@ -662,15 +680,13 @@ mod tests {
             let resolved: Vec<_> = optimized.io.slots().map(|s| tiles.coord(s)).collect();
             assert_eq!(resolved, named.collect::<Vec<_>>());
 
-            // Compaction keeps source order and drops only LD_WT; the
-            // identity schedule (SHENJING_NO_OPTIMIZE, the CI axis)
-            // drops nothing.
+            // Compaction keeps source order and drops only LD_WT.
             let entries = optimized.entries();
             let source = optimized
                 .schedule
                 .iter()
                 .flat_map(|(_, ops)| ops)
-                .filter(|(_, op)| !(optimized.optimized() && op.is_exec_noop()));
+                .filter(|(_, op)| !op.is_exec_noop());
             let compacted = entries.iter().flat_map(|e| &e.ops);
             assert_eq!(source.clone().count(), compacted.clone().count());
             for ((coord, op), scheduled) in source.zip(compacted) {

@@ -58,7 +58,7 @@ fn scaled_frames(pool: &[f64], n_in: usize, count: usize, density: f64) -> Vec<T
 
 /// `snn` mapped on `arch`, as decoded (the identity schedule) and
 /// optimized (the compacted schedule and the trimmed, tile-ordered weight
-/// layout — or, under `SHENJING_NO_OPTIMIZE`, the identity one again).
+/// layout).
 fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
     let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
     let decode = || DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();

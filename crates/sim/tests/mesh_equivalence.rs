@@ -7,7 +7,8 @@
 //! outputs, on the state digest of every tile (an idle tile of the
 //! all-live mesh must still be pristine), and on every error — on the
 //! batched engine and on the oracle, which must also agree with each
-//! other lane by lane.
+//! other lane by lane — on the identity schedule `decode` attaches and on
+//! the optimized one.
 
 use std::sync::Arc;
 
@@ -29,14 +30,16 @@ fn oracle(program: &Arc<DecodedProgram>) -> OracleSim {
     OracleSim::from_decoded(Arc::clone(program)).unwrap()
 }
 
-/// The sparse mesh and the all-live one of one mapping, optimized.
-fn both_meshes(arch: &ArchSpec, mapping: &Mapping) -> [Arc<DecodedProgram>; 2] {
+/// The sparse mesh and the all-live one of one mapping, as `[sparse,
+/// all]` pairs: on the identity schedule, then optimized.
+fn both_meshes(arch: &ArchSpec, mapping: &Mapping) -> [[Arc<DecodedProgram>; 2]; 2] {
     let sparse = DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
     let all = DecodedProgram::decode_all_live(arch, &mapping.logical, &mapping.program).unwrap();
     let (rows, cols) = all.mesh_dims();
     assert_eq!(all.live_tiles().len(), rows as usize * cols as usize);
     assert!(sparse.live_tiles().len() <= all.live_tiles().len());
-    [Arc::new(sparse.optimize()), Arc::new(all.optimize())]
+    let identity = [Arc::new(sparse.clone()), Arc::new(all.clone())];
+    [identity, [Arc::new(sparse.optimize()), Arc::new(all.optimize())]]
 }
 
 /// The all-live digest must equal the sparse one on the live tiles and
@@ -58,7 +61,18 @@ fn assert_digests_agree(sparse: &StateDigest, all: &StateDigest, pristine: &Stat
 }
 
 fn assert_meshes_agree(arch: &ArchSpec, mapping: &Mapping, frames: &[Tensor], timesteps: u32) {
-    let [sparse, all] = both_meshes(arch, mapping);
+    for [sparse, all] in both_meshes(arch, mapping) {
+        assert_pair_agrees(arch, &sparse, &all, frames, timesteps);
+    }
+}
+
+fn assert_pair_agrees(
+    arch: &ArchSpec,
+    sparse: &Arc<DecodedProgram>,
+    all: &Arc<DecodedProgram>,
+    frames: &[Tensor],
+    timesteps: u32,
+) {
     let fresh_tile = digest_chip(0, &shenjing_hw::Chip::new(arch, 1, 1).unwrap());
     let lanes = [0usize, 2];
     let mut fresh_batch = shenjing_hw::BatchChip::new(arch, 1, 1, 3).unwrap();
@@ -66,7 +80,7 @@ fn assert_meshes_agree(arch: &ArchSpec, mapping: &Mapping, frames: &[Tensor], ti
     let fresh_batch_tile = digest_batch_chip(0, &fresh_batch);
 
     // Holed occupancy {0, 2} of 3 lanes: the lane walks ride along.
-    let (mut on_sparse, mut on_all) = (batched(&sparse, 3), batched(&all, 3));
+    let (mut on_sparse, mut on_all) = (batched(sparse, 3), batched(all, 3));
     on_sparse.set_occupied_lanes(&lanes).unwrap();
     on_all.set_occupied_lanes(&lanes).unwrap();
     let outputs = on_sparse.run_occupied(&frames[..2], timesteps).unwrap();
@@ -83,7 +97,7 @@ fn assert_meshes_agree(arch: &ArchSpec, mapping: &Mapping, frames: &[Tensor], ti
 
     // The oracle on both meshes, frame by frame — and each lane of the
     // pass above against the oracle's run of its frame.
-    let (mut oracle_sparse, mut oracle_all) = (oracle(&sparse), oracle(&all));
+    let (mut oracle_sparse, mut oracle_all) = (oracle(sparse), oracle(all));
     for (i, frame) in frames.iter().enumerate() {
         let want = oracle_sparse.run_frame(frame, timesteps).unwrap();
         assert_eq!(want, oracle_all.run_frame(frame, timesteps).unwrap(), "oracle outputs");
@@ -161,12 +175,13 @@ fn small_mapping() -> (ArchSpec, Mapping) {
     (arch, mapping)
 }
 
-/// Runs one frame on both meshes — a two-lane pass, the single-frame
-/// front and the oracle — and returns the one error they must all report.
+/// Runs one frame on both meshes and both schedules — a two-lane pass,
+/// the single-frame front and the oracle — and returns the one error they
+/// must all report.
 fn the_error(arch: &ArchSpec, mapping: &Mapping) -> Error {
     let frame = Tensor::from_vec(vec![8], vec![0.7; 8]).unwrap();
     let mut errors = Vec::new();
-    for program in both_meshes(arch, mapping) {
+    for program in both_meshes(arch, mapping).into_iter().flatten() {
         errors.push(oracle(&program).run_frame(&frame, 3).unwrap_err().error);
         let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
         errors.push(front.run_frame(&frame, 3).unwrap_err());
@@ -287,7 +302,7 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let snn = SnnNetwork::new(vec![dense_layer(&weights, 300, 18, 10)]).unwrap();
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
     let input = Tensor::from_vec(vec![300], vec![1.0; 300]).unwrap();
-    for program in both_meshes(&arch, &mapping) {
+    for program in both_meshes(&arch, &mapping).into_iter().flatten() {
         let want = oracle(&program).run_frame(&input, 4).unwrap_err().error;
         assert!(
             matches!(want, Error::SumOverflow { bits: 13, .. }),

@@ -35,8 +35,7 @@ fn dense_layer(weights: &[i32], n_in: usize, n_out: usize, theta: i32) -> SnnLay
 }
 
 /// `snn` mapped on `arch`, as decoded (the identity schedule) and
-/// optimized (the compacted one — or, under `SHENJING_NO_OPTIMIZE`, the
-/// identity schedule again).
+/// optimized (the compacted one).
 fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
     let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
     let decode = || DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
@@ -182,9 +181,7 @@ fn saturated_frame_errors_identically_on_both_paths() {
     );
     // The identity schedule and the compacted one surface the same
     // overflow: same variant, same value.
-    if let Some(compacted_cycles) = optimized.compacted_cycles() {
-        assert!(compacted_cycles < optimized.block_cycles());
-    }
+    assert!(optimized.compacted_cycles().is_some_and(|c| c < optimized.block_cycles()));
     for program in [decoded, optimized] {
         let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
         assert_eq!(front.run_frame(&input, 4).unwrap_err(), failure.error);

@@ -166,7 +166,7 @@ fn main() -> Result<()> {
         stats.rejected_queue_full, stats.rejected_deadline, stats.expired_in_queue,
     );
     // Fault tolerance rides along in the same snapshot: a clean run
-    // reports zeros, a faulted one shows the supervisor healing.
+    // reports zeros, a faulted one shows the workers healing.
     println!(
         "fault tolerance: {} worker restart(s), {} retried request(s), {} quarantine(s), \
          {}/{} workers healthy",
