@@ -91,8 +91,10 @@ impl ArchSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when any dimension is zero, or when
-    /// the neurons do not divide evenly across SRAM banks.
+    /// Returns [`Error::InvalidConfig`] when any dimension is zero, when
+    /// the neurons do not divide evenly across SRAM banks, or when there
+    /// are more banks than the 4-bit bank mask of Table I's `ACC` can
+    /// enable.
     pub fn validate(&self) -> Result<()> {
         if self.core_inputs == 0
             || self.core_neurons == 0
@@ -106,6 +108,12 @@ impl ArchSpec {
             return Err(Error::config(format!(
                 "core_neurons {} must divide evenly across {} SRAM banks",
                 self.core_neurons, self.sram_banks
+            )));
+        }
+        if self.sram_banks > 4 {
+            return Err(Error::config(format!(
+                "{} SRAM banks exceed the 4-bit ACC bank mask",
+                self.sram_banks
             )));
         }
         if self.acc_cycles == 0 || self.ld_wt_cycles == 0 || self.router_op_cycles == 0 {
@@ -172,6 +180,13 @@ mod tests {
     fn validate_rejects_uneven_banks() {
         let mut a = ArchSpec::paper();
         a.sram_banks = 3; // 256 % 3 != 0
+        assert!(a.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_banks_than_the_mask_holds() {
+        let mut a = ArchSpec::paper();
+        a.sram_banks = 8; // 256 % 8 == 0, but ACC's bank field is 4 bits
         assert!(a.validate().is_err());
     }
 

@@ -1,147 +1,11 @@
-//! The tracked lane-occupancy set behind every batched sweep.
+//! The lane axis of the batched engine.
 //!
-//! The batched engine's registers carry `max_batch` SoA payload lanes, but
-//! a serving batch rarely fills them all. [`LaneSet`] is the sibling of
-//! [`ActiveSet`](crate::ActiveSet) (active axons) and the routers'
-//! register-occupancy words for the *lane* axis: it tracks which lanes
-//! currently hold in-flight frames, so every per-lane computation — `ACC`
-//! sweeps, the PS adder, integrate-and-fire, deliveries, clears and
-//! digests — pays for **occupancy, not capacity**: a 3-of-16 batch
-//! computes on 3 lanes. (Register moves copy whole registers: contiguous
-//! beats strided.)
-//!
-//! Representation: a sorted occupied-lane list (the iteration the hot
-//! loops walk, always in ascending lane order so results and error sites
-//! are deterministic) plus a word-scan bitmask for `O(1)` membership.
-//! Occupancy changes are rare (per batch, not per cycle), so the sorted
-//! insert/remove cost is irrelevant; iteration is what matters.
-//!
-//! The common case — frames packed into lanes `0..n` — is detected by
-//! [`contiguous_len`](LaneSet::contiguous_len), which lets the payload
-//! walks use contiguous slice operations (and, at full occupancy, the
-//! exact bulk copies the capacity-bound engine used), so full batches pay
-//! nothing for the occupancy generality.
-
-/// The set of occupied lanes of a batched component, over `0..batch`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneSet {
-    /// Lane capacity (the SoA width everything is allocated for).
-    batch: usize,
-    /// Occupied lanes, ascending.
-    members: Vec<usize>,
-    /// Word-scan mask: bit `l % 64` of word `l / 64` is lane `l`.
-    mask: Vec<u64>,
-}
-
-impl LaneSet {
-    /// An all-free set over `batch` lanes.
-    pub fn empty(batch: usize) -> LaneSet {
-        LaneSet { batch, members: Vec::with_capacity(batch), mask: vec![0; batch.div_ceil(64)] }
-    }
-
-    /// An all-occupied set over `batch` lanes.
-    pub fn full(batch: usize) -> LaneSet {
-        let mut set = LaneSet::empty(batch);
-        for lane in 0..batch {
-            set.occupy(lane);
-        }
-        set
-    }
-
-    /// Lane capacity (not the occupied count).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of occupied lanes — a maintained counter, `O(1)`.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Capacity of the backing member list — observability for the
-    /// allocation-stability tests. [`empty`](LaneSet::empty) and
-    /// [`full`](LaneSet::full) preallocate the full lane capacity, so
-    /// occupancy churn never reallocates.
-    pub fn member_capacity(&self) -> usize {
-        self.members.capacity()
-    }
-
-    /// Whether no lane is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Whether every lane is occupied.
-    pub fn is_full(&self) -> bool {
-        self.members.len() == self.batch
-    }
-
-    /// Whether `lane` is occupied (a mask probe, `O(1)`).
-    pub fn contains(&self, lane: usize) -> bool {
-        lane < self.batch && self.mask[lane / 64] & (1u64 << (lane % 64)) != 0
-    }
-
-    /// Marks `lane` occupied; returns whether it was newly occupied.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane >= batch` (an occupancy-tracking bug, never a
-    /// data-dependent condition).
-    pub fn occupy(&mut self, lane: usize) -> bool {
-        assert!(lane < self.batch, "lane {lane} of a {}-lane set", self.batch);
-        if self.contains(lane) {
-            return false;
-        }
-        self.mask[lane / 64] |= 1u64 << (lane % 64);
-        let at = self.members.partition_point(|&m| m < lane);
-        self.members.insert(at, lane);
-        true
-    }
-
-    /// Marks `lane` free; returns whether it was occupied.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane >= batch`, as in [`occupy`](LaneSet::occupy).
-    pub fn release(&mut self, lane: usize) -> bool {
-        assert!(lane < self.batch, "lane {lane} of a {}-lane set", self.batch);
-        if !self.contains(lane) {
-            return false;
-        }
-        self.mask[lane / 64] &= !(1u64 << (lane % 64));
-        let at = self.members.partition_point(|&m| m < lane);
-        self.members.remove(at);
-        true
-    }
-
-    /// Frees every lane.
-    pub fn clear(&mut self) {
-        self.members.clear();
-        self.mask.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// The occupied lanes, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().copied()
-    }
-
-    /// The occupied lanes as an ascending slice (what the hot loops walk).
-    pub fn as_slice(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// `Some(k)` when the occupied lanes are exactly `0..k` (including the
-    /// empty set, `k = 0`): the contiguous-prefix case where per-lane
-    /// walks collapse into slice operations of length `k`.
-    pub fn contiguous_len(&self) -> Option<usize> {
-        match self.members.last() {
-            None => Some(0),
-            // Ascending distinct lanes: last == len-1 forces members == 0..len.
-            Some(&last) if last + 1 == self.members.len() => Some(self.members.len()),
-            Some(_) => None,
-        }
-    }
-}
+//! The batched engine's registers carry `batch` SoA payload lanes, and a
+//! pass's frames ride the prefix `0..k` of them (see
+//! [`BatchChip::set_occupied`](crate::BatchChip::set_occupied)). Every
+//! per-lane computation is a slice operation of length `k`; this module
+//! holds the chunked integrate-and-fire kernel the spike router runs over
+//! that prefix.
 
 /// Fixed inner width of the chunked lane kernel below: 8 × i32 = two
 /// SSE2 vectors per chunk, the sweet spot for the baseline x86-64 target
@@ -188,64 +52,6 @@ pub fn integrate_lanes<S: Copy + Into<i32>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn occupy_release_contains_roundtrip() {
-        let mut set = LaneSet::empty(16);
-        assert!(set.is_empty());
-        assert_eq!(set.contiguous_len(), Some(0));
-        assert!(set.occupy(3));
-        assert!(!set.occupy(3), "redundant occupy is a no-op");
-        assert!(set.occupy(0));
-        assert!(set.occupy(11));
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.as_slice(), &[0, 3, 11], "iteration is ascending");
-        assert!(set.contains(11) && !set.contains(4));
-        assert_eq!(set.contiguous_len(), None);
-        assert!(set.release(3));
-        assert!(!set.release(3), "redundant release is a no-op");
-        assert_eq!(set.as_slice(), &[0, 11]);
-        set.clear();
-        assert!(set.is_empty());
-        assert!(!set.contains(0));
-    }
-
-    #[test]
-    fn contiguous_prefix_detection() {
-        let mut set = LaneSet::empty(8);
-        for lane in 0..5 {
-            set.occupy(lane);
-        }
-        assert_eq!(set.contiguous_len(), Some(5));
-        set.release(2);
-        assert_eq!(set.contiguous_len(), None, "a drained hole breaks the prefix");
-        set.occupy(2);
-        assert_eq!(set.contiguous_len(), Some(5));
-        let full = LaneSet::full(8);
-        assert!(full.is_full());
-        assert_eq!(full.contiguous_len(), Some(8));
-    }
-
-    #[test]
-    fn word_boundary_lanes() {
-        // Capacities beyond one mask word exercise the word indexing.
-        let mut set = LaneSet::empty(130);
-        for lane in [0usize, 63, 64, 127, 129] {
-            assert!(set.occupy(lane));
-        }
-        assert_eq!(set.as_slice(), &[0, 63, 64, 127, 129]);
-        for lane in [63usize, 64, 129] {
-            assert!(set.release(lane));
-        }
-        assert!(set.contains(0) && set.contains(127));
-        assert!(!set.contains(63) && !set.contains(64) && !set.contains(129));
-    }
-
-    #[test]
-    #[should_panic(expected = "lane 4 of a 4-lane set")]
-    fn out_of_range_lane_panics() {
-        LaneSet::empty(4).occupy(4);
-    }
 
     #[test]
     fn integrate_lanes_matches_the_scalar_if_sequence() {

@@ -75,7 +75,6 @@ pub use batch::{
 };
 pub use chip::Chip;
 pub use config::{ConfigMemory, TileProgram};
-pub use lanes::LaneSet;
 pub use mesh::TileSlots;
 pub use neuron_core::NeuronCore;
 pub use ops::{AtomicOp, NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};

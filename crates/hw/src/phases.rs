@@ -33,8 +33,8 @@ pub struct CyclePhases {
     /// kernel is proportional to.
     pub acc_events: u64,
     /// PS-NoC registers (planes) the transfer phase moved across a mesh
-    /// link. Exact and schedule-determined: the same number for every
-    /// lane set.
+    /// link. Exact and schedule-determined: the same number at every
+    /// occupancy.
     pub ps_plane_hops: u64,
     /// Spike-NoC registers (planes) the transfer phase moved across a
     /// mesh link; exact, like [`ps_plane_hops`](CyclePhases::ps_plane_hops).

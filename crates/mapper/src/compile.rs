@@ -167,6 +167,7 @@ pub fn compile(
     mapping: &LogicalMapping,
     placement: &Placement,
 ) -> Result<CompiledProgram> {
+    arch.validate()?;
     let n_layers = mapping.layers.len();
     let mut compiler = Compiler {
         arch,
@@ -278,11 +279,13 @@ impl Compiler<'_> {
             .max()
             .unwrap_or(0);
         self.layer_acc_start[l] = acc_start;
+        // Every bank the core has (`validate` caps them at Table I's 4).
+        let banks = (1u8 << self.arch.sram_banks) - 1;
         for &cid in &lm.cores {
             let coord = self.placement.coord(cid);
             self.config
                 .program_mut(coord)
-                .push(acc_start, AtomicOp::Core(NeuronCoreOp::Acc { banks: 0b1111 }));
+                .push(acc_start, AtomicOp::Core(NeuronCoreOp::Acc { banks }));
             self.stats.ops.core_acc += 1;
             self.stats.ops.core_acc_neurons += self.mapping.core(cid).used_neurons() as u64;
         }

@@ -312,7 +312,9 @@ impl Dense {
                 out[o] += xi * w;
             }
         }
-        self.cache = Some(input.flattened());
+        // Cached in its own shape: the gradient handed back must fit the
+        // (possibly spatial) layer in front.
+        self.cache = Some(input.clone());
         Tensor::from_vec(vec![self.outputs], out)
     }
 
@@ -338,7 +340,7 @@ impl Dense {
             }
             *gi = acc;
         }
-        Tensor::from_vec(vec![self.inputs], grad_in)
+        Tensor::from_vec(x.shape().to_vec(), grad_in)
     }
 }
 

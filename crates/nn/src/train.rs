@@ -167,6 +167,32 @@ mod tests {
     }
 
     #[test]
+    fn a_cnn_trains_through_its_spatial_layers() {
+        // Dense's input gradient must come back in the shape of the pool
+        // in front of it, or `AvgPool2d::backward` rejects it.
+        let mut net = Network::from_specs(
+            &[
+                LayerSpec::conv2d(3, 1, 2),
+                LayerSpec::relu(),
+                LayerSpec::avg_pool(2),
+                LayerSpec::dense(2 * 2 * 2, 2),
+            ],
+            3,
+        )
+        .unwrap();
+        let data: Vec<(Tensor, usize)> = (0..8)
+            .map(|k| {
+                // Class 0 lights the left half of a 4 × 4 image, class 1
+                // the right half.
+                let vals = (0..16).map(|i| f64::from(u8::from((i % 4 < 2) == (k % 2 == 0))));
+                (Tensor::from_vec(vec![4, 4, 1], vals.collect()).unwrap(), k % 2)
+            })
+            .collect();
+        let losses = Sgd::new(0.05, 10, 4).train(&mut net, &data).unwrap().epoch_losses;
+        assert!(losses.last().unwrap() < &losses[0], "loss should drop: {losses:?}");
+    }
+
+    #[test]
     fn accuracy_on_empty_data() {
         let mut net = Network::from_specs(&[LayerSpec::dense(2, 2)], 0).unwrap();
         assert_eq!(accuracy(&mut net, &[]).unwrap(), 0.0);

@@ -5,9 +5,8 @@
 //! [`CompiledModel`](crate::CompiledModel) replica: plan the gathered
 //! frame count onto the replica's lanes, execute one pass, drain. There
 //! is one engine — the batched simulator, occupancy-bound: its `plan`
-//! occupies exactly the gathered lanes (see
-//! [`LaneSet`](shenjing_sim::LaneSet)), so a pass costs what its frames
-//! cost, a batch of one included.
+//! occupies lanes `0..frames` and nothing more, so a pass costs what its
+//! frames cost, a batch of one included.
 
 use shenjing_core::{Error, Result};
 use shenjing_nn::Tensor;
@@ -19,8 +18,8 @@ use shenjing_snn::SnnOutput;
 /// Lifecycle per batch: [`plan`](Engine::plan) the gathered frame count,
 /// [`execute`](Engine::execute) the frames, [`drain`](Engine::drain) so
 /// the replica idles clean for the next batch. Implemented by
-/// [`BatchSim`]: plan occupies lanes `0..n`, drain releases them in
-/// `O(their active state)`.
+/// [`BatchSim`]: plan occupies lanes `0..n`, drain shrinks the occupancy
+/// to zero, scrubbing the lanes in `O(their active state)`.
 pub trait Engine: Send {
     /// Prepares the replica for a gathered batch of `frames` requests —
     /// the lane occupancy is reconciled here, so the following
@@ -37,7 +36,7 @@ pub trait Engine: Send {
     fn execute(&mut self, inputs: &[Tensor], timesteps: u32) -> Vec<Result<SnnOutput>>;
 
     /// Releases per-batch resources so the replica idles clean (finished
-    /// frames leave their lanes).
+    /// frames leave their lanes; the occupancy drops to zero).
     fn drain(&mut self);
 
     /// Turns per-pass phase profiling on for subsequent
@@ -73,10 +72,8 @@ impl Engine for BatchSim {
     }
 
     fn drain(&mut self) {
-        let occupied: Vec<usize> = self.lanes().iter().collect();
-        for lane in occupied {
-            let _ = self.release_lane(lane);
-        }
+        // An empty lane list always validates.
+        let _ = self.set_occupied_lanes(&[]);
     }
 
     fn set_profiling(&mut self, on: bool) {
@@ -129,9 +126,9 @@ mod tests {
         let model = model();
         let mut sim = model.instantiate_batched(8).unwrap();
         Engine::plan(&mut sim, 3).unwrap();
-        assert_eq!(sim.lanes().as_slice(), &[0, 1, 2]);
+        assert_eq!(sim.chip().occupied(), 3);
         Engine::drain(&mut sim);
-        assert!(sim.lanes().is_empty(), "drained replicas idle clean");
+        assert_eq!(sim.chip().occupied(), 0, "drained replicas idle clean");
         assert!(Engine::plan(&mut sim, 9).is_err(), "over-capacity plans fail the batch");
     }
 }

@@ -14,7 +14,8 @@
 //! - batches are single-model and hold at most `max_batch` requests;
 //! - an under-full batch waits for stragglers until
 //!   `head.enqueued + max_wait`, capped by the earliest deadline among
-//!   that model's gathered requests;
+//!   that model's gathered requests (a `max_wait` past the clock's range
+//!   is no time bound: the batch waits for fill, a deadline or close);
 //! - once closed, whatever has gathered dispatches at once.
 
 use std::cmp::Ordering;
@@ -164,16 +165,16 @@ impl Scheduler {
         let model = head.model;
         // Only the head's model's ready requests may ride along, and the
         // batch is held open for stragglers — but never past the earliest
-        // deadline it would have to answer.
+        // deadline it would have to answer (`None`: no bound at all).
         let (gathered, bound) = self
             .pending
             .iter()
             .filter(|r| r.model == model && ready(r))
-            .fold((0, head.rider.enqueued + self.max_wait), |(n, bound), r| {
-                (n + 1, r.rider.deadline.map_or(bound, |d| bound.min(d)))
+            .fold((0, head.rider.enqueued.checked_add(self.max_wait)), |(n, bound), r| {
+                (n + 1, bound.into_iter().chain(r.rider.deadline).min())
             });
-        if gathered < self.max_batch && !self.closed && bound > now {
-            return Next::Wait(Some(self.wake_at(now).map_or(bound, |t| t.min(bound))));
+        if gathered < self.max_batch && !self.closed && bound.is_none_or(|b| b > now) {
+            return Next::Wait(self.wake_at(now).into_iter().chain(bound).min());
         }
         let mut batch: Vec<Request> =
             self.pending.extract_if(.., |r| r.model == model && ready(r)).collect();
@@ -448,6 +449,8 @@ mod tests {
             };
             let head = before.iter().filter(live_ready).min_by(|a, b| schedule_order(a, b));
             let head_seq = head.map(|r| r.rider.seq);
+            // A straggler bound past the clock's range: no time bound.
+            let unbounded = head.is_some_and(|r| r.rider.enqueued.checked_add(max_wait).is_none());
             let ready_by_model: Vec<(usize, u64)> =
                 before.iter().filter(live_ready).map(|r| (r.model, r.rider.seq)).collect();
             let live = before.iter().filter(|r| r.rider.deadline.is_none_or(|d| d > now)).count();
@@ -501,9 +504,10 @@ mod tests {
                         let bound = batch
                             .iter()
                             .filter_map(|r| r.rider.deadline)
-                            .fold(batch[0].rider.enqueued + max_wait, Instant::min);
+                            .chain(batch[0].rider.enqueued.checked_add(max_wait))
+                            .min();
                         assert!(
-                            now >= bound,
+                            bound.is_some_and(|b| now >= b),
                             "an under-full batch left before its straggler bound"
                         );
                     }
@@ -516,7 +520,10 @@ mod tests {
                 }
                 Next::Wait(wake) => {
                     match wake {
-                        None => assert!(live == 0 && !self.sched.closed, "open-ended wait"),
+                        None => assert!(
+                            (live == 0 || unbounded) && !self.sched.closed,
+                            "open-ended wait"
+                        ),
                         Some(t) => assert!(t > now, "a wait ends in the future"),
                     }
                     self.promise = Some(wake);
@@ -531,9 +538,9 @@ mod tests {
     }
 
     /// Each op word picks an operation (its low byte) and its operands.
-    fn check_history(models: usize, max_batch: usize, max_wait_us: u64, ops: &[u64]) {
+    fn check_history(models: usize, max_batch: usize, max_wait: Duration, ops: &[u64]) {
         let mut h = History {
-            sched: scheduler(models, max_batch, Duration::from_micros(max_wait_us), 24),
+            sched: scheduler(models, max_batch, max_wait, 24),
             base: Instant::now(),
             clock_us: 0,
             fates: HashMap::new(),
@@ -581,10 +588,15 @@ mod tests {
         fn scheduler_invariants_hold_over_random_histories(
             models in 2usize..4,
             max_batch in 1usize..6,
-            max_wait_us in 0u64..2_000,
+            max_wait_us in 0u64..2_200,
             ops in proptest::collection::vec(any::<u64>(), 1..160),
         ) {
-            check_history(models, max_batch, max_wait_us, &ops);
+            // One case in eleven never times out: `Duration::MAX`.
+            let max_wait = match max_wait_us {
+                0..2_000 => Duration::from_micros(max_wait_us),
+                _ => Duration::MAX,
+            };
+            check_history(models, max_batch, max_wait, &ops);
         }
     }
 }

@@ -1795,6 +1795,19 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_max_wait_holds_a_lone_request_until_shutdown() {
+        // `enqueued + Duration::MAX` is past the clock's range: no time
+        // bound, so the under-full batch waits for fill or close — and the
+        // worker computing that must not panic.
+        let config = RuntimeConfig::builder().workers(1).max_wait(Duration::MAX).build().unwrap();
+        let runtime = single(model(), config);
+        let pending = runtime.submit(request(0)).unwrap();
+        let stats = runtime.shutdown().unwrap();
+        assert!(pending.wait().is_ok(), "shutdown dispatches what has gathered");
+        assert_eq!(stats.worker_restarts, 0, "the worker never panicked");
+    }
+
+    #[test]
     fn submitting_after_shutdown_is_a_typed_rejection() {
         let runtime = single(model(), RuntimeConfig::default());
         runtime.begin_shutdown();

@@ -84,7 +84,6 @@ pub mod prelude {
         ArchSpec, CoreCoord, Direction, Error, NocSum, RejectReason, Result, W5,
     };
     pub use shenjing_datasets::{SynthCifar, SynthDigits};
-    pub use shenjing_hw::LaneSet;
     pub use shenjing_mapper::{map_logical, place, Mapper, Mapping, PlacementStrategy};
     pub use shenjing_nn::{LayerSpec, Network, NetworkKind, Sgd, Tensor};
     pub use shenjing_power::{AreaBudget, EnergyModel, SystemEstimate, TileModel};

@@ -69,9 +69,8 @@ pub fn verify(
 /// The one hardware-equivalence statement: **lane `i` of a batched pass ≡
 /// the oracle's run of frame `i`**.
 ///
-/// A `batch`-lane [`BatchSim`] occupies exactly `lanes` (which may be
-/// non-contiguous — the post-drain shape) and advances `inputs` in one
-/// pass, `inputs[i]` on the `i`-th lane in ascending order; the
+/// A fresh `batch`-lane [`BatchSim`] advances `inputs` in one pass,
+/// `inputs[i]` on lane `i` of the prefix `0..inputs.len()`; the
 /// [`OracleSim`] runs the same frames one at a time on the scalar chip.
 /// A frame is exact when its full [`SnnOutput`](shenjing_snn::SnnOutput)
 /// matches *and* the state digest of every live tile, taken over its lane
@@ -91,32 +90,31 @@ pub fn verify(
 ///
 /// # Errors
 ///
-/// Returns instantiation and lane-validation errors (`inputs` must hold
-/// one frame per listed lane); run errors are *compared*, not propagated.
+/// Returns instantiation errors and [`Error::InvalidConfig`] unless
+/// `inputs` holds between 1 and `batch` frames; run errors are
+/// *compared*, not propagated.
 pub fn verify_lanes(
     program: &Arc<DecodedProgram>,
     inputs: &[Tensor],
     timesteps: u32,
     batch: usize,
-    lanes: &[usize],
 ) -> Result<EquivalenceReport> {
-    if inputs.len() != lanes.len() {
-        return Err(Error::config(format!("{} frames for {} lanes", inputs.len(), lanes.len())));
+    if inputs.is_empty() || inputs.len() > batch {
+        return Err(Error::config(format!("{} frames for a {batch}-lane replica", inputs.len())));
     }
     let mut sim = BatchSim::from_decoded(Arc::clone(program), batch)?;
-    sim.set_occupied_lanes(lanes)?;
     let mut oracle = OracleSim::from_decoded(Arc::clone(program))?;
 
-    let pass = sim.run_occupied(inputs, timesteps);
+    let pass = sim.run_batch(inputs, timesteps);
     // Per frame: the oracle's verdict and whether its chip ends in the
     // state the frame's lane is in.
-    let run_oracle = |(input, lane)| {
+    let run_oracle = |(lane, input)| {
         let want = oracle.run_frame(input, timesteps);
         let state =
             want.is_ok() && digest_chip(0, oracle.chip()) == digest_batch_lane(0, sim.chip(), lane);
         (want, state)
     };
-    let frames: Vec<_> = inputs.iter().zip(sim.lanes().iter()).map(run_oracle).collect();
+    let frames: Vec<_> = inputs.iter().enumerate().map(run_oracle).collect();
     let exact: Vec<bool> = match &pass {
         Ok(outputs) => frames
             .iter()
@@ -177,6 +175,16 @@ mod tests {
             &ArchSpec::tiny(),
             11,
         );
+    }
+
+    #[test]
+    fn mlp_is_bit_exact_on_fewer_sram_banks() {
+        // ACC enables every bank the core has, however many that is.
+        for sram_banks in [2, 1] {
+            let arch = ArchSpec { sram_banks, ..ArchSpec::tiny() };
+            let specs = [LayerSpec::dense(40, 20), LayerSpec::relu(), LayerSpec::dense(20, 4)];
+            check_net(&specs, 40, &arch, 11);
+        }
     }
 
     #[test]

@@ -66,10 +66,6 @@ pub use equivalence::{verify, verify_lanes, EquivalenceReport};
 pub use fault::{inject, inject_mapping, Fault};
 pub use optimize::OptimizeStats;
 pub use oracle::OracleSim;
-// `BatchSim`'s occupancy API speaks in terms of the hardware crate's
-// lane set; re-exported so downstream crates need not depend on
-// `shenjing-hw` to name it.
-pub use shenjing_hw::LaneSet;
 pub use trace::{
     compare_traces, digest_batch_chip, digest_batch_lane, digest_chip, trace_block, Divergence,
     StateDigest,

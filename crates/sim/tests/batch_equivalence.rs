@@ -11,9 +11,9 @@
 //! with its source cycle. [`verify_lanes`] is that one statement; this
 //! file drives it over random small networks, weights, inputs, timestep
 //! counts and — crucially — the full activity-density × batch-width ×
-//! lane-pattern grid (silent through saturating, widths including
-//! `B = 1`, prefixes and post-drain holes), on the identity schedule and
-//! on the compacted one.
+//! occupancy grid (silent through saturating, widths including `B = 1`,
+//! every occupancy `1..=B`, and shrinks after a full pass), on the
+//! identity schedule and on the compacted one.
 
 use std::sync::Arc;
 
@@ -65,30 +65,29 @@ fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
     [Arc::new(decode()), Arc::new(decode().optimize())]
 }
 
-/// Asserts lanes ≡ oracle for `inputs` parked on `lanes` of a `cap`-lane
-/// replica, on both schedules.
+/// Asserts lanes ≡ oracle for `inputs` riding lanes `0..inputs.len()` of
+/// a `cap`-lane replica, on both schedules.
 fn assert_lanes_equal_oracle(
     snn: &SnnNetwork,
     arch: &ArchSpec,
     inputs: &[Tensor],
     timesteps: u32,
     cap: usize,
-    lanes: &[usize],
 ) {
     for program in programs(snn, arch) {
-        let report = verify_lanes(&program, inputs, timesteps, cap, lanes).unwrap();
+        let report = verify_lanes(&program, inputs, timesteps, cap).unwrap();
         assert!(
             report.is_exact(),
-            "lanes {lanes:?} of {cap} diverged from the oracle (optimized: {}): {report:?}",
+            "{} of {cap} lanes diverged from the oracle (optimized: {}): {report:?}",
+            inputs.len(),
             program.optimized()
         );
     }
 }
 
-/// A packed batch: frame `i` in lane `i` of an `inputs.len()`-lane replica.
+/// A full batch: frame `i` in lane `i` of an `inputs.len()`-lane replica.
 fn assert_batched_equals_sequential(snn: &SnnNetwork, inputs: &[Tensor], timesteps: u32) {
-    let lanes: Vec<usize> = (0..inputs.len()).collect();
-    assert_lanes_equal_oracle(snn, &ArchSpec::tiny(), inputs, timesteps, inputs.len(), &lanes);
+    assert_lanes_equal_oracle(snn, &ArchSpec::tiny(), inputs, timesteps, inputs.len());
 }
 
 proptest! {
@@ -151,44 +150,35 @@ proptest! {
         assert_batched_equals_sequential(&snn, &inputs, timesteps);
     }
 
-    /// The lane-occupancy grid: a `cap`-lane simulator serving
-    /// 1..=cap frames parked on an arbitrary lane subset — contiguous
-    /// prefixes, top lanes and the non-contiguous hole patterns that
-    /// drains leave — crossed with the activity-density sweep. Every
-    /// (occupancy, density) cell must agree with the oracle per frame:
-    /// outputs and the lane's own state digest.
+    /// The lane-occupancy grid: a `cap`-lane simulator serving any
+    /// `1..=cap` frames on the prefix of its lanes, crossed with the
+    /// activity-density sweep. Every (occupancy, density) cell must agree
+    /// with the oracle per frame: outputs and the lane's own state
+    /// digest.
     #[test]
     fn batched_matches_sequential_across_occupancy_patterns(
         n_in in 4usize..=MAX_IN,
         n_out in 1usize..=MAX_OUT,
         theta in 1i32..=30,
-        cap in 2usize..=MAX_BATCH,
-        lane_mask in 1u32..32,
+        cap in 1usize..=MAX_BATCH,
+        occupancy in 0usize..MAX_BATCH,
         timesteps in 2u32..=6,
         density_step in 0usize..4,
         jitter in 0.0f64..0.05,
         weights in proptest::collection::vec(-15i32..=15, MAX_IN * MAX_OUT),
         pool in proptest::collection::vec(0.0f64..1.0, MAX_BATCH * MAX_IN),
     ) {
-        // Fold the drawn mask onto the capacity; an empty selection
-        // becomes "lane 0 only" so every case exercises the engine.
-        let lane_mask = match lane_mask % (1u32 << cap) {
-            0 => 1,
-            m => m,
-        };
-        let lanes: Vec<usize> = (0..cap).filter(|&l| lane_mask & (1 << l) != 0).collect();
         let density = [0.0, 0.06, 0.5, 1.0][density_step] + jitter;
         let snn = SnnNetwork::new(vec![dense_layer(&weights, n_in, n_out, theta)]).unwrap();
-        let inputs = scaled_frames(&pool, n_in, lanes.len(), density);
-        assert_lanes_equal_oracle(&snn, &ArchSpec::tiny(), &inputs, timesteps, cap, &lanes);
+        let inputs = scaled_frames(&pool, n_in, 1 + occupancy % cap, density);
+        assert_lanes_equal_oracle(&snn, &ArchSpec::tiny(), &inputs, timesteps, cap);
     }
 
-    /// Drain-then-refill: a full pass, a random subset of lanes released
-    /// (finished frames leaving), and a second pass on the surviving
-    /// non-contiguous pattern. The second pass must be bit-exact against
-    /// the oracle, outputs and per-lane state — i.e. the `O(active
-    /// state)` lane scrub leaves no residue behind and the stale
-    /// unoccupied lanes leak into nothing.
+    /// Drain-then-refill: a full pass, then a pass on `k < cap` lanes —
+    /// the finished frames' lanes leave the prefix. The second pass must
+    /// be bit-exact against the oracle, outputs and per-lane state — i.e.
+    /// the `O(active state)` shrink scrub leaves no residue behind and
+    /// the stale lanes past the prefix leak into nothing.
     #[test]
     fn drained_lanes_leave_no_residue(
         n_in in 2usize..=20,
@@ -196,54 +186,38 @@ proptest! {
         n_out in 1usize..=4,
         theta in 2i32..=20,
         cap in 2usize..=MAX_BATCH,
-        drain_mask in 1u32..31,
+        survivors in 0usize..MAX_BATCH,
         timesteps in 2u32..=6,
         weights in proptest::collection::vec(-15i32..=15, 20 * MAX_OUT + MAX_OUT * 4),
         pool in proptest::collection::vec(0.0f64..1.0, 2 * MAX_BATCH * 20),
     ) {
-        // Fold the drain mask onto the capacity, draining at least one
-        // lane and keeping at least one survivor.
-        let drain_mask = match drain_mask % (1u32 << cap) {
-            0 => 1,
-            m if m == (1u32 << cap) - 1 => m & !(1 << (cap - 1)),
-            m => m,
-        };
-        let survivors: Vec<usize> = (0..cap).filter(|&l| drain_mask & (1 << l) == 0).collect();
+        let k = 1 + survivors % (cap - 1);
         let l1 = dense_layer(&weights, n_in, n_mid, theta);
         let l2 = dense_layer(&weights[20 * MAX_OUT..], n_mid, n_out, theta);
         let snn = SnnNetwork::new(vec![l1, l2]).unwrap();
-        let [_, program] = programs(&snn, &ArchSpec::tiny());
-        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
-        let mut batched = BatchSim::from_decoded(Arc::clone(&program), cap).unwrap();
+        for program in programs(&snn, &ArchSpec::tiny()) {
+            let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+            let mut batched = BatchSim::from_decoded(Arc::clone(&program), cap).unwrap();
 
-        let first = frames(&pool, n_in, cap);
-        let got = batched.run_batch(&first, timesteps).unwrap();
-        for (input, out) in first.iter().zip(&got) {
-            prop_assert_eq!(out, &oracle.run_frame(input, timesteps).unwrap());
-        }
-
-        for lane in 0..cap {
-            if !survivors.contains(&lane) {
-                batched.release_lane(lane).unwrap();
+            let first = frames(&pool, n_in, cap);
+            let got = batched.run_batch(&first, timesteps).unwrap();
+            for (input, out) in first.iter().zip(&got) {
+                prop_assert_eq!(out, &oracle.run_frame(input, timesteps).unwrap());
             }
-        }
-        let second = frames(&pool[MAX_BATCH * 20..], n_in, survivors.len());
-        let got = batched.run_occupied(&second, timesteps).unwrap();
-        for ((input, out), &lane) in second.iter().zip(&got).zip(&survivors) {
-            let want = oracle.run_frame(input, timesteps).unwrap();
-            prop_assert_eq!(
-                out,
-                &want,
-                "surviving lane {} diverged after draining {:?}",
-                lane,
-                (0..cap).filter(|l| !survivors.contains(l)).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                digest_batch_lane(0, batched.chip(), lane),
-                digest_chip(0, oracle.chip()),
-                "surviving lane {} kept residue",
-                lane
-            );
+
+            let second = frames(&pool[MAX_BATCH * 20..], n_in, k);
+            let got = batched.run_batch(&second, timesteps).unwrap();
+            for (lane, (input, out)) in second.iter().zip(&got).enumerate() {
+                let want = oracle.run_frame(input, timesteps).unwrap();
+                prop_assert_eq!(out, &want, "lane {} of {} diverged after a full pass", lane, k);
+                prop_assert_eq!(
+                    digest_batch_lane(0, batched.chip(), lane),
+                    digest_chip(0, oracle.chip()),
+                    "lane {} of {} kept residue",
+                    lane,
+                    k
+                );
+            }
         }
     }
 
@@ -279,7 +253,6 @@ proptest! {
                 Tensor::from_vec(vec![n_in], vec![level; n_in]).unwrap()
             })
             .collect();
-        let lanes: Vec<usize> = (0..batch).collect();
-        assert_lanes_equal_oracle(&snn, &arch, &inputs, timesteps, batch, &lanes);
+        assert_lanes_equal_oracle(&snn, &arch, &inputs, timesteps, batch);
     }
 }
