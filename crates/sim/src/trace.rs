@@ -109,8 +109,8 @@ fn digest_batch_tile(
 
     let mut local_ps = FNV_OFFSET;
     for chunk in core.local_ps_all().chunks_exact(core.batch()) {
-        for sum in &chunk[lanes.clone()] {
-            fnv(&mut local_ps, &sum.to_le_bytes());
+        for &sum in &chunk[lanes.clone()] {
+            fnv(&mut local_ps, &i32::from(sum).to_le_bytes());
         }
     }
 
