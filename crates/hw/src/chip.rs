@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use shenjing_core::{ArchSpec, CoreCoord, Direction, Error, NocSum, Result};
 
-use crate::mesh::{annotate_cycle, into_idle, TileSlots};
+use crate::mesh::{annotate_cycle, TileSlots};
 use crate::ops::AtomicOp;
 use crate::tile::Tile;
 
@@ -171,7 +171,7 @@ impl Chip {
     /// The transfer phase: probes all `4 × core_neurons` output registers
     /// of every live tile, taking every pending payload before writing
     /// any — all links switch simultaneously. Hence the error order the
-    /// batched move plan reproduces: a pending register that leads off
+    /// static occupancy check reproduces: a pending register that leads off
     /// the edge or into an idle tile first, then PS input contention,
     /// then spike input contention, each in `(tile, N/S/E/W, plane)`
     /// order.
@@ -196,7 +196,10 @@ impl Chip {
                         cycle,
                         reason: format!("{what} driven off the mesh edge at {src} port {dir}"),
                     }),
-                    Some(d) => slots.slot(d).ok_or_else(|| into_idle(cycle, src, dir)),
+                    Some(d) => slots.slot(d).ok_or_else(|| Error::InvalidSchedule {
+                        cycle,
+                        reason: format!("data driven into an idle tile from {src} port {dir}"),
+                    }),
                 };
                 for plane in 0..planes {
                     if let Some(v) = tile.ps_mut().take_output(dir, plane) {

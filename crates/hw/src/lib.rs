@@ -18,7 +18,9 @@
 //! register at a time, with nothing skipped; they are the **oracle**.
 //! The production model is [`BatchChip`] and its components ([`batch`]):
 //! the same schedule advancing many frames per pass, paying for activity
-//! instead of capacity, and tested lane by lane against the oracle.
+//! instead of capacity, and tested lane by lane against the oracle. It
+//! carries payload only: the static [`occupancy`] check proves a
+//! program's register moves once.
 //!
 //! Control follows Table I of the paper: every component is driven each
 //! cycle by an *atomic operation* ([`ops`]) whose encoding into raw control
@@ -60,6 +62,7 @@ mod lane_regs;
 pub mod lanes;
 pub mod mesh;
 pub mod neuron_core;
+pub mod occupancy;
 pub mod ops;
 pub mod phases;
 pub mod plane;

@@ -153,42 +153,6 @@ impl TileSlots {
     }
 }
 
-/// The error a pending output facing off the mesh raises. The reference
-/// scan probes planes in ascending order, PS before spike within a
-/// plane; this names the register it would have found first.
-pub(crate) fn off_edge(
-    cycle: u64,
-    ps_first: Option<u16>,
-    spike_first: Option<u16>,
-    src: CoreCoord,
-    dir: Direction,
-) -> Error {
-    let ps_fires_first = match (ps_first, spike_first) {
-        (Some(p), Some(s)) => p <= s,
-        (ps, _) => ps.is_some(),
-    };
-    let what = if ps_fires_first { "ps data" } else { "spike" };
-    Error::InvalidSchedule {
-        cycle,
-        reason: format!("{what} driven off the mesh edge at {src} port {dir}"),
-    }
-}
-
-/// The error a pending output facing an idle (uninstantiated) tile
-/// raises. Unreachable for a mesh built from the program it runs: every
-/// port destination is live by construction.
-pub(crate) fn into_idle(cycle: u64, src: CoreCoord, dir: Direction) -> Error {
-    Error::InvalidSchedule {
-        cycle,
-        reason: format!("data driven into an idle tile from {src} port {dir}"),
-    }
-}
-
-/// The error a compacted schedule naming a slot the chip lacks raises.
-pub(crate) fn bad_slot(slot: usize) -> Error {
-    Error::out_of_bounds(format!("compacted schedule tile slot {slot}"))
-}
-
 /// Stamps a tile-local schedule error with the cycle it occurred in.
 pub(crate) fn annotate_cycle(e: Error, cycle: u64) -> Error {
     match e {

@@ -2,11 +2,12 @@
 //!
 //! The raw decoded schedule is a list of `(cycle, ops)` pairs that name
 //! tiles by coordinate. A [`CycleOps`] entry resolves all of it once at
-//! compile time — tile slots (see [`TileSlots`]), the ports that can hold
-//! pending data and where they lead, the tiles that may have queued
-//! deliveries — so the per-pass hot loop (`BatchChip::exec_ops`) only
-//! walks pre-resolved lists. The scalar [`Chip`](crate::Chip), the
-//! oracle, keeps walking the raw pairs.
+//! compile time — tile slots (see [`TileSlots`]), the ports its ops
+//! drive, on which planes and where they lead, the tiles that may have
+//! queued deliveries — so the per-pass hot loop (`BatchChip::exec_ops`)
+//! only walks pre-resolved lists, which [`crate::occupancy`] checks once
+//! per program. The scalar [`Chip`](crate::Chip), the oracle, keeps
+//! walking the raw pairs.
 //!
 //! One entry covers a *run* of source cycles: zero or more statically
 //! passive cycles (no port-output producers, no delivery-queueing ops)
@@ -21,6 +22,7 @@ use shenjing_core::{CoreCoord, Direction, Result};
 
 use crate::mesh::TileSlots;
 use crate::ops::AtomicOp;
+use crate::plane::PlaneSet;
 
 /// One op of a compacted schedule, carrying its *source* cycle number.
 ///
@@ -50,8 +52,9 @@ pub enum PortDst {
     Idle,
 }
 
-/// One compiled transfer move: a mesh port an active cycle's ops can
-/// leave pending data on, and where that data goes.
+/// One compiled transfer move: a mesh port an active cycle's ops leave
+/// data on, the planes they leave it on — exactly the registers the
+/// transfer moves ([`crate::occupancy`] proves it) — and where it goes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortOut {
     /// Storage slot of the source tile.
@@ -62,10 +65,10 @@ pub struct PortOut {
     pub dir: Direction,
     /// Where the port leads.
     pub dst: PortDst,
-    /// Whether a PS-router op drives this port this cycle.
-    pub ps: bool,
-    /// Whether a spike-router op drives this port this cycle.
-    pub spike: bool,
+    /// The planes PS-router ops drive on this port this cycle.
+    pub ps: PlaneSet,
+    /// The planes spike-router ops drive on this port this cycle.
+    pub spike: PlaneSet,
 }
 
 /// One compacted schedule entry: the ops of a run of source cycles plus
@@ -93,7 +96,8 @@ impl CycleOps {
     /// cycle whose ops may drive ports or queue deliveries. Compiles that
     /// cycle's transfer phase into the move plan (raw scan order:
     /// row-major tile, then N/S/E/W; each link's verdict resolved against
-    /// `slots`) and lists the tiles whose commit phase has work.
+    /// `slots`; per NoC, the planes the ops drive) and lists the tiles
+    /// whose commit phase has work.
     ///
     /// # Panics
     ///
@@ -102,22 +106,17 @@ impl CycleOps {
         let mut out_ports: Vec<PortOut> = Vec::new();
         let mut deliver_tiles = Vec::new();
         for s in ops.iter().filter(|s| s.cycle == cycle) {
-            if let Some((dir, is_ps, _)) = s.op.port_output() {
-                if let Some(p) = out_ports.iter_mut().find(|p| p.tile == s.tile && p.dir == dir) {
-                    p.ps |= is_ps;
-                    p.spike |= !is_ps;
-                } else {
-                    let coord = slots.coord(s.tile);
+            if let Some((dir, is_ps, planes)) = s.op.port_output() {
+                let at = out_ports.iter().position(|p| p.tile == s.tile && p.dir == dir);
+                let at = at.unwrap_or_else(|| {
+                    let (coord, ps, spike) =
+                        (slots.coord(s.tile), PlaneSet::empty(), PlaneSet::empty());
                     let dst = slots.link(coord, dir);
-                    out_ports.push(PortOut {
-                        tile: s.tile,
-                        coord,
-                        dir,
-                        dst,
-                        ps: is_ps,
-                        spike: !is_ps,
-                    });
-                }
+                    out_ports.push(PortOut { tile: s.tile, coord, dir, dst, ps, spike });
+                    out_ports.len() - 1
+                });
+                let port = &mut out_ports[at];
+                if is_ps { &mut port.ps } else { &mut port.spike }.union_with(planes);
             }
             if s.op.queues_delivery() {
                 deliver_tiles.push(s.tile);

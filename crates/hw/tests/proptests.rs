@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use shenjing_core::{ArchSpec, CoreCoord, Direction, LocalSum, NocSum, W5};
 use shenjing_hw::{
-    AccScratch, AtomicOp, BatchChip, BatchNeuronCore, Chip, CycleOps, NeuronCore, NeuronCoreOp,
-    PlaneSet, PsDst, PsRouter, PsRouterOp, PsSendSource, SpikeRouter, SpikeRouterOp, TileSlots,
+    occupancy, AccScratch, AtomicOp, BatchChip, BatchNeuronCore, Chip, CycleOps, NeuronCore,
+    NeuronCoreOp, PlaneSet, PsDst, PsRouter, PsRouterOp, PsSendSource, SpikeRouter, SpikeRouterOp,
+    TileSlots,
 };
 
 /// Lane capacity of the batched `ACC` property below.
@@ -206,8 +207,9 @@ proptest! {
     }
 
     /// The compiled move plan is bit-identical, lane by lane, to the
-    /// oracle's per-register scan: same delivered values, and the same
-    /// off-mesh-edge / contention errors with the same cycle annotation.
+    /// oracle's per-register scan: the static occupancy check raises the
+    /// oracle's off-mesh-edge / contention error with its cycle, and a
+    /// schedule it accepts delivers the same values.
     #[test]
     fn sparse_transfer_is_bit_identical_to_reference(
         row in 0u16..2,
@@ -255,26 +257,34 @@ proptest! {
             AtomicOp::Ps(PsRouterOp::Send {
                 source: PsSendSource::LocalPs,
                 dst: PsDst::Port(dir),
-                planes,
+                planes: planes.clone(),
             }),
         )];
         // With `contend`, a re-send without the neighbor consuming its
         // input: input-register contention two cycles later.
         let mut cycles = vec![acc, send.clone()];
         cycles.extend(contend.then_some(send));
-        let fast_res = (cycle..).zip(&cycles).try_for_each(|(c, ops)| {
-            fast.exec_ops(&CycleOps::for_cycle(&slots, c, ops)?, &mut ())
-        });
+        let entries: Vec<CycleOps> = (cycle..)
+            .zip(&cycles)
+            .map(|(c, ops)| CycleOps::for_cycle(&slots, c, ops).unwrap())
+            .collect();
+        let verdict = occupancy::check(&arch, &slots, &entries);
+        if verdict.is_ok() {
+            for entry in &entries {
+                fast.exec_ops(entry, &mut ()).unwrap();
+            }
+        }
         for ((lane, _), oracle) in lanes.into_iter().zip(&mut oracles) {
             let oracle_res =
                 (cycle..).zip(&cycles).try_for_each(|(c, ops)| oracle.exec_cycle(c, ops));
-            prop_assert_eq!(&fast_res, &oracle_res, "lane {}", lane);
-            if fast_res.is_ok() {
+            prop_assert_eq!(&verdict, &oracle_res, "lane {}", lane);
+            if verdict.is_ok() {
                 let dst = src.neighbor(dir).unwrap();
                 let port = dir.opposite();
                 for p in 0..16u16 {
                     prop_assert_eq!(
-                        fast.tile(dst).unwrap().ps().peek_input(port, p, lane),
+                        Some(fast.tile(dst).unwrap().ps().peek_input(port, p, lane))
+                            .filter(|_| planes.contains(p)),
                         oracle.tile(dst).unwrap().ps().peek_input(port, p).map(|v| v.value()),
                         "plane {} of lane {} diverged after transfer",
                         p,

@@ -65,8 +65,8 @@ impl Engine for BatchSim {
     fn execute(&mut self, inputs: &[Tensor], timesteps: u32) -> Vec<Result<SnnOutput>> {
         match self.run_occupied(inputs, timesteps) {
             Ok(outputs) => outputs.into_iter().map(Ok).collect(),
-            // A schedule violation poisons the whole batch; every rider
-            // learns why.
+            // A run-time error (an overflow, a delivery past a core's
+            // axons) poisons the whole batch; every rider learns why.
             Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
         }
     }

@@ -65,9 +65,12 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// Propagates decode errors.
+    /// Propagates decode errors and refuses a program that fails the
+    /// static occupancy check ([`DecodedProgram::verify`]) with that
+    /// error, so a damaged program fails here, not mid-pass.
     pub fn from_mapping(arch: &ArchSpec, mapping: &Mapping) -> Result<CompiledModel> {
         let program = DecodedProgram::decode(arch, &mapping.logical, &mapping.program)?.optimize();
+        program.verify()?;
         Ok(CompiledModel {
             program: Arc::new(program),
             total_cores: mapping.logical.total_cores(),
@@ -368,6 +371,34 @@ mod tests {
         assert_eq!(registry.ids().collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(registry.options("b").unwrap().priority, 3);
         assert!(registry.get("missing").is_none());
+    }
+
+    #[test]
+    fn a_damaged_program_is_refused_at_compile_time_with_the_oracles_error() {
+        // Dropping an op leaves the schedule reading an empty register or
+        // writing a full one on every frame: the artifact is refused
+        // before any replica exists, with the error the oracle raises
+        // running a silent frame of the damaged program.
+        use shenjing_sim::{inject_mapping, Fault, OracleSim};
+        let arch = ArchSpec::tiny();
+        let weights: Vec<W5> = (0..40 * 6).map(|i| W5::saturating(i % 9 - 4)).collect();
+        let snn = SnnNetwork::new(vec![SnnLayer::Dense(
+            SpikingDense::new(weights, 40, 6, 5, 1.0).unwrap(),
+        )])
+        .unwrap();
+        let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
+        let mut refused = 0;
+        for index in 0..mapping.program.config.op_count() {
+            let damaged = inject_mapping(&mapping, Fault::DropOp { index }).unwrap();
+            let decoded = DecodedProgram::decode(&arch, &damaged.logical, &damaged.program);
+            let mut oracle = OracleSim::from_decoded(Arc::new(decoded.unwrap())).unwrap();
+            let silent = Tensor::zeros(vec![40]);
+            let want = oracle.run_frame(&silent, 2).map(|_| ()).map_err(|f| f.error);
+            let got = CompiledModel::from_mapping(&arch, &damaged).map(|_| ());
+            assert_eq!(got, want, "dropped op {index}");
+            refused += usize::from(got.is_err());
+        }
+        assert!(refused > 0, "a 3-core fold has load-bearing router ops");
     }
 
     #[test]

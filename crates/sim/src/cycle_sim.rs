@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use shenjing_core::{ArchSpec, CoreCoord, Error, Result, W5};
-use shenjing_hw::{AtomicOp, BatchChip, CycleOps, TileSlots};
+use shenjing_hw::{occupancy, AtomicOp, BatchChip, CycleOps, TileSlots};
 use shenjing_mapper::{CompiledProgram, LogicalMapping};
 use shenjing_nn::Tensor;
 use shenjing_snn::SnnOutput;
@@ -50,12 +50,15 @@ pub struct DecodedProgram {
     /// What the optimizer did; `None` while the identity schedule is in
     /// place.
     pub(crate) optimize_stats: Option<OptimizeStats>,
+    /// The static occupancy check's verdict on `entries`.
+    pub(crate) verdict: Result<()>,
 }
 
 impl DecodedProgram {
     /// Decodes a compiled program: validates every coordinate the program
     /// references against the mesh and the mapped cores, materializes
-    /// weight blocks, and indexes the schedule by cycle.
+    /// weight blocks, indexes the schedule by cycle, and runs the static
+    /// occupancy check over it (see [`verify`](DecodedProgram::verify)).
     ///
     /// # Errors
     ///
@@ -120,10 +123,11 @@ impl DecodedProgram {
         }
 
         let schedule: Vec<(u64, Vec<(CoreCoord, AtomicOp)>)> = by_cycle.into_iter().collect();
-        let entries = schedule
+        let entries: Vec<CycleOps> = schedule
             .iter()
             .map(|(cycle, ops)| CycleOps::for_cycle(&tiles, *cycle, ops))
             .collect::<Result<_>>()?;
+        let verdict = occupancy::check(arch, &tiles, &entries);
 
         Ok(DecodedProgram {
             arch: arch.clone(),
@@ -135,6 +139,7 @@ impl DecodedProgram {
             thresholds,
             entries,
             optimize_stats: None,
+            verdict,
         })
     }
 
@@ -190,6 +195,18 @@ impl DecodedProgram {
     /// the execution hot loop and any schedule analysis read.
     pub fn entries(&self) -> &[CycleOps] {
         &self.entries
+    }
+
+    /// The static occupancy check's verdict ([`shenjing_hw::occupancy`])
+    /// on the schedule in place, taken by `decode` and again by
+    /// [`optimize`](DecodedProgram::optimize). [`BatchSim`] refuses a
+    /// program that fails it; only the [oracle](crate::oracle) runs one.
+    ///
+    /// # Errors
+    ///
+    /// The oracle's first error on a silent frame.
+    pub fn verify(&self) -> Result<()> {
+        self.verdict.clone()
     }
 }
 
@@ -302,8 +319,8 @@ impl CycleSim {
     ///
     /// # Errors
     ///
-    /// Returns mapping/bounds errors when the program references tiles or
-    /// planes outside the mesh.
+    /// Returns decode errors and the program's static occupancy verdict
+    /// ([`DecodedProgram::verify`]).
     pub fn new(
         arch: &ArchSpec,
         mapping: &LogicalMapping,
@@ -317,8 +334,7 @@ impl CycleSim {
     ///
     /// # Errors
     ///
-    /// Returns mapping/bounds errors when the program references tiles or
-    /// planes outside the mesh.
+    /// Same contract as [`BatchSim::from_decoded`].
     pub fn from_decoded(program: Arc<DecodedProgram>) -> Result<CycleSim> {
         Ok(CycleSim { sim: BatchSim::from_decoded(program, 1)? })
     }
@@ -346,8 +362,8 @@ impl CycleSim {
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] when the input length differs
-    /// from the mapped network's, and propagates any hardware-level
-    /// schedule violation (which would indicate a compiler bug).
+    /// from the mapped network's, and propagates the data-dependent
+    /// hardware errors (see [`BatchSim::run_batch`]).
     pub fn run_frame(&mut self, input: &Tensor, timesteps: u32) -> Result<SnnOutput> {
         let mut outputs = self.sim.run_batch(std::slice::from_ref(input), timesteps)?;
         Ok(outputs.remove(0))

@@ -90,9 +90,11 @@ pub fn verify(
 ///
 /// # Errors
 ///
-/// Returns instantiation errors and [`Error::InvalidConfig`] unless
-/// `inputs` holds between 1 and `batch` frames; run errors are
-/// *compared*, not propagated.
+/// Returns instantiation errors — the program's static occupancy verdict
+/// among them ([`DecodedProgram::verify`]) — and [`Error::InvalidConfig`]
+/// unless `inputs` holds between 1 and `batch` frames. Run errors, only
+/// overflows and delivery bounds for a checked program, are *compared*,
+/// not propagated.
 pub fn verify_lanes(
     program: &Arc<DecodedProgram>,
     inputs: &[Tensor],
@@ -267,6 +269,9 @@ mod tests {
         let calib = random_images(5, 6, 6, 1, 42);
         let mut snn = convert(&mut ann, &calib, &ConversionOptions::default()).unwrap();
         let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
+        // Table I's per-tile rules hold on the compiler's output: one
+        // core op per cycle, no two router ops of a family on one plane.
+        mapping.program.config.validate().unwrap();
         let mut sim = CycleSim::new(&arch, &mapping.logical, &mapping.program).unwrap();
         let inputs = random_images(3, 6, 6, 1, 43);
         let report = verify(&mut snn, &mut sim, &inputs, 20).unwrap();

@@ -4,8 +4,9 @@
 //! damage. This module injects representative faults into a compiled
 //! program — a dropped router operation (a stuck config-memory bit), a
 //! perturbed IF threshold (an SEU in the threshold register), a corrupted
-//! weight — and the test suite demonstrates that the equivalence checker
-//! or the execution itself reports every one of them.
+//! weight — and the test suite demonstrates that the static occupancy
+//! check ([`DecodedProgram::verify`](crate::DecodedProgram::verify)) or
+//! the equivalence checker reports every one of them.
 
 use shenjing_core::{Error, Result};
 use shenjing_hw::{AtomicOp, ConfigMemory};
@@ -95,8 +96,9 @@ pub fn inject_mapping(mapping: &Mapping, fault: Fault) -> Result<Mapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle_sim::CycleSim;
+    use crate::cycle_sim::{CycleSim, DecodedProgram};
     use crate::equivalence::verify;
+    use crate::oracle::OracleSim;
     use rand::{Rng, SeedableRng};
     use shenjing_core::ArchSpec;
     use shenjing_mapper::Mapper;
@@ -123,7 +125,7 @@ mod tests {
     }
 
     /// A fault is "caught" if the equivalence check reports a mismatch or
-    /// the damaged program fails to execute at all.
+    /// the damaged program fails to instantiate or execute at all.
     fn fault_is_caught(
         snn: &mut SnnNetwork,
         arch: &ArchSpec,
@@ -145,25 +147,37 @@ mod tests {
         let (mut snn, mapping, arch, inputs) = build();
         let total_ops = mapping.program.config.op_count();
         assert!(total_ops > 10);
-        let mut caught = 0usize;
-        let mut tried = 0usize;
-        // Sample every 3rd op to keep the test fast.
-        for index in (0..total_ops).step_by(3) {
+        let silent = Tensor::zeros(vec![40]);
+        let (mut refused, mut caught, mut ran) = (0usize, 0usize, 0usize);
+        for index in 0..total_ops {
             let damaged = inject(&mapping.program, Fault::DropOp { index }).unwrap();
-            tried += 1;
+            let program = DecodedProgram::decode(&arch, &mapping.logical, &damaged).unwrap();
+            let program = std::sync::Arc::new(program);
+            // The occupancy class is exact: a drop is refused statically
+            // precisely when the oracle fails a silent frame, with its
+            // error and source cycle.
+            let mut oracle = OracleSim::from_decoded(std::sync::Arc::clone(&program)).unwrap();
+            let on_silence = oracle.run_frame(&silent, 2).map(|_| ()).map_err(|f| f.error);
+            assert_eq!(program.verify(), on_silence, "dropped op {index}");
+            if on_silence.is_err() {
+                refused += 1;
+                continue;
+            }
+            ran += 1;
             if fault_is_caught(&mut snn, &arch, &mapping, &damaged, &inputs) {
                 caught += 1;
             }
         }
-        // Each op in the compiled schedule is load-bearing (the compiler
-        // emits no dead ops), but whether dropping one perturbs an output
-        // *on these inputs* depends on which spikes the RNG-drawn probe
-        // set happens to drive through it. Assert a high catch rate, not
-        // exact totality, so the test survives RNG-stream changes (see
-        // ROADMAP's SplitMix64 note).
+        // The rest run, and whether dropping one perturbs an output *on
+        // these inputs* depends on which spikes the RNG-drawn probe set
+        // happens to drive through it. Each op in the compiled schedule
+        // is load-bearing (the compiler emits no dead ops), so assert a
+        // high catch rate, not exact totality, so the test survives
+        // RNG-stream changes (see ROADMAP's SplitMix64 note).
+        assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran: both classes must occur");
         assert!(
-            caught * 20 >= tried * 19,
-            "only {caught}/{tried} dropped-op faults caught — dead ops in the schedule?"
+            caught * 20 >= ran * 19,
+            "only {caught}/{ran} running dropped-op faults caught ({refused} refused statically)"
         );
     }
 

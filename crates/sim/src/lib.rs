@@ -13,7 +13,10 @@
 //! chip model, and [`equivalence::verify_lanes`] states the only
 //! hardware-equivalence property there is: *lane `i` of a batched pass ≡
 //! the oracle's run of frame `i`* — outputs, per-tile state digests,
-//! errors with their source cycle.
+//! errors. Register occupancy is the program's, not the data's: a program
+//! that ever reads an empty register, writes a full one or drives data
+//! off the mesh fails [`DecodedProgram::verify`] with the oracle's own
+//! error, and [`BatchSim`] refuses to instantiate it.
 //!
 //! The simulator's defining obligation is **bit-exact agreement with the
 //! abstract SNN model**: the paper's Table IV shows identical accuracy

@@ -70,7 +70,8 @@ impl DecodedProgram {
     /// raw block — outputs, chip state, and every error with its
     /// original cycle number —
     /// [`verify_lanes`](crate::equivalence::verify_lanes) checks it and
-    /// the equivalence proptests enforce it.
+    /// the equivalence proptests enforce it. It re-runs the static
+    /// occupancy check ([`verify`](DecodedProgram::verify)) on the result.
     #[must_use]
     pub fn optimize(mut self) -> DecodedProgram {
         let tiles = std::sync::Arc::clone(&self.tiles);
@@ -143,6 +144,7 @@ impl DecodedProgram {
         }
 
         stats.compacted_cycles = entries.len() as u64;
+        self.verdict = shenjing_hw::occupancy::check(&self.arch, &tiles, &entries);
         self.entries = entries;
         self.optimize_stats = Some(stats);
         self

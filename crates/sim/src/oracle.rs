@@ -8,7 +8,8 @@
 //! entries, no move plan, no lanes. Every equivalence check in this
 //! crate is one statement against it — *lane `i` of a batched pass ≡ the
 //! oracle's run of frame `i`* — and it exists for those checks only:
-//! nothing serves from it.
+//! nothing serves from it. It ignores [`DecodedProgram::verify`], the
+//! verdict tested against it.
 
 use std::sync::Arc;
 

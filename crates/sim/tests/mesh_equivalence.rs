@@ -172,18 +172,18 @@ fn small_mapping() -> (ArchSpec, Mapping) {
     (arch, mapping)
 }
 
-/// Runs one frame on both meshes and both schedules — a two-lane pass,
-/// the single-frame front and the oracle — and returns the one error they
-/// must all report.
+/// On both meshes and both schedules, the oracle's error running one frame
+/// and the static verdict that refuses the program — as is, and as the
+/// two-lane replica and the single-frame front refuse it: the one error
+/// they must all report.
 fn the_error(arch: &ArchSpec, mapping: &Mapping) -> Error {
     let frame = Tensor::from_vec(vec![8], vec![0.7; 8]).unwrap();
     let mut errors = Vec::new();
     for program in both_meshes(arch, mapping).into_iter().flatten() {
         errors.push(oracle(&program).run_frame(&frame, 3).unwrap_err().error);
-        let mut front = CycleSim::from_decoded(Arc::clone(&program)).unwrap();
-        errors.push(front.run_frame(&frame, 3).unwrap_err());
-        let mut sim = batched(&program, 2);
-        errors.push(sim.run_batch(&[frame.clone(), frame.clone()], 3).unwrap_err());
+        errors.push(program.verify().unwrap_err());
+        errors.push(CycleSim::from_decoded(Arc::clone(&program)).unwrap_err());
+        errors.push(BatchSim::from_decoded(Arc::clone(&program), 2).unwrap_err());
     }
     assert!(errors.windows(2).all(|pair| pair[0] == pair[1]), "errors diverged: {errors:#?}");
     errors.remove(0)

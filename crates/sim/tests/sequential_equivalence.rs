@@ -17,10 +17,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use shenjing_core::{ArchSpec, W5};
-use shenjing_mapper::Mapper;
+use shenjing_hw::{AtomicOp, TileProgram};
+use shenjing_mapper::{Mapper, Mapping};
 use shenjing_nn::Tensor;
 use shenjing_sim::{
-    digest_batch_lane, digest_chip, verify_lanes, CycleSim, DecodedProgram, OracleSim,
+    digest_batch_lane, digest_chip, verify_lanes, BatchSim, CycleSim, DecodedProgram, OracleSim,
 };
 use shenjing_snn::{SnnLayer, SnnNetwork, SpikingDense};
 
@@ -37,7 +38,11 @@ fn dense_layer(weights: &[i32], n_in: usize, n_out: usize, theta: i32) -> SnnLay
 /// `snn` mapped on `arch`, as decoded (the identity schedule) and
 /// optimized (the compacted one).
 fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
-    let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
+    programs_of(arch, &Mapper::new(arch.clone()).map(snn).unwrap())
+}
+
+/// `mapping` decoded (the identity schedule) and optimized.
+fn programs_of(arch: &ArchSpec, mapping: &Mapping) -> [Arc<DecodedProgram>; 2] {
     let decode = || DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
     [Arc::new(decode()), Arc::new(decode().optimize())]
 }
@@ -187,5 +192,52 @@ fn saturated_frame_errors_identically_on_both_paths() {
         assert_eq!(front.run_frame(&input, 4).unwrap_err(), failure.error);
         let report = verify_lanes(&program, std::slice::from_ref(&input), 4, 1).unwrap();
         assert!(report.is_exact(), "matching errors must count as exact frames: {report:?}");
+    }
+}
+
+/// A frame's output must not depend on the frame served before it. Here a
+/// one-core 8 → 4 layer's `spk.SPIKE` (from the local sums) is moved
+/// before its cycle-0 `ACC`, so each frame's first timestep integrates the
+/// sums left in the core when it starts. The frame reset must zero them —
+/// on the oracle, and on a batched lane reused after another frame — so
+/// frame C comes out the same after a loud frame, after a silent one and
+/// on a fresh replica.
+#[test]
+fn a_frame_never_reads_the_sums_the_frame_before_it_left() {
+    let arch = ArchSpec::tiny();
+    let weights: Vec<i32> = (0..8 * 4).map(|i| (i % 31) - 15).collect();
+    let snn = SnnNetwork::new(vec![dense_layer(&weights, 8, 4, 5)]).unwrap();
+    let mut mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
+    let tile = mapping.program.core_at[0].0;
+    let ops: Vec<AtomicOp> =
+        mapping.program.config.program(tile).unwrap().iter().map(|(_, op)| op.clone()).collect();
+    let (spike, acc) = match &ops[..] {
+        [acc @ AtomicOp::Core(_), spike @ AtomicOp::Spike(_)] => (spike.clone(), acc.clone()),
+        other => panic!("expected an ACC and a SPIKE, got {other:?}"),
+    };
+    let reordered = mapping.program.config.program_mut(tile);
+    *reordered = TileProgram::new();
+    reordered.push(0, spike);
+    reordered.push(0, acc);
+
+    let frame = |level: f64| Tensor::from_vec(vec![8], vec![level; 8]).unwrap();
+    let (loud, silent, c) = (frame(1.0), frame(0.0), frame(0.45));
+    for program in programs_of(&arch, &mapping) {
+        program.verify().unwrap();
+        let after = |first: &Tensor| {
+            let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+            oracle.run_frame(first, 4).unwrap();
+            oracle.run_frame(&c, 4).unwrap()
+        };
+        let fresh =
+            OracleSim::from_decoded(Arc::clone(&program)).unwrap().run_frame(&c, 4).unwrap();
+        assert_eq!(after(&loud), fresh, "frame C after a loud frame (oracle)");
+        assert_eq!(after(&silent), fresh, "frame C after a silent frame (oracle)");
+
+        let mut reused = BatchSim::from_decoded(Arc::clone(&program), 2).unwrap();
+        reused.run_batch(&[loud.clone(), loud.clone()], 4).unwrap();
+        assert_eq!(reused.run_batch(std::slice::from_ref(&c), 4).unwrap(), [fresh]);
+        let report = verify_lanes(&program, &[loud.clone(), c.clone(), silent.clone()], 4, 3);
+        assert!(report.unwrap().is_exact(), "lanes start clean; so must the oracle's frames");
     }
 }
