@@ -7,6 +7,12 @@
 //! data, and every timestep starts from empty network state. So [`check`]
 //! walks one timestep once, over occupancy words alone, and the batched
 //! engine ([`BatchChip`](crate::BatchChip)) carries payload only.
+//!
+//! The verdict of an accepted schedule is its [`Footprint`]: the planes
+//! of every (tile, register file) the walk ever puts or fills. A checked
+//! schedule reads a register only after writing it in the same timestep,
+//! so those are the only registers it can observe, and a replica stores
+//! payload for them alone.
 
 use shenjing_core::{ArchSpec, Direction, Error, Result};
 
@@ -17,14 +23,51 @@ use crate::plane::PlaneSet;
 use crate::sched::{CycleOps, PortDst, PortOut, ScheduledOp};
 
 /// A tile's register files (PS inputs, outputs, accumulation, ejection;
-/// spike inputs, outputs), one occupancy word per 64 planes each.
-const PS_IN: usize = 0;
-const PS_OUT: usize = 4;
-const SUM: usize = 8;
-const EJECT: usize = 9;
-const SPIKE_IN: usize = 10;
-const SPIKE_OUT: usize = 14;
-const FILES: usize = 18;
+/// spike inputs, outputs; the IF state — membrane potentials and spike
+/// buffers — that `SPIKE` writes and spike `SEND` reads), one occupancy
+/// word per 64 planes each. The IF file has no occupancy rule: both ops
+/// count as a [`Use::Fill`] of it, so it only gathers a footprint.
+pub(crate) const PS_IN: usize = 0;
+pub(crate) const PS_OUT: usize = 4;
+pub(crate) const SUM: usize = 8;
+pub(crate) const EJECT: usize = 9;
+pub(crate) const SPIKE_IN: usize = 10;
+pub(crate) const SPIKE_OUT: usize = 14;
+pub(crate) const IF: usize = 18;
+const FILES: usize = 19;
+
+/// The registers a checked schedule can hold payload in: per live tile
+/// slot and register file, the planes the walk ever puts or fills. Built
+/// by [`check`]; [`Footprint::all`] names every register, the footprint of
+/// a chip built without a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Footprint {
+    /// Plane words per file.
+    words: usize,
+    /// `[slot][file][word]`.
+    bits: Vec<u64>,
+}
+
+impl Footprint {
+    /// Every plane of every register file of `tiles` tiles.
+    pub fn all(arch: &ArchSpec, tiles: usize) -> Footprint {
+        let words = usize::from(arch.core_neurons).div_ceil(64);
+        let file = (0..words).map(|w| PlaneSet::All.word(w, arch.core_neurons));
+        let bits = file.cycle().take(tiles * FILES * words).collect();
+        Footprint { words, bits }
+    }
+
+    /// Number of tile slots covered.
+    pub fn tiles(&self) -> usize {
+        self.bits.len() / (FILES * self.words)
+    }
+
+    /// The plane words of `files` on `slot`, `[file][word]`.
+    pub(crate) fn files(&self, slot: usize, files: std::ops::Range<usize>) -> &[u64] {
+        let at = |file| (slot * FILES + file) * self.words;
+        &self.bits[at(files.start)..at(files.end)]
+    }
+}
 
 /// What an op does to a register file on its planes: `Take` empties and
 /// `Read` reads it, both needing it full; `Put` fills it, needing it
@@ -44,27 +87,31 @@ enum Use {
 /// destination; inside a transfer a link that leads nowhere before PS,
 /// then spike, input contention.
 ///
+/// Returns the schedule's [`Footprint`].
+///
 /// # Errors
 ///
 /// The oracle's first error on a silent frame — variant, reason and
 /// source cycle: [`Error::InvalidControl`] for a read of an empty
 /// register or an invalid `ACC` bank mask, [`Error::InvalidSchedule`] for
 /// contention and for data driven off the mesh or into an idle tile.
-pub fn check(arch: &ArchSpec, slots: &TileSlots, entries: &[CycleOps]) -> Result<()> {
+pub fn check(arch: &ArchSpec, slots: &TileSlots, entries: &[CycleOps]) -> Result<Footprint> {
     let words = usize::from(arch.core_neurons).div_ceil(64);
-    let mut occ = Occupancy { arch, words, bits: vec![0; slots.len() * FILES * words] };
+    let empty = Footprint { words, bits: vec![0; slots.len() * FILES * words] };
+    let mut occ = Occupancy { arch, bits: empty.bits.clone(), footprint: empty };
     for entry in entries {
         entry.ops.iter().try_for_each(|s| occ.exec(s))?;
         occ.transfer(&entry.out_ports, entry.transfer_cycle)?;
     }
-    Ok(())
+    Ok(occ.footprint)
 }
 
 struct Occupancy<'a> {
     arch: &'a ArchSpec,
-    words: usize,
-    /// `[slot][file][word]`.
+    /// `[slot][file][word]`: the registers holding data now.
     bits: Vec<u64>,
+    /// Every register `bits` has held so far.
+    footprint: Footprint,
 }
 
 fn port(dir: Direction) -> usize {
@@ -73,14 +120,20 @@ fn port(dir: Direction) -> usize {
 
 impl Occupancy<'_> {
     fn word(&mut self, tile: usize, file: usize, w: usize) -> &mut u64 {
-        &mut self.bits[(tile * FILES + file) * self.words + w]
+        &mut self.bits[(tile * FILES + file) * self.footprint.words + w]
+    }
+
+    /// Fills the registers `sel` of word `w` of a file.
+    fn fill(&mut self, tile: usize, file: usize, w: usize, sel: u64) {
+        *self.word(tile, file, w) |= sel;
+        self.footprint.bits[(tile * FILES + file) * self.footprint.words + w] |= sel;
     }
 
     /// Applies `uses` on `set` of `tile`, a word at a time, or returns the
     /// lowest plane at fault and the first use faulting there.
     fn apply(&mut self, tile: usize, set: &PlaneSet, uses: &[Option<Use>]) -> Option<(u16, Use)> {
         let uses = || uses.iter().flatten().copied();
-        for w in 0..self.words {
+        for w in 0..self.footprint.words {
             let sel = set.word(w, self.arch.core_neurons);
             let mut bad = |u: Use| match u {
                 Use::Take(f) | Use::Read(f) => sel & !*self.word(tile, f, w),
@@ -96,7 +149,7 @@ impl Occupancy<'_> {
             for u in uses() {
                 match u {
                     Use::Take(f) => *self.word(tile, f, w) &= !sel,
-                    Use::Put(f) | Use::Fill(f) => *self.word(tile, f, w) |= sel,
+                    Use::Put(f) | Use::Fill(f) => self.fill(tile, f, w, sel),
                     Use::Read(_) => {}
                 }
             }
@@ -130,9 +183,9 @@ impl Occupancy<'_> {
                 let put = |d: Direction| Some(Use::Put(SPIKE_OUT + port(d)));
                 let uses = match op {
                     SpikeRouterOp::Spike { from_ps_router, .. } => {
-                        [from_ps_router.then_some(Use::Take(EJECT)), None]
+                        [from_ps_router.then_some(Use::Take(EJECT)), Some(Use::Fill(IF))]
                     }
-                    SpikeRouterOp::Send { dst, .. } => [None, put(*dst)],
+                    SpikeRouterOp::Send { dst, .. } => [Some(Use::Fill(IF)), put(*dst)],
                     SpikeRouterOp::Bypass { src, dst, .. } => {
                         [Some(Use::Take(SPIKE_IN + port(*src))), dst.and_then(put)]
                     }
@@ -177,7 +230,7 @@ impl Occupancy<'_> {
     fn transfer(&mut self, ports: &[PortOut], cycle: u64) -> Result<()> {
         let fail = |reason| Err(Error::InvalidSchedule { cycle, reason });
         for p in ports.iter().filter(|p| !matches!(p.dst, PortDst::Tile(_))) {
-            for w in 0..self.words {
+            for w in 0..self.footprint.words {
                 let ps = *self.word(p.tile, PS_OUT + port(p.dir), w);
                 let pending = ps | *self.word(p.tile, SPIKE_OUT + port(p.dir), w);
                 if pending == 0 {
@@ -199,7 +252,7 @@ impl Occupancy<'_> {
             for p in ports {
                 let PortDst::Tile(dst) = p.dst else { continue };
                 let (from, at) = (out + port(p.dir), p.dir.opposite());
-                for w in 0..self.words {
+                for w in 0..self.footprint.words {
                     let pending = std::mem::take(self.word(p.tile, from, w));
                     let held = pending & *self.word(dst, into + port(at), w);
                     if held != 0 {
@@ -208,7 +261,7 @@ impl Occupancy<'_> {
                             "{noc} input register contention at port {at}, plane {plane}"
                         ));
                     }
-                    *self.word(dst, into + port(at), w) |= pending;
+                    self.fill(dst, into + port(at), w, pending);
                 }
             }
         }
@@ -227,15 +280,17 @@ mod tests {
     type Cycle = Vec<(CoreCoord, AtomicOp)>;
 
     /// Runs `cycles` (cycle 0 onward) on the scalar chip and through the
-    /// check, and returns the one verdict both must give.
-    fn on_chip_and_check(slots: &Arc<TileSlots>, cycles: &[Cycle]) -> Result<()> {
+    /// check, and returns the one verdict both must give, with the
+    /// footprint of an accepted schedule.
+    fn on_chip_and_check(slots: &Arc<TileSlots>, cycles: &[Cycle]) -> Result<Footprint> {
         let arch = ArchSpec::tiny();
         let mut scalar = Chip::with_tiles(&arch, Arc::clone(slots)).unwrap();
         let oracle = (0..).zip(cycles).try_for_each(|(c, ops)| scalar.exec_cycle(c, ops));
         let entries: Vec<CycleOps> =
             (0..).zip(cycles).map(|(c, ops)| CycleOps::for_cycle(slots, c, ops).unwrap()).collect();
-        assert_eq!(check(&arch, slots, &entries), oracle);
-        oracle
+        let verdict = check(&arch, slots, &entries);
+        assert_eq!(verdict.as_ref().map(|_| ()), oracle.as_ref().map(|_| ()));
+        verdict
     }
 
     fn all(rows: u16, cols: u16) -> Arc<TileSlots> {
@@ -456,6 +511,20 @@ mod tests {
                 (here, AtomicOp::Core(NeuronCoreOp::Acc { banks: 0b1111 })),
             ],
         ];
-        assert_eq!(on_chip_and_check(&all(1, 2), &cycles), Ok(()));
+        let footprint = on_chip_and_check(&all(1, 2), &cycles).unwrap();
+        // The footprint is what was put or filled: planes 1..4 out of
+        // (0,1)'s west port and into (0,0)'s east one, 1 and 2 summed,
+        // ejected and integrated — nothing else, on neither tile.
+        let named = |slot, file: usize| footprint.files(slot, file..file + 1)[0];
+        let (sent, folded) = (0b1_1110, 0b110);
+        assert_eq!(named(1, PS_OUT + port(Direction::West)), sent);
+        assert_eq!(named(0, PS_IN + port(Direction::East)), sent);
+        assert_eq!([SUM, EJECT, IF].map(|f| named(0, f)), [folded; 3]);
+        let planes =
+            |slot| footprint.files(slot, 0..FILES).iter().map(|w| w.count_ones()).sum::<u32>();
+        assert_eq!([planes(0), planes(1)], [4 + 2 + 2 + 2, 4]);
+        assert_eq!(footprint.tiles(), 2);
+        let all = Footprint::all(&ArchSpec::tiny(), 2);
+        assert!(all.files(1, 0..FILES).iter().all(|&w| w == 0xFFFF), "every plane of 16");
     }
 }

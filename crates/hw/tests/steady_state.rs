@@ -8,6 +8,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use shenjing_core::{ArchSpec, CoreCoord, Direction, W5};
+use shenjing_hw::occupancy::{self, Footprint};
 use shenjing_hw::{
     AtomicOp, BatchChip, CycleOps, NeuronCoreOp, PlaneSet, PsDst, PsRouterOp, PsSendSource,
     SpikeRouterOp, TileSlots,
@@ -110,9 +111,9 @@ fn steady_cycle() -> Vec<(CoreCoord, AtomicOp)> {
     ]
 }
 
-fn loaded_chip(slots: &Arc<TileSlots>, k: usize) -> BatchChip {
+fn loaded_chip(slots: &Arc<TileSlots>, footprint: &Footprint, k: usize) -> BatchChip {
     let arch = ArchSpec::tiny();
-    let mut chip = BatchChip::with_tiles(&arch, Arc::clone(slots), 4).unwrap();
+    let mut chip = BatchChip::with_tiles(&arch, Arc::clone(slots), footprint, 4).unwrap();
     chip.set_occupied(k).unwrap();
     let west = chip.tile_mut(CoreCoord::new(0, 0)).unwrap();
     for a in 0..arch.core_inputs {
@@ -140,10 +141,14 @@ fn steady_state_passes_allocate_nothing() {
     // high-water mark; the IF dynamics here are periodic, so a warm-up
     // of many periods reaches it.
     const WARM: u64 = 60;
+    let prologue = plan(&ops[..4], 0);
     let entries: Vec<CycleOps> = (1..2 * WARM).map(|cycle| plan(&ops, cycle)).collect();
+    // The pipeline is a legal schedule, so the chip holds its footprint.
+    let schedule = [std::slice::from_ref(&prologue), &entries].concat();
+    let footprint = occupancy::check(&ArchSpec::tiny(), &slots, &schedule).unwrap();
     for k in [4, 2, 1] {
-        let mut chip = loaded_chip(&slots, k);
-        chip.exec_ops(&plan(&ops[..4], 0), &mut ()).unwrap();
+        let mut chip = loaded_chip(&slots, &footprint, k);
+        chip.exec_ops(&prologue, &mut ()).unwrap();
         let (warm_up, steady) = entries.split_at(WARM as usize - 1);
         warm_up.iter().for_each(|entry| chip.exec_ops(entry, &mut ()).unwrap());
 

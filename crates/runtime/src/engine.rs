@@ -58,8 +58,7 @@ impl Engine for BatchSim {
                 self.batch()
             )));
         }
-        let prefix: Vec<usize> = (0..frames).collect();
-        self.set_occupied_lanes(&prefix)
+        self.set_occupied(frames)
     }
 
     fn execute(&mut self, inputs: &[Tensor], timesteps: u32) -> Vec<Result<SnnOutput>> {
@@ -72,8 +71,8 @@ impl Engine for BatchSim {
     }
 
     fn drain(&mut self) {
-        // An empty lane list always validates.
-        let _ = self.set_occupied_lanes(&[]);
+        // No lanes always fit.
+        let _ = self.set_occupied(0);
     }
 
     fn set_profiling(&mut self, on: bool) {

@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use shenjing_core::{ArchSpec, CoreCoord, Error, Result, W5};
-use shenjing_hw::{occupancy, AtomicOp, BatchChip, CycleOps, TileSlots};
+use shenjing_hw::occupancy::{self, Footprint};
+use shenjing_hw::{AtomicOp, BatchChip, CycleOps, TileSlots};
 use shenjing_mapper::{CompiledProgram, LogicalMapping};
 use shenjing_nn::Tensor;
 use shenjing_snn::SnnOutput;
@@ -50,8 +51,10 @@ pub struct DecodedProgram {
     /// What the optimizer did; `None` while the identity schedule is in
     /// place.
     pub(crate) optimize_stats: Option<OptimizeStats>,
-    /// The static occupancy check's verdict on `entries`.
-    pub(crate) verdict: Result<()>,
+    /// The static occupancy check's verdict on `entries`: the registers
+    /// the schedule can hold payload in, which size every replica, or the
+    /// oracle's error.
+    pub(crate) verdict: Result<Footprint>,
 }
 
 impl DecodedProgram {
@@ -206,7 +209,17 @@ impl DecodedProgram {
     ///
     /// The oracle's first error on a silent frame.
     pub fn verify(&self) -> Result<()> {
-        self.verdict.clone()
+        self.footprint().map(|_| ())
+    }
+
+    /// The registers the verified schedule can hold payload in — what
+    /// every replica allocates.
+    ///
+    /// # Errors
+    ///
+    /// The verdict's error, as [`verify`](DecodedProgram::verify).
+    pub fn footprint(&self) -> Result<&Footprint> {
+        self.verdict.as_ref().map_err(Clone::clone)
     }
 }
 

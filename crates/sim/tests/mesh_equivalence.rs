@@ -371,7 +371,7 @@ fn a_thousand_churned_passes_leave_a_replica_like_new() {
         let inputs: Vec<Tensor> = (0..k).map(|i| frames[(i + offset) % LANES].clone()).collect();
         churned.run_batch(&inputs, 2).unwrap();
         if next() % 3 == 0 {
-            churned.set_occupied_lanes(&[]).unwrap();
+            churned.set_occupied(0).unwrap();
         }
     }
 
