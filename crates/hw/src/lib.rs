@@ -19,9 +19,9 @@
 //! The production model is [`BatchChip`] and its components ([`batch`]):
 //! the same schedule advancing many frames per pass, paying for activity
 //! instead of capacity, and tested lane by lane against the oracle. It
-//! carries payload only: the static [`occupancy`] check proves a
-//! program's register moves once, and the registers it names are the
-//! only ones a replica stores.
+//! carries payload only and cannot fail: the static [`occupancy`] check
+//! proves a program's register moves, value ranges and deliveries once,
+//! and the registers it names are the only ones a replica stores.
 //!
 //! Control follows Table I of the paper: every component is driven each
 //! cycle by an *atomic operation* ([`ops`]) whose encoding into raw control

@@ -64,8 +64,9 @@ impl Engine for BatchSim {
     fn execute(&mut self, inputs: &[Tensor], timesteps: u32) -> Vec<Result<SnnOutput>> {
         match self.run_occupied(inputs, timesteps) {
             Ok(outputs) => outputs.into_iter().map(Ok).collect(),
-            // A run-time error (an overflow, a delivery past a core's
-            // axons) poisons the whole batch; every rider learns why.
+            // Only input validation can fail — the program was proven at
+            // compile time — and it fails the whole batch; every rider
+            // learns why.
             Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
         }
     }

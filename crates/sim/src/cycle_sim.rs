@@ -51,9 +51,9 @@ pub struct DecodedProgram {
     /// What the optimizer did; `None` while the identity schedule is in
     /// place.
     pub(crate) optimize_stats: Option<OptimizeStats>,
-    /// The static occupancy check's verdict on `entries`: the registers
-    /// the schedule can hold payload in, which size every replica, or the
-    /// oracle's error.
+    /// The static program check's verdict on `entries` and the weight
+    /// blocks: the registers the schedule can hold payload in, which size
+    /// every replica, or the oracle's error.
     pub(crate) verdict: Result<Footprint>,
 }
 
@@ -61,7 +61,7 @@ impl DecodedProgram {
     /// Decodes a compiled program: validates every coordinate the program
     /// references against the mesh and the mapped cores, materializes
     /// weight blocks, indexes the schedule by cycle, and runs the static
-    /// occupancy check over it (see [`verify`](DecodedProgram::verify)).
+    /// program check over it (see [`verify`](DecodedProgram::verify)).
     ///
     /// # Errors
     ///
@@ -130,7 +130,7 @@ impl DecodedProgram {
             .iter()
             .map(|(cycle, ops)| CycleOps::for_cycle(&tiles, *cycle, ops))
             .collect::<Result<_>>()?;
-        let verdict = occupancy::check(arch, &tiles, &entries);
+        let verdict = occupancy::check(arch, &tiles, &entries, &weight_blocks);
 
         Ok(DecodedProgram {
             arch: arch.clone(),
@@ -200,14 +200,16 @@ impl DecodedProgram {
         &self.entries
     }
 
-    /// The static occupancy check's verdict ([`shenjing_hw::occupancy`])
-    /// on the schedule in place, taken by `decode` and again by
+    /// The static program check's verdict ([`shenjing_hw::occupancy`])
+    /// on the schedule in place and the weights — occupancy, sum ranges,
+    /// deliveries — taken by `decode` and again by
     /// [`optimize`](DecodedProgram::optimize). [`BatchSim`] refuses a
     /// program that fails it; only the [oracle](crate::oracle) runs one.
     ///
     /// # Errors
     ///
-    /// The oracle's first error on a silent frame.
+    /// The oracle's first error on a silent frame, else on a witness frame
+    /// (see [`occupancy::check`]).
     pub fn verify(&self) -> Result<()> {
         self.footprint().map(|_| ())
     }
@@ -332,7 +334,7 @@ impl CycleSim {
     ///
     /// # Errors
     ///
-    /// Returns decode errors and the program's static occupancy verdict
+    /// Returns decode errors and the program's static verdict
     /// ([`DecodedProgram::verify`]).
     pub fn new(
         arch: &ArchSpec,
@@ -375,8 +377,8 @@ impl CycleSim {
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] when the input length differs
-    /// from the mapped network's, and propagates the data-dependent
-    /// hardware errors (see [`BatchSim::run_batch`]).
+    /// from the mapped network's and [`Error::InvalidConfig`] for zero
+    /// timesteps (see [`BatchSim::run_batch`]).
     pub fn run_frame(&mut self, input: &Tensor, timesteps: u32) -> Result<SnnOutput> {
         let mut outputs = self.sim.run_batch(std::slice::from_ref(input), timesteps)?;
         Ok(outputs.remove(0))

@@ -4,7 +4,7 @@
 //! damage. This module injects representative faults into a compiled
 //! program — a dropped router operation (a stuck config-memory bit), a
 //! perturbed IF threshold (an SEU in the threshold register), a corrupted
-//! weight — and the test suite demonstrates that the static occupancy
+//! weight — and the test suite demonstrates that the static program
 //! check ([`DecodedProgram::verify`](crate::DecodedProgram::verify)) or
 //! the equivalence checker reports every one of them.
 

@@ -12,11 +12,13 @@
 //! runs the same program one frame at a time on the scalar, per-register
 //! chip model, and [`equivalence::verify_lanes`] states the only
 //! hardware-equivalence property there is: *lane `i` of a batched pass ≡
-//! the oracle's run of frame `i`* — outputs, per-tile state digests,
-//! errors. Register occupancy is the program's, not the data's: a program
-//! that ever reads an empty register, writes a full one or drives data
-//! off the mesh fails [`DecodedProgram::verify`] with the oracle's own
-//! error, and [`BatchSim`] refuses to instantiate it.
+//! the oracle's run of frame `i`* — outputs and per-tile state digests.
+//! Register occupancy and arithmetic range are the program's, not the
+//! data's: a program that ever reads an empty register, writes a full
+//! one, drives data off the mesh, can overflow an adder or delivers past
+//! a core's axons fails [`DecodedProgram::verify`] with the oracle's own
+//! error, and [`BatchSim`] refuses to instantiate it — so a pass cannot
+//! fail.
 //!
 //! The simulator's defining obligation is **bit-exact agreement with the
 //! abstract SNN model**: the paper's Table IV shows identical accuracy

@@ -67,11 +67,10 @@ impl DecodedProgram {
     ///
     /// Bit-exactness is the contract: executing either schedule is
     /// indistinguishable, lane by lane, from the oracle's walk over the
-    /// raw block — outputs, chip state, and every error with its
-    /// original cycle number —
+    /// raw block — outputs and chip state —
     /// [`verify_lanes`](crate::equivalence::verify_lanes) checks it and
-    /// the equivalence proptests enforce it. It re-runs the static
-    /// occupancy check ([`verify`](DecodedProgram::verify)) on the result.
+    /// the equivalence proptests enforce it. It re-runs the static program
+    /// check ([`verify`](DecodedProgram::verify)) on the result.
     #[must_use]
     pub fn optimize(mut self) -> DecodedProgram {
         let tiles = std::sync::Arc::clone(&self.tiles);
@@ -144,7 +143,8 @@ impl DecodedProgram {
         }
 
         stats.compacted_cycles = entries.len() as u64;
-        self.verdict = shenjing_hw::occupancy::check(&self.arch, &tiles, &entries);
+        self.verdict =
+            shenjing_hw::occupancy::check(&self.arch, &tiles, &entries, &self.weight_blocks);
         self.entries = entries;
         self.optimize_stats = Some(stats);
         self

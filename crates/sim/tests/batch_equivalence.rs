@@ -7,8 +7,7 @@
 //! `B` runs of the [`OracleSim`] — the scalar chip, one frame at a time,
 //! every cycle of the raw block, every register probed — produce: every
 //! spike of every timestep, every residual potential, the state of every
-//! live tile afterwards, and for a pass that fails the oracle's error
-//! with its source cycle. [`verify_lanes`] is that one statement; this
+//! live tile afterwards. [`verify_lanes`] is that one statement; this
 //! file drives it over random small networks, weights, inputs, timestep
 //! counts and — crucially — the full activity-density × batch-width ×
 //! occupancy grid (silent through saturating, widths including `B = 1`,
@@ -18,7 +17,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use shenjing_core::{ArchSpec, W5};
+use shenjing_core::{ArchSpec, Error, W5};
 use shenjing_mapper::Mapper;
 use shenjing_nn::Tensor;
 use shenjing_sim::{
@@ -221,13 +220,16 @@ proptest! {
         }
     }
 
-    /// Overflow-inducing weights on an oversized custom core: batches
-    /// whose running `ACC` sum leaves the 13-bit accumulator must fail
-    /// with exactly the oracle's error for the frame that fails first —
-    /// on the identity schedule and on the compacted one.
+    /// Maximal positive weights on an oversized custom core: the program
+    /// check refuses exactly the cores whose column sums can leave the
+    /// 13-bit accumulator, with the variant and width the oracle raises
+    /// on the all-ones witness frame, and no replica is built; an
+    /// accepted core runs lane-exact with the witness, hot frames and a
+    /// cold one riding together — on the identity schedule and on the
+    /// compacted one.
     #[test]
     fn batched_oversized_core_overflow_matches_reference(
-        n_in in 280usize..=400,
+        n_in in 260usize..=320,
         theta in 1i32..=30,
         batch in 1usize..=3usize,
         timesteps in 1u32..=3,
@@ -242,17 +244,29 @@ proptest! {
             chip_cols: 4,
             ..ArchSpec::tiny()
         };
-        // All-positive maximal weights: a dense-enough lane overflows the
-        // local accumulator partway through the checked sweep; a cold
-        // lane riding along (when `cold_lane` names one) does not.
         let weights = vec![magnitude; n_in * 2];
         let snn = SnnNetwork::new(vec![dense_layer(&weights, n_in, 2, theta)]).unwrap();
+        let level = |lane| match lane {
+            0 => 1.0,
+            _ if lane == cold_lane => 0.05,
+            _ => density,
+        };
         let inputs: Vec<Tensor> = (0..batch)
-            .map(|lane| {
-                let level = if lane == cold_lane { 0.05 } else { density };
-                Tensor::from_vec(vec![n_in], vec![level; n_in]).unwrap()
-            })
+            .map(|lane| Tensor::from_vec(vec![n_in], vec![level(lane); n_in]).unwrap())
             .collect();
-        assert_lanes_equal_oracle(&snn, &arch, &inputs, timesteps, batch);
+        if n_in as i32 * magnitude <= 4095 {
+            assert_lanes_equal_oracle(&snn, &arch, &inputs, timesteps, batch);
+            continue;
+        }
+        for program in programs(&snn, &arch) {
+            let refusal = program.verify().unwrap_err();
+            let width = |e: &Error| matches!(e, Error::SumOverflow { bits: 13, .. });
+            prop_assert!(width(&refusal), "{refusal:?}");
+            let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+            let witnessed = oracle.run_frame(&inputs[0], timesteps).unwrap_err().error;
+            prop_assert!(width(&witnessed), "{witnessed:?}");
+            let refused = BatchSim::from_decoded(Arc::clone(&program), batch).unwrap_err();
+            prop_assert_eq!(refused, refusal);
+        }
     }
 }

@@ -283,9 +283,10 @@ fn an_off_edge_port_is_reported_before_an_earlier_ports_contention() {
 }
 
 /// ACC overflow on *two* tiles in one cycle: 300 maximal-weight inputs
-/// into two 16-neuron output tiles on 512-input cores. The batched engine
-/// and the oracle, on both meshes, must report the first tile's overflow
-/// — same variant, same value.
+/// into two 16-neuron output tiles on 512-input cores. On both meshes
+/// and both schedules the program check refuses with the first tile's
+/// bound, 300 × 15, the oracle's saturated frame overflows the same
+/// accumulator width, and neither engine builds a replica.
 #[test]
 fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let arch = ArchSpec {
@@ -299,14 +300,13 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let snn = SnnNetwork::new(vec![dense_layer(&weights, 300, 18, 10)]).unwrap();
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
     let input = Tensor::from_vec(vec![300], vec![1.0; 300]).unwrap();
+    let refusal = Error::SumOverflow { value: 300 * 15, bits: 13 };
     for program in both_meshes(&arch, &mapping).into_iter().flatten() {
-        let want = oracle(&program).run_frame(&input, 4).unwrap_err().error;
-        assert!(
-            matches!(want, Error::SumOverflow { bits: 13, .. }),
-            "expected a local accumulator overflow, got {want:?}"
-        );
-        let mut sim = batched(&program, 2);
-        assert_eq!(sim.run_batch(&[input.clone(), input.clone()], 4).unwrap_err(), want);
+        assert_eq!(program.verify(), Err(refusal.clone()));
+        let witnessed = oracle(&program).run_frame(&input, 4).unwrap_err().error;
+        assert_eq!(witnessed, Error::SumOverflow { value: 274 * 15, bits: 13 });
+        assert_eq!(BatchSim::from_decoded(Arc::clone(&program), 2).unwrap_err(), refusal);
+        assert_eq!(CycleSim::from_decoded(Arc::clone(&program)).unwrap_err(), refusal);
     }
 }
 
