@@ -84,7 +84,7 @@ fn main() {
     );
     for (id, m) in [("mnist-mlp", &mlp), ("cifar-cnn", &cnn)] {
         let raw = m.block_cycles();
-        let compacted = m.program().compacted_cycles().unwrap_or(raw);
+        let compacted = m.program().optimize_stats().compacted_cycles;
         eprintln!(
             "  {id} schedule: {raw} raw cycles/pass -> {compacted} compacted ({:.1}x)",
             raw as f64 / compacted as f64,

@@ -13,12 +13,10 @@ fn bench_sim(c: &mut Criterion) {
     let arch = ArchSpec::paper();
     let snn = snn_from_specs(&NetworkKind::MnistMlp.specs(), (28, 28, 1), 7).unwrap();
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
-    // The production shape: decode once, run the schedule optimizer, and
-    // execute the compacted schedule (what `CompiledModel::compile`
-    // serves).
-    let program = Arc::new(
-        DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
-    );
+    // The production shape: decode once — which compacts the schedule —
+    // and execute it (what `CompiledModel::compile` serves).
+    let program =
+        Arc::new(DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap());
     let mut sim = CycleSim::from_decoded(program).unwrap();
     let input =
         Tensor::from_vec(vec![784], (0..784).map(|i| (i % 7) as f64 / 7.0).collect()).unwrap();

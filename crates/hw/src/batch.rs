@@ -1327,8 +1327,8 @@ mod tests {
         W5::new(v).unwrap()
     }
 
-    /// Runs one cycle's `(tile, op)` list as an unoptimized program
-    /// does: one entry per cycle.
+    /// Runs one cycle's `(tile, op)` list as one entry, nothing folded
+    /// in.
     fn exec_cycle(chip: &mut BatchChip, cycle: u64, ops: &[(CoreCoord, AtomicOp)]) -> Result<()> {
         let entry = CycleOps::for_cycle(&chip.slots, cycle, ops)?;
         chip.exec_ops(&entry, &mut ());

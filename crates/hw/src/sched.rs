@@ -6,8 +6,10 @@
 //! drive, on which planes and where they lead, the tiles that may have
 //! queued deliveries — so the per-pass hot loop (`BatchChip::exec_ops`)
 //! only walks pre-resolved lists, which [`crate::occupancy`] checks once
-//! per program. The scalar [`Chip`](crate::Chip), the oracle, keeps
-//! walking the raw pairs.
+//! per program. A decoded program carries exactly one such schedule, the
+//! compacted one; the scalar [`Chip`](crate::Chip), the oracle, keeps
+//! walking the raw pairs, so every equivalence check holds the
+//! compaction to them.
 //!
 //! One entry covers a *run* of source cycles: zero or more statically
 //! passive cycles (no port-output producers, no delivery-queueing ops)
@@ -129,7 +131,9 @@ impl CycleOps {
     }
 
     /// One scheduled cycle as an entry of its own, nothing folded in —
-    /// the unit of the identity schedule an unoptimized program walks.
+    /// how hardware-level tests hand a cycle's ops to
+    /// `BatchChip::exec_ops` and [`crate::occupancy::check`]. A decoded
+    /// program's entries come from the compacting optimizer instead.
     ///
     /// # Errors
     ///

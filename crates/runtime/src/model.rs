@@ -58,10 +58,9 @@ impl CompiledModel {
     }
 
     /// Decodes an already-computed mapping (useful when the caller needs
-    /// the [`Mapping`] for statistics or a custom placement strategy),
-    /// then runs the schedule optimizer
-    /// ([`DecodedProgram::optimize`]) so every replica instantiated from
-    /// this artifact executes the compacted schedule.
+    /// the [`Mapping`] for statistics or a custom placement strategy)
+    /// into the compacted schedule every replica instantiated from this
+    /// artifact executes ([`DecodedProgram::decode`]).
     ///
     /// # Errors
     ///
@@ -70,7 +69,7 @@ impl CompiledModel {
     /// error — a damaged schedule, or weights whose sums can overflow —
     /// so no pass of a compiled model can fail.
     pub fn from_mapping(arch: &ArchSpec, mapping: &Mapping) -> Result<CompiledModel> {
-        let program = DecodedProgram::decode(arch, &mapping.logical, &mapping.program)?.optimize();
+        let program = DecodedProgram::decode(arch, &mapping.logical, &mapping.program)?;
         program.verify()?;
         Ok(CompiledModel {
             program: Arc::new(program),
@@ -267,7 +266,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for an empty or duplicate id.
+    /// Returns [`Error::InvalidConfig`] for an empty or duplicate id and
+    /// for a zero [`ServeOptions::timesteps`] override.
     pub fn register(
         &mut self,
         id: impl Into<String>,
@@ -280,6 +280,9 @@ impl ModelRegistry {
         }
         if self.entries.iter().any(|e| e.id == id) {
             return Err(Error::config(format!("model `{id}` is already registered")));
+        }
+        if options.timesteps == Some(0) {
+            return Err(Error::config(format!("model `{id}`: timesteps must be positive")));
         }
         self.entries.push(ModelEntry { id, model, options });
         Ok(())
@@ -372,6 +375,46 @@ mod tests {
         assert_eq!(registry.ids().collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(registry.options("b").unwrap().priority, 3);
         assert!(registry.get("missing").is_none());
+    }
+
+    #[test]
+    fn registry_refuses_a_zero_timestep_override() {
+        // Every frame of such a model would fail at execution and
+        // quarantine its replica; the registry refuses it up front.
+        let mut registry = ModelRegistry::new();
+        let zero = ServeOptions::default().with_timesteps(0);
+        let err = registry.register("a", model(), zero).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+        assert!(registry.is_empty());
+        registry.register("a", model(), ServeOptions::default().with_timesteps(1)).unwrap();
+    }
+
+    #[test]
+    fn every_entry_point_runs_the_one_schedule() {
+        // `CycleSim::new`, `BatchSim::new` and a compiled model carry the
+        // same compacted entries and optimizer stats (seeded paper MLP and
+        // MNIST CNN).
+        use shenjing_nn::NetworkKind;
+        let arch = ArchSpec::paper();
+        for (kind, entries, trimmed) in
+            [(NetworkKind::MnistMlp, 14, 480), (NetworkKind::MnistCnn, 207, 22_113)]
+        {
+            let snn = shenjing_snn::snn_from_specs(&kind.specs(), kind.input_shape(), 7).unwrap();
+            let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
+            let (logical, program) = (&mapping.logical, &mapping.program);
+            let served = CompiledModel::from_mapping(&arch, &mapping).unwrap();
+            let served = served.program();
+            let stats = served.optimize_stats();
+            let pinned = (stats.compacted_cycles, stats.trimmed_weight_rows);
+            assert_eq!(pinned, (entries, trimmed), "{kind:?}");
+            assert_eq!(served.entries().len() as u64, entries, "{kind:?}");
+            let single = CycleSim::new(&arch, logical, program).unwrap();
+            let batched = BatchSim::new(&arch, logical, program, 2).unwrap();
+            for other in [single.decoded(), batched.decoded()] {
+                assert_eq!(other.entries(), served.entries(), "{kind:?}");
+                assert_eq!(other.optimize_stats(), stats, "{kind:?}");
+            }
+        }
     }
 
     #[test]

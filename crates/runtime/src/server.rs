@@ -508,7 +508,7 @@ impl Runtime {
             // Raw vs compacted cycles per pass — what the schedule
             // optimizer bought this model.
             let raw = m.model.block_cycles();
-            let compacted = m.model.program().compacted_cycles().unwrap_or(raw);
+            let compacted = m.model.program().optimize_stats().compacted_cycles;
             for (stage, cycles) in [("raw", raw), ("compacted", compacted)] {
                 let labels = [("model", m.id.as_str()), ("stage", stage)];
                 metrics.gauge(&series("shenjing_schedule_cycles", &labels)).set(cycles as i64);
@@ -1197,16 +1197,18 @@ mod tests {
     #[test]
     fn every_stats_counter_equals_its_metrics_text_series() {
         // One worker parked in a straggler wait on `pin` while the test
-        // piles every kind of verdict up behind it: completions on two
-        // models, a failed frame (`broken` serves zero-timestep trains,
-        // which the engine refuses per batch), a queue-full and a
+        // piles every kind of verdict up behind it: completions on three
+        // models (`short` at its own one-step train), a queue-full and a
         // spent-deadline rejection, an in-queue expiry, an unknown model.
+        // No served frame can fail without injected faults — the registry
+        // refuses a zero-step train and the program check every illegal
+        // schedule — so the chaos suite books `failed` against the text.
         let registry = ModelRegistry::new()
             .with_model("pin", model(), ServeOptions::default().with_priority(10))
             .unwrap()
             .with_model("bulk", model_b(), ServeOptions::default())
             .unwrap()
-            .with_model("broken", model_b(), ServeOptions::default().with_timesteps(0))
+            .with_model("short", model_b(), ServeOptions::default().with_timesteps(1))
             .unwrap();
         let config = RuntimeConfig {
             workers: 1,
@@ -1222,7 +1224,7 @@ mod tests {
         assert!(runtime.submit(bulk(0).with_deadline(Duration::ZERO)).is_err());
         let pin = runtime.submit(InferenceRequest::new("pin", frame(0))).unwrap();
         let doomed = runtime.submit(bulk(1).with_deadline(Duration::from_millis(50))).unwrap();
-        let broken = runtime.submit(InferenceRequest::new("broken", frame_b(2))).unwrap();
+        let short = runtime.submit(InferenceRequest::new("short", frame_b(2))).unwrap();
         let served: Vec<PendingReply> = (3..5).map(|k| runtime.submit(bulk(k)).unwrap()).collect();
         let full = runtime.submit(bulk(5)).unwrap_err();
         assert_eq!(full.reject_reason(), Some(&RejectReason::QueueFull { limit: 5 }));
@@ -1230,13 +1232,13 @@ mod tests {
             doomed.wait().unwrap_err().reject_reason(),
             Some(&RejectReason::DeadlineExpired)
         );
-        assert!(broken.wait().is_err(), "a zero-timestep pass fails its frame");
+        assert!(short.wait().is_ok());
         assert!(pin.wait().is_ok());
         assert!(served.into_iter().all(|p| p.wait().is_ok()));
 
         let stats = runtime.stats();
         let samples = parse_metrics(&runtime.metrics_text());
-        assert_eq!((stats.completed, stats.failed), (3, 1));
+        assert_eq!((stats.completed, stats.failed), (4, 0));
         assert_eq!((stats.rejected_queue_full, stats.rejected_deadline), (1, 1));
         assert_eq!((stats.expired_in_queue, stats.rejected_unknown_model), (1, 1));
         assert_eq!(

@@ -63,6 +63,7 @@ fn metric(metrics: &str, family: &str, label: &str) -> u64 {
 /// The fault-tolerance fields of a final snapshot against the metrics
 /// text of the same (quiescent) runtime: one store, so they must agree.
 fn assert_fault_stats_match(stats: &RuntimeStats, metrics: &str) {
+    assert_eq!(stats.failed, metric(metrics, "shenjing_requests_failed_total", ""));
     assert_eq!(stats.retries, metric(metrics, "shenjing_retries_total", ""));
     assert_eq!(stats.quarantines, metric(metrics, "shenjing_replica_quarantines_total", ""));
     assert_eq!(stats.worker_restarts, metric(metrics, "shenjing_worker_restarts_total", ""));

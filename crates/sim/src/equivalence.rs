@@ -80,8 +80,8 @@ pub fn verify(
 /// A frame the oracle fails on is a mismatch: a replica exists only of a
 /// program [`DecodedProgram::verify`] accepts, on which no frame can fail.
 ///
-/// Whichever schedule `program` carries — compacted, or the identity one
-/// — is the one checked; the oracle always walks the raw block.
+/// The replica walks the program's compacted schedule; the oracle walks
+/// its raw block, every cycle.
 ///
 /// # Errors
 ///

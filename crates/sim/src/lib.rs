@@ -8,11 +8,17 @@
 //! `B` frames per pass over the static schedule. [`CycleSim`] is its
 //! single-frame front.
 //!
+//! There is one schedule: [`DecodedProgram::decode`] compiles the
+//! program's per-cycle ops straight into the compacted entries
+//! ([`optimize`]) that every entry point — [`CycleSim`], [`BatchSim`],
+//! the runtime's replicas — walks.
+//!
 //! There is one production path and one oracle. [`oracle::OracleSim`]
 //! runs the same program one frame at a time on the scalar, per-register
-//! chip model, and [`equivalence::verify_lanes`] states the only
-//! hardware-equivalence property there is: *lane `i` of a batched pass ≡
-//! the oracle's run of frame `i`* — outputs and per-tile state digests.
+//! chip model, every raw cycle of the block, and
+//! [`equivalence::verify_lanes`] states the only hardware-equivalence
+//! property there is: *lane `i` of a batched pass ≡ the oracle's run of
+//! frame `i`* — outputs and per-tile state digests.
 //! Register occupancy and arithmetic range are the program's, not the
 //! data's: a program that ever reads an empty register, writes a full
 //! one, drives data off the mesh, can overflow an adder or delivers past
@@ -71,7 +77,4 @@ pub use equivalence::{verify, verify_lanes, EquivalenceReport};
 pub use fault::{inject, inject_mapping, Fault};
 pub use optimize::OptimizeStats;
 pub use oracle::OracleSim;
-pub use trace::{
-    compare_traces, digest_batch_chip, digest_batch_lane, digest_chip, trace_block, Divergence,
-    StateDigest,
-};
+pub use trace::{digest_batch_chip, digest_batch_lane, digest_chip, StateDigest};

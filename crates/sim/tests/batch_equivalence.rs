@@ -11,8 +11,9 @@
 //! file drives it over random small networks, weights, inputs, timestep
 //! counts and — crucially — the full activity-density × batch-width ×
 //! occupancy grid (silent through saturating, widths including `B = 1`,
-//! every occupancy `1..=B`, and shrinks after a full pass), on the
-//! identity schedule and on the compacted one.
+//! every occupancy `1..=B`, and shrinks after a full pass). The replica
+//! walks the compacted schedule `decode` emits; the oracle walks the raw
+//! one.
 
 use std::sync::Arc;
 
@@ -55,17 +56,15 @@ fn scaled_frames(pool: &[f64], n_in: usize, count: usize, density: f64) -> Vec<T
         .collect()
 }
 
-/// `snn` mapped on `arch`, as decoded (the identity schedule) and
-/// optimized (the compacted schedule and the trimmed, tile-ordered weight
-/// layout).
-fn programs(snn: &SnnNetwork, arch: &ArchSpec) -> [Arc<DecodedProgram>; 2] {
+/// `snn` mapped on `arch` and decoded: the compacted schedule and the
+/// trimmed, tile-ordered weight layout.
+fn compiled(snn: &SnnNetwork, arch: &ArchSpec) -> Arc<DecodedProgram> {
     let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
-    let decode = || DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
-    [Arc::new(decode()), Arc::new(decode().optimize())]
+    Arc::new(DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap())
 }
 
 /// Asserts lanes ≡ oracle for `inputs` riding lanes `0..inputs.len()` of
-/// a `cap`-lane replica, on both schedules.
+/// a `cap`-lane replica.
 fn assert_lanes_equal_oracle(
     snn: &SnnNetwork,
     arch: &ArchSpec,
@@ -73,15 +72,8 @@ fn assert_lanes_equal_oracle(
     timesteps: u32,
     cap: usize,
 ) {
-    for program in programs(snn, arch) {
-        let report = verify_lanes(&program, inputs, timesteps, cap).unwrap();
-        assert!(
-            report.is_exact(),
-            "{} of {cap} lanes diverged from the oracle (optimized: {}): {report:?}",
-            inputs.len(),
-            program.optimized()
-        );
-    }
+    let report = verify_lanes(&compiled(snn, arch), inputs, timesteps, cap).unwrap();
+    assert!(report.is_exact(), "{} of {cap} lanes diverged: {report:?}", inputs.len());
 }
 
 /// A full batch: frame `i` in lane `i` of an `inputs.len()`-lane replica.
@@ -194,29 +186,28 @@ proptest! {
         let l1 = dense_layer(&weights, n_in, n_mid, theta);
         let l2 = dense_layer(&weights[20 * MAX_OUT..], n_mid, n_out, theta);
         let snn = SnnNetwork::new(vec![l1, l2]).unwrap();
-        for program in programs(&snn, &ArchSpec::tiny()) {
-            let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
-            let mut batched = BatchSim::from_decoded(Arc::clone(&program), cap).unwrap();
+        let program = compiled(&snn, &ArchSpec::tiny());
+        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+        let mut batched = BatchSim::from_decoded(Arc::clone(&program), cap).unwrap();
 
-            let first = frames(&pool, n_in, cap);
-            let got = batched.run_batch(&first, timesteps).unwrap();
-            for (input, out) in first.iter().zip(&got) {
-                prop_assert_eq!(out, &oracle.run_frame(input, timesteps).unwrap());
-            }
+        let first = frames(&pool, n_in, cap);
+        let got = batched.run_batch(&first, timesteps).unwrap();
+        for (input, out) in first.iter().zip(&got) {
+            prop_assert_eq!(out, &oracle.run_frame(input, timesteps).unwrap());
+        }
 
-            let second = frames(&pool[MAX_BATCH * 20..], n_in, k);
-            let got = batched.run_batch(&second, timesteps).unwrap();
-            for (lane, (input, out)) in second.iter().zip(&got).enumerate() {
-                let want = oracle.run_frame(input, timesteps).unwrap();
-                prop_assert_eq!(out, &want, "lane {} of {} diverged after a full pass", lane, k);
-                prop_assert_eq!(
-                    digest_batch_lane(0, batched.chip(), lane),
-                    digest_chip(0, oracle.chip()),
-                    "lane {} of {} kept residue",
-                    lane,
-                    k
-                );
-            }
+        let second = frames(&pool[MAX_BATCH * 20..], n_in, k);
+        let got = batched.run_batch(&second, timesteps).unwrap();
+        for (lane, (input, out)) in second.iter().zip(&got).enumerate() {
+            let want = oracle.run_frame(input, timesteps).unwrap();
+            prop_assert_eq!(out, &want, "lane {} of {} diverged after a full pass", lane, k);
+            prop_assert_eq!(
+                digest_batch_lane(0, batched.chip(), lane),
+                digest_chip(0, oracle.chip()),
+                "lane {} of {} kept residue",
+                lane,
+                k
+            );
         }
     }
 
@@ -225,8 +216,7 @@ proptest! {
     /// 13-bit accumulator, with the variant and width the oracle raises
     /// on the all-ones witness frame, and no replica is built; an
     /// accepted core runs lane-exact with the witness, hot frames and a
-    /// cold one riding together — on the identity schedule and on the
-    /// compacted one.
+    /// cold one riding together.
     #[test]
     fn batched_oversized_core_overflow_matches_reference(
         n_in in 260usize..=320,
@@ -258,15 +248,14 @@ proptest! {
             assert_lanes_equal_oracle(&snn, &arch, &inputs, timesteps, batch);
             continue;
         }
-        for program in programs(&snn, &arch) {
-            let refusal = program.verify().unwrap_err();
-            let width = |e: &Error| matches!(e, Error::SumOverflow { bits: 13, .. });
-            prop_assert!(width(&refusal), "{refusal:?}");
-            let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
-            let witnessed = oracle.run_frame(&inputs[0], timesteps).unwrap_err().error;
-            prop_assert!(width(&witnessed), "{witnessed:?}");
-            let refused = BatchSim::from_decoded(Arc::clone(&program), batch).unwrap_err();
-            prop_assert_eq!(refused, refusal);
-        }
+        let program = compiled(&snn, &arch);
+        let refusal = program.verify().unwrap_err();
+        let width = |e: &Error| matches!(e, Error::SumOverflow { bits: 13, .. });
+        prop_assert!(width(&refusal), "{refusal:?}");
+        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
+        let witnessed = oracle.run_frame(&inputs[0], timesteps).unwrap_err().error;
+        prop_assert!(width(&witnessed), "{witnessed:?}");
+        let refused = BatchSim::from_decoded(Arc::clone(&program), batch).unwrap_err();
+        prop_assert_eq!(refused, refusal);
     }
 }

@@ -7,13 +7,13 @@
 //! anywhere on the mesh. Then:
 //!
 //! * decoding, verifying, instantiating and running never panic;
-//! * the verdict on the identity schedule equals the verdict on the
-//!   compacted one, and both equal the oracle's first error on a silent
-//!   frame — variant, reason and source cycle — or all are `Ok`;
+//! * the verdict on the compacted schedule `decode` emits equals the
+//!   oracle's first error on a silent frame of the raw one — variant,
+//!   reason and source cycle — or both are `Ok`;
 //! * a replica refuses exactly the programs the verdict refuses, with
 //!   that error;
 //! * every program the verdict accepts is exact under
-//!   [`verify_lanes`] on loud frames, on both schedules.
+//!   [`verify_lanes`] on loud frames.
 //!
 //! At least a fifth of the cases must pass the verdict, so the last
 //! implication is not vacuous.
@@ -198,35 +198,27 @@ fn damaged_programs_get_the_oracles_verdict_and_verified_ones_run_exactly() {
     for case in 0..CASES {
         let Base { arch, mapping, shape } = &bases[case % bases.len()];
         let damaged = damage(&mut rng, arch, &mapping.program);
-        let Ok(identity) = DecodedProgram::decode(arch, &mapping.logical, &damaged) else {
+        let Ok(program) = DecodedProgram::decode(arch, &mapping.logical, &damaged) else {
             continue;
         };
         decoded += 1;
-        let compacted = Arc::new(identity.clone().optimize());
-        let identity = Arc::new(identity);
-        let verdict = identity.verify();
-        assert_eq!(compacted.verify(), verdict, "case {case}: the schedules disagree");
+        let program = Arc::new(program);
+        let verdict = program.verify();
 
         let silent = Tensor::zeros(shape.clone());
-        let mut oracle = OracleSim::from_decoded(Arc::clone(&identity)).unwrap();
+        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
         let on_silence = oracle.run_frame(&silent, TIMESTEPS).map(|_| ()).map_err(|f| f.error);
         assert_eq!(verdict, on_silence, "case {case}: the verdict is not the oracle's");
 
         let frames = loud_frames(&mut rng, shape);
-        for program in [identity, compacted] {
-            if let Err(e) = &verdict {
-                let refused = BatchSim::from_decoded(Arc::clone(&program), LANES).unwrap_err();
-                assert_eq!(&refused, e, "case {case}: a replica must refuse with the verdict");
-                continue;
-            }
-            let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
-            assert!(
-                report.is_exact(),
-                "case {case} (optimized: {}): a verified program diverged: {report:?}",
-                program.optimized()
-            );
+        if let Err(e) = &verdict {
+            let refused = BatchSim::from_decoded(Arc::clone(&program), LANES).unwrap_err();
+            assert_eq!(&refused, e, "case {case}: a replica must refuse with the verdict");
+            continue;
         }
-        passed += usize::from(verdict.is_ok());
+        let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
+        assert!(report.is_exact(), "case {case}: a verified program diverged: {report:?}");
+        passed += 1;
     }
     assert!(decoded * 10 >= CASES * 9, "only {decoded} of {CASES} damaged programs decoded");
     assert!(passed * 5 >= CASES, "only {passed} of {CASES} cases passed the verdict");
@@ -242,9 +234,9 @@ fn range_damaged_programs_get_the_verdict_their_witness_frame_raises() {
     // inside both widths. Each case raises one column to +8 on every
     // `m`-th row: m = 1 takes its local sums past the 13-bit accumulator,
     // m = 2..=8 its fold past the 16-bit adder, m ≥ 16 neither. The
-    // verdict — the same on both schedules — must be the one the all-ones
-    // witness frame makes the oracle raise, variant and width; a refused
-    // program gets no replica, and an accepted one runs exactly.
+    // verdict must be the one the all-ones witness frame makes the oracle
+    // raise, variant and width; a refused program gets no replica, and an
+    // accepted one runs exactly.
     let arch = ArchSpec {
         core_inputs: 512,
         core_neurons: 16,
@@ -266,13 +258,11 @@ fn range_damaged_programs_get_the_verdict_their_witness_frame_raises() {
         let layer = SpikingDense::new(weights.collect(), WIDE_IN, 4, 1000, 1.0).unwrap();
         let snn = SnnNetwork::new(vec![SnnLayer::Dense(layer)]).unwrap();
         let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
-        let identity = DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap();
-        let compacted = Arc::new(identity.clone().optimize());
-        let identity = Arc::new(identity);
-        let verdict = identity.verify();
-        assert_eq!(compacted.verify(), verdict, "case {case}: the schedules disagree");
+        let program =
+            Arc::new(DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap());
+        let verdict = program.verify();
 
-        let mut oracle = OracleSim::from_decoded(Arc::clone(&identity)).unwrap();
+        let mut oracle = OracleSim::from_decoded(Arc::clone(&program)).unwrap();
         let on_witness = oracle.run_frame(&witness, 1).map(|_| ()).map_err(|f| f.error);
         assert_eq!(verdict.as_ref().map_err(width), on_witness.as_ref().map_err(width), "{case}");
         let expected = match m {
@@ -289,13 +279,11 @@ fn range_damaged_programs_get_the_verdict_their_witness_frame_raises() {
         }] += 1;
 
         let frames = loud_frames(&mut rng, &[WIDE_IN]);
-        for program in [identity, compacted] {
-            match &verdict {
-                Err(e) => assert_eq!(&BatchSim::from_decoded(program, LANES).unwrap_err(), e),
-                Ok(()) => {
-                    let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
-                    assert!(report.is_exact(), "case {case}: {report:?}");
-                }
+        match &verdict {
+            Err(e) => assert_eq!(&BatchSim::from_decoded(program, LANES).unwrap_err(), e),
+            Ok(()) => {
+                let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
+                assert!(report.is_exact(), "case {case}: {report:?}");
             }
         }
     }

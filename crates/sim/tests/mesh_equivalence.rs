@@ -7,8 +7,7 @@
 //! outputs, on the state digest of every tile (an idle tile of the
 //! all-live mesh must still be pristine), and on every error — on the
 //! batched engine and on the oracle, which must also agree with each
-//! other lane by lane — on the identity schedule `decode` attaches and on
-//! the optimized one.
+//! other lane by lane.
 
 use std::sync::Arc;
 
@@ -30,16 +29,14 @@ fn oracle(program: &Arc<DecodedProgram>) -> OracleSim {
     OracleSim::from_decoded(Arc::clone(program)).unwrap()
 }
 
-/// The sparse mesh and the all-live one of one mapping, as `[sparse,
-/// all]` pairs: on the identity schedule, then optimized.
-fn both_meshes(arch: &ArchSpec, mapping: &Mapping) -> [[Arc<DecodedProgram>; 2]; 2] {
+/// The sparse mesh and the all-live one of one mapping, `[sparse, all]`.
+fn both_meshes(arch: &ArchSpec, mapping: &Mapping) -> [Arc<DecodedProgram>; 2] {
     let sparse = DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
     let all = DecodedProgram::decode_all_live(arch, &mapping.logical, &mapping.program).unwrap();
     let (rows, cols) = all.mesh_dims();
     assert_eq!(all.live_tiles().len(), rows as usize * cols as usize);
     assert!(sparse.live_tiles().len() <= all.live_tiles().len());
-    let identity = [Arc::new(sparse.clone()), Arc::new(all.clone())];
-    [identity, [Arc::new(sparse.optimize()), Arc::new(all.optimize())]]
+    [Arc::new(sparse), Arc::new(all)]
 }
 
 /// The all-live digest must equal the sparse one on the live tiles and
@@ -61,9 +58,8 @@ fn assert_digests_agree(sparse: &StateDigest, all: &StateDigest, pristine: &Stat
 }
 
 fn assert_meshes_agree(arch: &ArchSpec, mapping: &Mapping, frames: &[Tensor], timesteps: u32) {
-    for [sparse, all] in both_meshes(arch, mapping) {
-        assert_pair_agrees(arch, &sparse, &all, frames, timesteps);
-    }
+    let [sparse, all] = both_meshes(arch, mapping);
+    assert_pair_agrees(arch, &sparse, &all, frames, timesteps);
 }
 
 fn assert_pair_agrees(
@@ -172,14 +168,14 @@ fn small_mapping() -> (ArchSpec, Mapping) {
     (arch, mapping)
 }
 
-/// On both meshes and both schedules, the oracle's error running one frame
+/// On both meshes, the oracle's error running one frame
 /// and the static verdict that refuses the program — as is, and as the
 /// two-lane replica and the single-frame front refuse it: the one error
 /// they must all report.
 fn the_error(arch: &ArchSpec, mapping: &Mapping) -> Error {
     let frame = Tensor::from_vec(vec![8], vec![0.7; 8]).unwrap();
     let mut errors = Vec::new();
-    for program in both_meshes(arch, mapping).into_iter().flatten() {
+    for program in both_meshes(arch, mapping) {
         errors.push(oracle(&program).run_frame(&frame, 3).unwrap_err().error);
         errors.push(program.verify().unwrap_err());
         errors.push(CycleSim::from_decoded(Arc::clone(&program)).unwrap_err());
@@ -284,7 +280,7 @@ fn an_off_edge_port_is_reported_before_an_earlier_ports_contention() {
 
 /// ACC overflow on *two* tiles in one cycle: 300 maximal-weight inputs
 /// into two 16-neuron output tiles on 512-input cores. On both meshes
-/// and both schedules the program check refuses with the first tile's
+/// the program check refuses with the first tile's
 /// bound, 300 × 15, the oracle's saturated frame overflows the same
 /// accumulator width, and neither engine builds a replica.
 #[test]
@@ -301,7 +297,7 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
     let input = Tensor::from_vec(vec![300], vec![1.0; 300]).unwrap();
     let refusal = Error::SumOverflow { value: 300 * 15, bits: 13 };
-    for program in both_meshes(&arch, &mapping).into_iter().flatten() {
+    for program in both_meshes(&arch, &mapping) {
         assert_eq!(program.verify(), Err(refusal.clone()));
         let witnessed = oracle(&program).run_frame(&input, 4).unwrap_err().error;
         assert_eq!(witnessed, Error::SumOverflow { value: 274 * 15, bits: 13 });
@@ -318,9 +314,8 @@ fn overflow_on_two_tiles_is_the_same_error_on_both_engines() {
 #[test]
 fn lanes_parked_by_a_full_pass_never_surface_on_holed_or_top_lane_sets() {
     let (arch, mapping) = multi_chip_cnn();
-    let program = Arc::new(
-        DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
-    );
+    let program =
+        Arc::new(DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap());
     const LANES: usize = 16;
     let frames = patterned_frames(&[8, 8, 1], LANES + 4);
     let mut oracle = oracle(&program);
@@ -351,9 +346,8 @@ fn a_thousand_churned_passes_leave_a_replica_like_new() {
     let snn =
         SnnNetwork::new(vec![dense_layer(&l1, 40, 12, 9), dense_layer(&l2, 12, 4, 6)]).unwrap();
     let mapping = Mapper::new(arch.clone()).map(&snn).unwrap();
-    let program = Arc::new(
-        DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap().optimize(),
-    );
+    let program =
+        Arc::new(DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap());
     const LANES: usize = 6;
     let frames = patterned_frames(&[40], LANES);
     let mut churned = BatchSim::from_decoded(Arc::clone(&program), LANES).unwrap();

@@ -37,12 +37,10 @@ fn random_frames(n: usize, shape: &[usize], seed: u64) -> Vec<Tensor> {
     (0..n).map(frame).collect::<Result<_, _>>().unwrap()
 }
 
-/// `snn` compiled for `arch` the way serving compiles it: decoded and
-/// optimized.
+/// `snn` compiled for `arch` the way serving compiles it: decoded.
 fn program(arch: &ArchSpec, snn: &SnnNetwork) -> Arc<DecodedProgram> {
     let mapping = Mapper::new(arch.clone()).map(snn).unwrap();
-    let decoded = DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap();
-    Arc::new(decoded.optimize())
+    Arc::new(DecodedProgram::decode(arch, &mapping.logical, &mapping.program).unwrap())
 }
 
 /// A converted MLP on the tiny architecture and a converted conv net

@@ -48,11 +48,10 @@ fn main() -> Result<()> {
             m.input_len(),
             m.output_len(),
         );
-        // The compile pipeline ends in the schedule optimizer; what it
-        // bought each tenant (also exported as the
-        // `shenjing_schedule_cycles` gauges below).
+        // Decode compacts the schedule; what that bought each tenant
+        // (also exported as the `shenjing_schedule_cycles` gauges below).
         let raw = m.block_cycles();
-        let compacted = m.program().compacted_cycles().unwrap_or(raw);
+        let compacted = m.program().optimize_stats().compacted_cycles;
         println!(
             "  schedule: {raw} raw cycles/pass -> {compacted} compacted ({:.1}x shorter walk)",
             raw as f64 / compacted as f64,
