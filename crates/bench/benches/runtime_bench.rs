@@ -1,6 +1,6 @@
 //! Serving-runtime throughput: the batched engine at full and partial
-//! occupancy, replica instantiation, the compile-side decode cost, and
-//! the end-to-end scheduler path.
+//! occupancy, replica instantiation, the compile-side decode cost (MLP
+//! and CNN), and the end-to-end scheduler path.
 
 use std::time::Duration;
 
@@ -49,6 +49,20 @@ fn bench_runtime(c: &mut Criterion) {
     c.bench_function("decode_mlp", |b| {
         b.iter(|| {
             shenjing::sim::DecodedProgram::decode(&arch, &mapping.logical, &mapping.program)
+                .unwrap()
+                .optimize_stats()
+                .compacted_cycles
+        })
+    });
+
+    // The same decode for the 680-core two-chip MNIST CNN, whose 680
+    // weight blocks make it the largest one-time cost of standing the CNN
+    // up.
+    let cnn = snn_from_specs(&NetworkKind::MnistCnn.specs(), (28, 28, 1), 7).unwrap();
+    let cnn_mapping = Mapper::new(arch.clone()).map(&cnn).unwrap();
+    c.bench_function("decode_mnist_cnn", |b| {
+        b.iter(|| {
+            shenjing::sim::DecodedProgram::decode(&arch, &cnn_mapping.logical, &cnn_mapping.program)
                 .unwrap()
                 .optimize_stats()
                 .compacted_cycles
