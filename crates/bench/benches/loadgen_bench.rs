@@ -119,12 +119,8 @@ fn main() {
         eprintln!("SHENJING_CHAOS set but the `chaos` feature is off; running clean");
     }
     #[allow(unused_mut)]
-    let mut builder = RuntimeConfig::builder()
-        .workers(2)
-        .max_batch(4)
-        .max_wait(Duration::from_millis(2))
-        .timesteps(8)
-        .queue_depth(256);
+    let mut builder =
+        RuntimeConfig::builder().workers(2).max_batch(4).timesteps(8).queue_depth(256);
     #[cfg(feature = "chaos")]
     if chaos_on {
         // A finite panic list with a retry budget larger than the list

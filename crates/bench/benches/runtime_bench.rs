@@ -2,8 +2,6 @@
 //! occupancy, replica instantiation, the compile-side decode cost (MLP
 //! and CNN), and the end-to-end scheduler path.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use shenjing::prelude::*;
 use shenjing::snn::snn_from_specs;
@@ -81,7 +79,6 @@ fn bench_runtime(c: &mut Criterion) {
                 RuntimeConfig {
                     workers: 2,
                     max_batch: BATCH,
-                    max_wait: Duration::from_millis(1),
                     timesteps: TIMESTEPS,
                     ..Default::default()
                 },

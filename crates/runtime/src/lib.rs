@@ -30,8 +30,9 @@
 //!    it fails expired requests fast without burning a lane, picks the
 //!    most urgent ready request (priority, then earliest deadline, then
 //!    FIFO) and gathers a **single-model** batch of up to `max_batch`
-//!    requests around it (holding an under-full batch open at most
-//!    `max_wait` for stragglers, capped by the earliest queued deadline).
+//!    ready requests around it. Dispatch is work-conserving: a free
+//!    worker never holds a ready request back for company, and batches
+//!    fill under load with what arrived while the previous pass ran.
 //!    Each batch is one pass of the worker's replica of that model.
 //!    Requests and replies round-trip through the JSON [`wire`] format,
 //!    so the tier can sit behind a socket.

@@ -12,15 +12,14 @@
 //!   deadline, then FIFO); a request backing off before a retry is not
 //!   ready;
 //! - batches are single-model and hold at most `max_batch` requests;
-//! - an under-full batch waits for stragglers until
-//!   `head.enqueued + max_wait`, capped by the earliest deadline among
-//!   that model's gathered requests (a `max_wait` past the clock's range
-//!   is no time bound: the batch waits for fill, a deadline or close);
-//! - once closed, whatever has gathered dispatches at once.
+//! - dispatch is work-conserving: while any request is ready, the
+//!   verdict is a batch of the head model's ready requests, however few.
+//!   Batches fill under load because requests gather while the previous
+//!   pass runs, not because a ready request is held back.
 
 use std::cmp::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use shenjing_core::{RejectReason, Result};
 use shenjing_nn::Tensor;
@@ -89,8 +88,9 @@ pub(crate) enum Next {
     /// Execute `batch` — one model's requests, most urgent first — as
     /// one pass.
     Dispatch { model: usize, batch: Vec<Request> },
-    /// Nothing to run yet: sleep until the instant (a straggler bound, a
-    /// backoff window or a deadline), or until the next admission.
+    /// Nothing is ready — the queue is empty, or every request in it is
+    /// backing off before a retry: sleep until the instant (a backoff
+    /// window opens or a deadline passes), or until the next admission.
     Wait(Option<Instant>),
     /// Closed and drained: the worker is done.
     Exit,
@@ -103,7 +103,6 @@ pub(crate) struct Scheduler {
     next_seq: u64,
     closed: bool,
     max_batch: usize,
-    max_wait: Duration,
     /// Admission bound on `pending`.
     capacity: usize,
     /// `shenjing_queue_depth{model=}`, indexed by model: how many of
@@ -112,21 +111,8 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(crate) fn new(
-        max_batch: usize,
-        max_wait: Duration,
-        capacity: usize,
-        depth: Vec<Arc<Gauge>>,
-    ) -> Scheduler {
-        Scheduler {
-            pending: Vec::new(),
-            next_seq: 0,
-            closed: false,
-            max_batch,
-            max_wait,
-            capacity,
-            depth,
-        }
+    pub(crate) fn new(max_batch: usize, capacity: usize, depth: Vec<Arc<Gauge>>) -> Scheduler {
+        Scheduler { pending: Vec::new(), next_seq: 0, closed: false, max_batch, capacity, depth }
     }
 
     /// Queues `request` next in admission order (stamping its `seq`), or
@@ -162,20 +148,8 @@ impl Scheduler {
                 wake => Next::Wait(wake),
             };
         };
+        // Only the head's model's ready requests may ride along.
         let model = head.model;
-        // Only the head's model's ready requests may ride along, and the
-        // batch is held open for stragglers — but never past the earliest
-        // deadline it would have to answer (`None`: no bound at all).
-        let (gathered, bound) = self
-            .pending
-            .iter()
-            .filter(|r| r.model == model && ready(r))
-            .fold((0, head.rider.enqueued.checked_add(self.max_wait)), |(n, bound), r| {
-                (n + 1, bound.into_iter().chain(r.rider.deadline).min())
-            });
-        if gathered < self.max_batch && !self.closed && bound.is_none_or(|b| b > now) {
-            return Next::Wait(self.wake_at(now).into_iter().chain(bound).min());
-        }
         let mut batch: Vec<Request> =
             self.pending.extract_if(.., |r| r.model == model && ready(r)).collect();
         batch.sort_by(schedule_order);
@@ -194,9 +168,8 @@ impl Scheduler {
         }
     }
 
-    /// Closes admission: gathered batches dispatch at once, and
-    /// [`next`](Scheduler::next) says [`Next::Exit`] once the queue is
-    /// empty.
+    /// Closes admission: [`next`](Scheduler::next) says [`Next::Exit`]
+    /// once the queue is empty.
     pub(crate) fn close(&mut self) {
         self.closed = true;
     }
@@ -225,6 +198,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::time::Duration;
 
     fn rider(priority: u8, deadline: Option<Instant>, enqueued: Instant) -> Rider {
         Rider {
@@ -252,13 +226,8 @@ mod tests {
         }
     }
 
-    fn scheduler(
-        models: usize,
-        max_batch: usize,
-        max_wait: Duration,
-        capacity: usize,
-    ) -> Scheduler {
-        Scheduler::new(max_batch, max_wait, capacity, (0..models).map(|_| Arc::default()).collect())
+    fn scheduler(models: usize, max_batch: usize, capacity: usize) -> Scheduler {
+        Scheduler::new(max_batch, capacity, (0..models).map(|_| Arc::default()).collect())
     }
 
     fn seqs(requests: &[Request]) -> Vec<u64> {
@@ -295,7 +264,7 @@ mod tests {
         );
 
         // A dispatch honors the order and leaves other models queued.
-        let mut sched = scheduler(2, 2, Duration::ZERO, 8);
+        let mut sched = scheduler(2, 2, 8);
         let deadline = Some(now + Duration::from_millis(5));
         for (model, priority, deadline) in
             [(0, 0, None), (0, 3, None), (1, 2, None), (0, 3, deadline)]
@@ -323,7 +292,7 @@ mod tests {
     #[test]
     fn requests_in_backoff_are_not_ready_and_not_batched() {
         let now = Instant::now();
-        let mut sched = scheduler(1, 4, Duration::ZERO, 8);
+        let mut sched = scheduler(1, 4, 8);
         let window = now + Duration::from_secs(60);
         let mut retry = request(0, 9, None, now);
         retry.not_before = Some(window);
@@ -340,9 +309,39 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_request_dispatches_at_its_admission_instant() {
+        // A 16-lane scheduler never holds one ready request back for
+        // company: alone, beside another model's queue, or beside a retry
+        // in backoff, it leaves at the instant it was admitted.
+        let now = Instant::now();
+        let mut sched = scheduler(2, 16, 8);
+        let dispatch = |sched: &mut Scheduler| match sched.next(now, &mut Vec::new()) {
+            Next::Dispatch { model, batch } => (model, seqs(&batch)),
+            _ => panic!("a ready request waited"),
+        };
+        sched.admit(request(0, 0, None, now)).unwrap();
+        assert_eq!(dispatch(&mut sched), (0, vec![0]), "alone");
+
+        sched.admit(request(1, 0, None, now)).unwrap();
+        sched.admit(request(1, 0, None, now)).unwrap();
+        sched.admit(request(0, 5, None, now)).unwrap();
+        assert_eq!(dispatch(&mut sched), (0, vec![3]), "beside another model's queue");
+        assert_eq!(dispatch(&mut sched), (1, vec![1, 2]), "and that queue right after");
+
+        let window = now + Duration::from_secs(60);
+        let mut retry = request(0, 9, None, now);
+        retry.not_before = Some(window);
+        retry.rider.seq = 99;
+        sched.requeue([retry]);
+        sched.admit(request(0, 0, None, now)).unwrap();
+        assert_eq!(dispatch(&mut sched), (0, vec![4]), "beside a retry in backoff");
+        assert!(matches!(sched.next(now, &mut Vec::new()), Next::Wait(Some(t)) if t == window));
+    }
+
+    #[test]
     fn abandoning_hands_back_the_queue_and_zeroes_its_gauges() {
         let now = Instant::now();
-        let mut sched = scheduler(2, 4, Duration::ZERO, 2);
+        let mut sched = scheduler(2, 4, 2);
         sched.admit(request(0, 0, None, now)).unwrap();
         sched.admit(request(1, 0, None, now)).unwrap();
         let full = sched.admit(request(1, 0, None, now)).unwrap_err();
@@ -436,7 +435,7 @@ mod tests {
         /// One `next` at the current instant; `true` on `Exit`.
         fn step(&mut self) -> bool {
             let now = self.now();
-            let (max_batch, max_wait) = (self.sched.max_batch, self.sched.max_wait);
+            let max_batch = self.sched.max_batch;
             let before: Vec<&Request> = self.sched.pending.iter().collect();
             let mut want_expired: Vec<u64> = before
                 .iter()
@@ -449,8 +448,6 @@ mod tests {
             };
             let head = before.iter().filter(live_ready).min_by(|a, b| schedule_order(a, b));
             let head_seq = head.map(|r| r.rider.seq);
-            // A straggler bound past the clock's range: no time bound.
-            let unbounded = head.is_some_and(|r| r.rider.enqueued.checked_add(max_wait).is_none());
             let ready_by_model: Vec<(usize, u64)> =
                 before.iter().filter(live_ready).map(|r| (r.model, r.rider.seq)).collect();
             let live = before.iter().filter(|r| r.rider.deadline.is_none_or(|d| d > now)).count();
@@ -500,17 +497,6 @@ mod tests {
                             );
                         }
                     }
-                    if batch.len() < max_batch && !self.sched.closed {
-                        let bound = batch
-                            .iter()
-                            .filter_map(|r| r.rider.deadline)
-                            .chain(batch[0].rider.enqueued.checked_add(max_wait))
-                            .min();
-                        assert!(
-                            bound.is_some_and(|b| now >= b),
-                            "an under-full batch left before its straggler bound"
-                        );
-                    }
                     for r in &batch {
                         self.end(r.rider.seq, Fate::Queued, Fate::InFlight);
                     }
@@ -519,11 +505,10 @@ mod tests {
                     false
                 }
                 Next::Wait(wake) => {
+                    // Work conservation: a wait means nothing live is ready.
+                    assert_eq!(head_seq, None, "waited while a request was ready");
                     match wake {
-                        None => assert!(
-                            (live == 0 || unbounded) && !self.sched.closed,
-                            "open-ended wait"
-                        ),
+                        None => assert!(live == 0 && !self.sched.closed, "open-ended wait"),
                         Some(t) => assert!(t > now, "a wait ends in the future"),
                     }
                     self.promise = Some(wake);
@@ -538,9 +523,9 @@ mod tests {
     }
 
     /// Each op word picks an operation (its low byte) and its operands.
-    fn check_history(models: usize, max_batch: usize, max_wait: Duration, ops: &[u64]) {
+    fn check_history(models: usize, max_batch: usize, ops: &[u64]) {
         let mut h = History {
-            sched: scheduler(models, max_batch, max_wait, 24),
+            sched: scheduler(models, max_batch, 24),
             base: Instant::now(),
             clock_us: 0,
             fates: HashMap::new(),
@@ -588,15 +573,9 @@ mod tests {
         fn scheduler_invariants_hold_over_random_histories(
             models in 2usize..4,
             max_batch in 1usize..6,
-            max_wait_us in 0u64..2_200,
             ops in proptest::collection::vec(any::<u64>(), 1..160),
         ) {
-            // One case in eleven never times out: `Duration::MAX`.
-            let max_wait = match max_wait_us {
-                0..2_000 => Duration::from_micros(max_wait_us),
-                _ => Duration::MAX,
-            };
-            check_history(models, max_batch, max_wait, &ops);
+            check_history(models, max_batch, &ops);
         }
     }
 }

@@ -55,12 +55,11 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Largest batch a worker executes in one pass (its lane count).
     /// Batches never mix models: a pass serves one model's requests.
+    /// Dispatch is work-conserving — a free worker takes the ready
+    /// requests of the most urgent one's model, up to this many, and
+    /// never holds them back for more — so a batch fills with whatever
+    /// arrived while the previous pass ran.
     pub max_batch: usize,
-    /// How long a worker holds an under-full batch open for stragglers,
-    /// measured from the oldest queued request's enqueue time — and
-    /// capped by the earliest deadline among the gathered model's queued
-    /// requests, so a straggler wait never expires its own batch.
-    pub max_wait: Duration,
     /// Rate-coding spike-train length applied to every frame (batches
     /// must be uniform: the block schedule is static). A model registered
     /// with [`ServeOptions::timesteps`](crate::ServeOptions) overrides
@@ -102,7 +101,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 2,
             max_batch: 16,
-            max_wait: Duration::from_millis(2),
             timesteps: 20,
             queue_depth: 256,
             telemetry: TelemetryConfig::default(),
@@ -168,17 +166,11 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the largest batch a worker executes in one pass.
+    /// Sets the largest batch a worker executes in one pass (see
+    /// [`RuntimeConfig::max_batch`]).
     #[must_use]
     pub fn max_batch(mut self, max_batch: usize) -> RuntimeConfigBuilder {
         self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the straggler window an under-full batch is held open for.
-    #[must_use]
-    pub fn max_wait(mut self, max_wait: Duration) -> RuntimeConfigBuilder {
-        self.config.max_wait = max_wait;
         self
     }
 
@@ -402,12 +394,13 @@ impl PendingReply {
 ///
 /// Requests enter one shared, depth-bounded queue as typed
 /// [`InferenceRequest`]s; each of `workers` shards picks the
-/// highest-priority / earliest-deadline request, gathers up to
-/// `max_batch` requests **of that request's model** (batches never mix
-/// models — the compiled schedule is per-model), and advances them in
-/// one pass of its batched replica, which costs what the gathered frames
-/// cost. Expired requests are dropped at admission, in the queue, and at
-/// batch formation without occupying a lane.
+/// highest-priority / earliest-deadline request, takes the ready
+/// requests **of that request's model** up to `max_batch` (batches never
+/// mix models — the compiled schedule is per-model) without waiting for
+/// more, and advances them in one pass of its batched replica, which
+/// costs what the gathered frames cost. Expired requests are dropped at
+/// admission, in the queue, and at batch formation without occupying a
+/// lane.
 ///
 /// ```
 /// use shenjing_core::{ArchSpec, W5};
@@ -519,7 +512,6 @@ impl Runtime {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Scheduler::new(
                 config.max_batch,
-                config.max_wait,
                 config.queue_depth,
                 models.iter().map(|m| Arc::clone(&m.metrics.queue_depth)).collect(),
             )),
@@ -572,6 +564,60 @@ impl Runtime {
     /// [`reject_reason`](Error::reject_reason)), [`Error::ShapeMismatch`]
     /// or [`Error::OutOfBounds`].
     pub fn submit(&self, request: InferenceRequest) -> Result<PendingReply> {
+        let (mut admitted, verdict) = self.submit_all([request]);
+        verdict.map(|()| admitted.pop().expect("an `Ok` verdict admitted the request"))
+    }
+
+    /// Submits one request and blocks for its reply.
+    ///
+    /// # Errors
+    ///
+    /// See [`submit`](Runtime::submit) and [`PendingReply::wait`].
+    pub fn infer(&self, request: InferenceRequest) -> Result<InferenceReply> {
+        self.submit(request)?.wait()
+    }
+
+    /// Admits every request at once — in order, under one queue lock and
+    /// with one wake-up, so an idle worker sees the whole burst — then
+    /// waits for all replies in input order.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first refusal (see [`submit`](Runtime::submit); the
+    /// requests admitted before it are still served), else on the first
+    /// failed reply.
+    pub fn infer_many(&self, requests: &[InferenceRequest]) -> Result<Vec<InferenceReply>> {
+        let (pending, verdict) = self.submit_all(requests.iter().cloned());
+        verdict?;
+        pending.into_iter().map(PendingReply::wait).collect()
+    }
+
+    /// Admits `requests` in order under one queue lock, with one wake-up
+    /// for the workers, stopping at the first refusal: the handles of the
+    /// requests admitted before it, and the refusal.
+    fn submit_all(
+        &self,
+        requests: impl IntoIterator<Item = InferenceRequest>,
+    ) -> (Vec<PendingReply>, Result<()>) {
+        let mut admitted = Vec::new();
+        let mut queue = relock(&self.shared.queue);
+        let verdict = requests.into_iter().try_for_each(|request| {
+            admitted.push(self.admit(&mut queue, request)?);
+            Ok(())
+        });
+        drop(queue);
+        if !admitted.is_empty() {
+            // `notify_all`, not `notify_one`: a burst can fill several
+            // passes (more than `max_batch` requests, or several models),
+            // and every idle worker should get the chance to take one.
+            self.shared.arrivals.notify_all();
+        }
+        (admitted, verdict)
+    }
+
+    /// [`submit`](Runtime::submit)'s admission control for one request,
+    /// into the locked `queue`.
+    fn admit(&self, queue: &mut Scheduler, request: InferenceRequest) -> Result<PendingReply> {
         let InferenceRequest { model_id, input, deadline, priority } = request;
         let Some(model) = self.shared.models.iter().position(|m| m.id == model_id) else {
             self.shared.unknown_model.inc();
@@ -614,38 +660,13 @@ impl Runtime {
                 reply: tx,
             },
         };
-        let admitted = relock(&self.shared.queue).admit(request);
-        if let Err(reason) = admitted {
+        if let Err(reason) = queue.admit(request) {
             if matches!(reason, RejectReason::QueueFull { .. }) {
                 entry.metrics.rejected_queue_full.inc();
             }
             return Err(Error::rejected(reason));
         }
-        // `notify_all`, not `notify_one`: the one woken worker might be
-        // mid-straggler-wait on another model's batch and go back to
-        // sleep, leaving this request to idle workers that never heard.
-        self.shared.arrivals.notify_all();
         Ok(PendingReply { rx })
-    }
-
-    /// Submits one request and blocks for its reply.
-    ///
-    /// # Errors
-    ///
-    /// See [`submit`](Runtime::submit) and [`PendingReply::wait`].
-    pub fn infer(&self, request: InferenceRequest) -> Result<InferenceReply> {
-        self.submit(request)?.wait()
-    }
-
-    /// Submits every request, then waits for all replies in input order.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first request whose submission or execution fails.
-    pub fn infer_many(&self, requests: &[InferenceRequest]) -> Result<Vec<InferenceReply>> {
-        let pending: Vec<PendingReply> =
-            requests.iter().map(|r| self.submit(r.clone())).collect::<Result<_>>()?;
-        pending.into_iter().map(PendingReply::wait).collect()
     }
 
     /// A snapshot of the aggregate serving statistics, with one
@@ -778,8 +799,9 @@ fn run_worker(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
 }
 
 /// Serves until the queue closes and drains: asks the scheduler what to
-/// do at this instant, answers the requests it expired, and either
-/// sleeps at the one wait site or runs the batch it was handed.
+/// do at this instant, answers the requests it expired, and runs the
+/// batch it was handed — or, when nothing is ready, sleeps at the one
+/// wait site.
 fn worker_loop(id: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
     let mut expired = Vec::new();
     loop {
@@ -1196,13 +1218,13 @@ mod tests {
 
     #[test]
     fn every_stats_counter_equals_its_metrics_text_series() {
-        // One worker parked in a straggler wait on `pin` while the test
-        // piles every kind of verdict up behind it: completions on three
-        // models (`short` at its own one-step train), a queue-full and a
-        // spent-deadline rejection, an in-queue expiry, an unknown model.
-        // No served frame can fail without injected faults — the registry
-        // refuses a zero-step train and the program check every illegal
-        // schedule — so the chaos suite books `failed` against the text.
+        // Every kind of verdict, with the queue state fixed by one atomic
+        // burst: completions on three models (`short` at its own one-step
+        // train), a queue-full and a spent-deadline rejection, an in-queue
+        // expiry, an unknown model. No served frame can fail without
+        // injected faults — the registry refuses a zero-step train and the
+        // program check every illegal schedule — so the chaos suite books
+        // `failed` against the text.
         let registry = ModelRegistry::new()
             .with_model("pin", model(), ServeOptions::default().with_priority(10))
             .unwrap()
@@ -1213,7 +1235,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 2,
-            max_wait: Duration::from_millis(200),
             timesteps: 3,
             queue_depth: 5,
             ..Default::default()
@@ -1222,19 +1243,25 @@ mod tests {
         let bulk = |k| InferenceRequest::new("bulk", frame_b(k));
         assert!(runtime.submit(InferenceRequest::new("ghost", frame(0))).is_err());
         assert!(runtime.submit(bulk(0).with_deadline(Duration::ZERO)).is_err());
-        let pin = runtime.submit(InferenceRequest::new("pin", frame(0))).unwrap();
-        let doomed = runtime.submit(bulk(1).with_deadline(Duration::from_millis(50))).unwrap();
-        let short = runtime.submit(InferenceRequest::new("short", frame_b(2))).unwrap();
-        let served: Vec<PendingReply> = (3..5).map(|k| runtime.submit(bulk(k)).unwrap()).collect();
-        let full = runtime.submit(bulk(5)).unwrap_err();
-        assert_eq!(full.reject_reason(), Some(&RejectReason::QueueFull { limit: 5 }));
+        // Five requests fill the queue before any worker can take one, so
+        // the sixth is refused; the 1 ns budget has passed by the time a
+        // worker first looks, so that request expires in the queue.
+        let (pending, full) = runtime.submit_all([
+            InferenceRequest::new("pin", frame(0)),
+            bulk(1).with_deadline(Duration::from_nanos(1)),
+            InferenceRequest::new("short", frame_b(2)),
+            bulk(3),
+            bulk(4),
+            bulk(5),
+        ]);
+        assert_eq!(full.unwrap_err().reject_reason(), Some(&RejectReason::QueueFull { limit: 5 }));
+        let verdicts: Vec<Result<InferenceReply>> =
+            pending.into_iter().map(PendingReply::wait).collect();
         assert_eq!(
-            doomed.wait().unwrap_err().reject_reason(),
+            verdicts[1].as_ref().unwrap_err().reject_reason(),
             Some(&RejectReason::DeadlineExpired)
         );
-        assert!(short.wait().is_ok());
-        assert!(pin.wait().is_ok());
-        assert!(served.into_iter().all(|p| p.wait().is_ok()));
+        assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 4);
 
         let stats = runtime.stats();
         let samples = parse_metrics(&runtime.metrics_text());
@@ -1352,37 +1379,28 @@ mod tests {
 
     #[test]
     fn batching_policy_groups_concurrent_requests() {
-        // One worker, generous wait: requests submitted together should
-        // share batches rather than run one by one.
+        // One worker: requests submitted together share one pass rather
+        // than run one by one.
         let runtime = single(
             model(),
-            RuntimeConfig {
-                workers: 1,
-                max_batch: 8,
-                max_wait: Duration::from_millis(50),
-                timesteps: 5,
-                ..Default::default()
-            },
+            RuntimeConfig { workers: 1, max_batch: 8, timesteps: 5, ..Default::default() },
         );
-        let pending: Vec<PendingReply> =
-            (0..8).map(|k| runtime.submit(request(k)).unwrap()).collect();
-        let replies: Vec<InferenceReply> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
+        let requests: Vec<InferenceRequest> = (0..8).map(request).collect();
+        let replies = runtime.infer_many(&requests).unwrap();
         assert!(
-            replies.iter().any(|r| r.batch_size > 1),
+            replies.iter().all(|r| r.batch_size == 8),
             "co-submitted requests should share a batch"
         );
         let stats = runtime.shutdown().unwrap();
-        assert!(stats.batches < 8, "expected batching, got {} batches", stats.batches);
+        assert_eq!(stats.batches, 1, "expected one batch, got {}", stats.batches);
     }
 
     #[test]
     fn served_replies_equal_a_fresh_replicas_pass_at_every_batch_size() {
-        // One worker holds every under-full batch open for a straggler
-        // that never comes; closing admission releases it, so the n
-        // requests submitted before form exactly one batch of n on the
-        // 16-lane replica. Whatever its occupancy, a served pass is
-        // `BatchSim::run_batch` on a fresh replica — and each of its
-        // frames the oracle's.
+        // One worker sees the n requests of one `infer_many` all at once,
+        // so they form exactly one batch of n on the 16-lane replica.
+        // Whatever its occupancy, a served pass is `BatchSim::run_batch`
+        // on a fresh replica — and each of its frames the oracle's.
         const T: u32 = 5;
         let model = model();
         let frames: Vec<Tensor> = (0..16).map(frame).collect();
@@ -1392,19 +1410,10 @@ mod tests {
         for n in 1..=16 {
             let runtime = single(
                 model.clone(),
-                RuntimeConfig {
-                    workers: 1,
-                    max_batch: 16,
-                    max_wait: Duration::from_secs(30),
-                    timesteps: T,
-                    ..Default::default()
-                },
+                RuntimeConfig { workers: 1, max_batch: 16, timesteps: T, ..Default::default() },
             );
-            let pending: Vec<PendingReply> =
-                (0..n).map(|k| runtime.submit(request(k)).unwrap()).collect();
-            runtime.begin_shutdown();
-            let replies: Vec<InferenceReply> =
-                pending.into_iter().map(|p| p.wait().unwrap()).collect();
+            let requests: Vec<InferenceRequest> = (0..n).map(request).collect();
+            let replies = runtime.infer_many(&requests).unwrap();
             let fresh = model.instantiate_batched(16).unwrap().run_batch(&frames[..n], T).unwrap();
             for (k, reply) in replies.iter().enumerate() {
                 assert_eq!(reply.batch_size, n, "request {k} of {n}");
@@ -1483,10 +1492,9 @@ mod tests {
         assert_eq!(stats.batches, 0);
     }
 
-    /// Pins the single worker into a long straggler wait on a
-    /// high-priority model so the queue state is deterministic while the
-    /// test pokes at it.
-    fn pinned_worker_runtime(max_wait: Duration, queue_depth: usize) -> Runtime {
+    /// One worker serving a high-priority `pin` model beside a `bulk`
+    /// one; the tests fix the queue state with one atomic burst.
+    fn pin_and_bulk_runtime(queue_depth: usize) -> Runtime {
         let registry = ModelRegistry::new()
             .with_model("pin", model(), ServeOptions::default().with_priority(10))
             .unwrap()
@@ -1495,7 +1503,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 2,
-            max_wait,
             timesteps: 3,
             queue_depth,
             ..Default::default()
@@ -1505,37 +1512,33 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_backpressure_under_a_saturated_worker() {
-        // The pin request parks the only worker in a 10 s straggler wait
-        // (its model outranks everything, and a second pin frame never
-        // comes), so bulk requests pile up deterministically.
-        let runtime = pinned_worker_runtime(Duration::from_secs(10), 4);
-        let pin = runtime.submit(InferenceRequest::new("pin", frame(0))).unwrap();
-        let bulk: Vec<PendingReply> = (0..3)
-            .map(|k| runtime.submit(InferenceRequest::new("bulk", frame_b(k))).unwrap())
-            .collect();
-        // Queue now holds 1 pin + 3 bulk = its whole depth bound.
-        let err = runtime.submit(InferenceRequest::new("bulk", frame_b(9))).unwrap_err();
-        assert_eq!(err.reject_reason(), Some(&RejectReason::QueueFull { limit: 4 }));
-        // Shutdown breaks the straggler wait and drains everything that
-        // *was* admitted.
+        // One burst lands before the only worker can take any of it: 1 pin
+        // + 3 bulk fill the depth bound, so the fifth request is refused.
+        let runtime = pin_and_bulk_runtime(4);
+        let (pending, err) = runtime.submit_all(
+            std::iter::once(InferenceRequest::new("pin", frame(0)))
+                .chain([0, 1, 2, 9].map(|k| InferenceRequest::new("bulk", frame_b(k)))),
+        );
+        assert_eq!(err.unwrap_err().reject_reason(), Some(&RejectReason::QueueFull { limit: 4 }));
+        // Shutdown drains everything that *was* admitted.
         let stats = runtime.shutdown().unwrap();
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.rejected_queue_full, 1);
         let bulk_stats = stats.models.iter().find(|m| m.id == "bulk").unwrap();
         assert_eq!(bulk_stats.stats.rejected_queue_full, 1, "the rejection lands on its model");
         assert_eq!(bulk_stats.stats.completed, 3);
-        assert!(pin.wait().is_ok());
-        for reply in bulk {
+        assert_eq!(pending.len(), 4);
+        for reply in pending {
             assert!(reply.wait().is_ok());
         }
     }
 
     #[test]
     fn sampled_requests_record_ordered_spans_with_phase_profiles() {
-        // Dense sampling on the PR 6 pinned-worker harness shape: one
-        // worker, a priority-pinned model next to a bulk one, so every
-        // request's lifecycle must land in the span ring — across
-        // models — with ordered timestamps and a phase profile.
+        // Dense sampling, one worker, a high-priority model next to a
+        // bulk one, one request in flight at a time: every request's
+        // lifecycle must land in the span ring — across models — with
+        // ordered timestamps and a one-frame phase profile.
         let registry = ModelRegistry::new()
             .with_model("pin", model(), ServeOptions::default().with_priority(10))
             .unwrap()
@@ -1544,7 +1547,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             timesteps: 3,
             telemetry: TelemetryConfig::dense(),
             ..Default::default()
@@ -1613,16 +1615,16 @@ mod tests {
 
     #[test]
     fn queued_requests_expire_without_occupying_a_lane() {
-        // The worker sits in a 400 ms straggler wait on the pin model;
-        // the bulk request's 30 ms deadline passes while it waits, so the
-        // sweep must drop it — before any lane is planned for it.
-        let runtime = pinned_worker_runtime(Duration::from_millis(400), 64);
-        let pin = runtime.submit(InferenceRequest::new("pin", frame(0))).unwrap();
-        let doomed = runtime
-            .submit(
-                InferenceRequest::new("bulk", frame_b(0)).with_deadline(Duration::from_millis(30)),
-            )
-            .unwrap();
+        // The bulk request's 1 ns budget has passed by the time the only
+        // worker first looks at the burst, so the sweep must drop it —
+        // before any lane is planned for it — and serve the pin request.
+        let runtime = pin_and_bulk_runtime(64);
+        let (pending, admitted) = runtime.submit_all([
+            InferenceRequest::new("pin", frame(0)),
+            InferenceRequest::new("bulk", frame_b(0)).with_deadline(Duration::from_nanos(1)),
+        ]);
+        admitted.unwrap();
+        let [pin, doomed] = <[PendingReply; 2]>::try_from(pending).unwrap();
         let err = doomed.wait().unwrap_err();
         assert_eq!(err.reject_reason(), Some(&RejectReason::DeadlineExpired));
         assert!(pin.wait().is_ok());
@@ -1643,13 +1645,7 @@ mod tests {
             .unwrap()
             .with_model("b", b, ServeOptions::default().with_warm_replicas(2))
             .unwrap();
-        let config = RuntimeConfig {
-            workers: 2,
-            max_batch: 8,
-            max_wait: Duration::from_millis(10),
-            timesteps: 6,
-            ..Default::default()
-        };
+        let config = RuntimeConfig { workers: 2, max_batch: 8, timesteps: 6, ..Default::default() };
         let runtime = Runtime::serve(registry, config).unwrap();
         // Interleave the two models' traffic as hard as possible.
         let requests: Vec<InferenceRequest> = (0..40)
@@ -1765,7 +1761,6 @@ mod tests {
         let config = RuntimeConfig::builder()
             .workers(3)
             .max_batch(4)
-            .max_wait(Duration::from_millis(1))
             .timesteps(9)
             .queue_depth(32)
             .build()
@@ -1794,19 +1789,6 @@ mod tests {
             Runtime::serve(ModelRegistry::new(), RuntimeConfig::default()).is_err(),
             "an empty registry cannot serve"
         );
-    }
-
-    #[test]
-    fn an_unbounded_max_wait_holds_a_lone_request_until_shutdown() {
-        // `enqueued + Duration::MAX` is past the clock's range: no time
-        // bound, so the under-full batch waits for fill or close — and the
-        // worker computing that must not panic.
-        let config = RuntimeConfig::builder().workers(1).max_wait(Duration::MAX).build().unwrap();
-        let runtime = single(model(), config);
-        let pending = runtime.submit(request(0)).unwrap();
-        let stats = runtime.shutdown().unwrap();
-        assert!(pending.wait().is_ok(), "shutdown dispatches what has gathered");
-        assert_eq!(stats.worker_restarts, 0, "the worker never panicked");
     }
 
     #[test]

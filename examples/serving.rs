@@ -81,7 +81,6 @@ fn main() -> Result<()> {
     let config = RuntimeConfig::builder()
         .workers(2)
         .max_batch(8)
-        .max_wait(Duration::from_millis(5))
         .timesteps(timesteps)
         .queue_depth(128)
         // Trace every request instead of the production 1-in-16 default:
