@@ -20,11 +20,12 @@
 //! way it caps criterion samples (CI quick mode: 3).
 //!
 //! With the `chaos` feature compiled in and `SHENJING_CHAOS` set, the
-//! run doubles as a fault-tolerance smoke: scripted replica panics are
-//! injected mid-load, every offered request must still complete (the
-//! retry budget absorbs the faults — zero lost replies), and the median
-//! lines get a `_chaos` suffix so the artifact never mixes clean and
-//! faulted latencies under one name.
+//! run doubles as a fault-tolerance smoke: four scripted replica panics
+//! are injected mid-load, every offered request must still get exactly
+//! one terminal reply (the riders of the panicked batches a typed
+//! `ReplicaFault`, no request lost), and the median lines get a
+//! `_chaos` suffix so the artifact never mixes clean and faulted
+//! latencies under one name.
 
 use std::time::{Duration, Instant};
 
@@ -44,6 +45,8 @@ const CNN_PER_WAVE: usize = 6;
 const MEAN_GAP: Duration = Duration::from_millis(25);
 /// Waves when `SHENJING_BENCH_SAMPLES` is unset.
 const DEFAULT_WAVES: usize = 5;
+/// Batch ordinals the faulted run panics (with `SHENJING_CHAOS`).
+const PANICS: [u64; 4] = [3, 10, 17, 24];
 
 fn waves_from_env() -> usize {
     match std::env::var("SHENJING_BENCH_SAMPLES") {
@@ -123,13 +126,8 @@ fn main() {
         RuntimeConfig::builder().workers(2).max_batch(4).timesteps(8).queue_depth(256);
     #[cfg(feature = "chaos")]
     if chaos_on {
-        // A finite panic list with a retry budget larger than the list
-        // guarantees completion: even a rider unlucky enough to be in
-        // every panicked batch has budget left for a clean attempt.
-        builder = builder
-            .retry_budget(5)
-            .chaos(ChaosConfig::default().with_panic_on_batches([3u64, 10, 17, 24]));
-        eprintln!("chaos armed: replica panics at batches 3, 10, 17, 24; retry budget 5");
+        builder = builder.chaos(ChaosConfig::default().with_panic_on_batches(PANICS));
+        eprintln!("chaos armed: replica panics at batches {PANICS:?}");
     }
     let config = builder.build().unwrap();
     let setup_start = Instant::now();
@@ -140,6 +138,7 @@ fn main() {
     let cnn_frame_len = cnn.input_len();
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let run_start = Instant::now();
+    let mut faults = 0u64;
     for wave in 0..waves {
         let mut pending = Vec::new();
         for k in 0..(MLP_PER_WAVE + CNN_PER_WAVE) {
@@ -159,13 +158,25 @@ fn main() {
             std::thread::sleep(MEAN_GAP.mul_f64(-unit.ln()));
         }
         for p in pending {
-            p.wait().unwrap();
+            match p.wait() {
+                Ok(_) => {}
+                // A panicked batch's riders each get one typed fault.
+                Err(Error::ReplicaFault { reason, .. })
+                    if chaos_on
+                        && PANICS.iter().any(|n| reason.ends_with(&format!("batch {n}"))) =>
+                {
+                    faults += 1;
+                }
+                Err(e) => panic!("a request failed outside the scripted faults: {e:?}"),
+            }
         }
     }
     let wall = run_start.elapsed();
 
     let stats = runtime.shutdown().unwrap();
-    assert_eq!(stats.completed, ((MLP_PER_WAVE + CNN_PER_WAVE) * waves) as u64);
+    let offered = ((MLP_PER_WAVE + CNN_PER_WAVE) * waves) as u64;
+    assert_eq!(stats.completed + stats.failed, offered, "one terminal reply per request");
+    assert_eq!(stats.failed, faults, "every failure is a scripted replica fault");
     assert_eq!(
         stats.models.iter().map(|m| m.stats.batches).sum::<u64>(),
         stats.batches,
@@ -180,32 +191,32 @@ fn main() {
         stats.cold_starts,
     );
     eprintln!(
-        "fault tolerance: {} worker restarts, {} retries, {} quarantines",
-        stats.worker_restarts, stats.retries, stats.quarantines,
+        "fault tolerance: {} worker restarts, {} quarantines, {} riders failed",
+        stats.worker_restarts, stats.quarantines, stats.failed,
     );
     if chaos_on {
-        // The smoke's contract: injected panics cost retries, never
-        // replies — everything offered completed (asserted above), and
-        // the fault machinery demonstrably ran.
-        assert_eq!(stats.failed, 0, "zero lost replies under injected panics");
-        assert!(stats.retries >= 1, "injected panics must have forced retries");
-        assert!(stats.quarantines >= 1, "each panic quarantines the replica");
+        // The smoke's contract: each scripted panic fails its own batch
+        // once and quarantines its replica (every reply was checked
+        // above); no worker was lost.
+        assert_eq!(stats.quarantines, PANICS.len() as u64, "one rebuild per scripted panic");
+        assert_eq!(stats.worker_restarts, 0);
+        assert!(stats.workers.iter().all(|w| w.healthy));
     }
     let suffix = if chaos_on { "_chaos" } else { "" };
     for model in &stats.models {
         let s = &model.stats;
-        // Rejections, in-queue expiries and retries ride along with the
+        // Rejections, in-queue expiries and failures ride along with the
         // latency percentiles: an open-loop mix that only reports
         // p50/p99 can hide a tier that hits its SLO by shedding load
         // instead of serving it.
         let detail = format!(
-            "{} frames, {} batches, p95 {:.3} ms, {} rejected, {} expired in queue, {} retried",
+            "{} frames, {} batches, p95 {:.3} ms, {} rejected, {} expired in queue, {} failed",
             s.completed,
             s.batches,
             s.p95_latency.as_secs_f64() * 1e3,
             s.rejected_queue_full + s.rejected_deadline,
             s.expired_in_queue,
-            s.retries,
+            s.failed,
         );
         let tag = if model.id == "mnist-mlp" { "mlp" } else { "cnn" };
         print_median(&format!("loadgen_mix_{tag}_p50{suffix}"), s.p50_latency, &detail);

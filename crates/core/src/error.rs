@@ -72,15 +72,13 @@ pub enum Error {
         /// Why the request was refused.
         reason: RejectReason,
     },
-    /// A serving replica faulted (panicked or kept erroring) while
-    /// executing the request, and the runtime's retry budget or the
-    /// request's deadline ran out before a healthy execution. The input
-    /// itself is fine — resubmitting is safe ([`Error::is_retryable`]).
+    /// A serving replica faulted while executing the batch this request
+    /// rode in: every rider of that batch gets this error once, and the
+    /// runtime never re-executes it. Resubmitting is safe
+    /// ([`Error::is_retryable`]).
     ReplicaFault {
-        /// The worker shard whose replica faulted on the final attempt.
+        /// The worker shard whose replica faulted.
         worker: usize,
-        /// Executions performed, including the failing one.
-        attempts: u32,
         /// What the replica did (panic payload or underlying error).
         reason: String,
     },
@@ -154,8 +152,8 @@ impl std::fmt::Display for Error {
             }
             Error::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             Error::Rejected { reason } => write!(f, "request rejected: {reason}"),
-            Error::ReplicaFault { worker, attempts, reason } => {
-                write!(f, "replica fault on worker {worker} after {attempts} attempt(s): {reason}")
+            Error::ReplicaFault { worker, reason } => {
+                write!(f, "replica fault on worker {worker}: {reason}")
             }
             Error::WorkerLost { worker: Some(id) } => {
                 write!(f, "runtime worker {id} died before answering")
@@ -207,9 +205,12 @@ impl Error {
     ///
     /// Retryable errors describe a fault in the *serving infrastructure*
     /// (a replica panicked, a worker thread died) rather than in the
-    /// request: the input never got a healthy execution. Everything else
-    /// — bad data, mapping failures, typed rejections — is terminal, and
-    /// retrying verbatim would just fail the same way.
+    /// request: the input never got a healthy execution. The runtime
+    /// itself never retries, because a panic replays on the same frames;
+    /// a client that resubmits a [`Error::ReplicaFault`]ed request sends
+    /// it into a new batch, away from the frame that panicked. Everything
+    /// else — bad data, mapping failures, typed rejections — is terminal,
+    /// and retrying verbatim would just fail the same way.
     pub fn is_retryable(&self) -> bool {
         matches!(self, Error::ReplicaFault { .. } | Error::WorkerLost { .. })
     }
@@ -233,11 +234,7 @@ mod tests {
                 reason: "add without operand".into(),
             },
             Error::config("timestep must be positive"),
-            Error::ReplicaFault {
-                worker: 1,
-                attempts: 3,
-                reason: "injected panic at batch 7".into(),
-            },
+            Error::ReplicaFault { worker: 1, reason: "injected panic at batch 7".into() },
             Error::WorkerLost { worker: Some(0) },
             Error::WorkerLost { worker: None },
         ];
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn only_infrastructure_faults_are_retryable() {
         let retryable = [
-            Error::ReplicaFault { worker: 0, attempts: 1, reason: "panic".into() },
+            Error::ReplicaFault { worker: 0, reason: "panic".into() },
             Error::WorkerLost { worker: Some(2) },
             Error::WorkerLost { worker: None },
         ];

@@ -1,19 +1,17 @@
 //! Deterministic failure injection for fault-tolerance drills.
 //!
 //! Gated behind the default-off `chaos` feature, this module arms a
-//! [`Runtime`](crate::Runtime) with scripted failures so the
-//! restart, retry, and quarantine machinery can be exercised — and
-//! asserted on — without any real hardware fault:
+//! [`Runtime`](crate::Runtime) with scripted failures so the restart
+//! and quarantine machinery can be exercised — and asserted on —
+//! without any real hardware fault:
 //!
 //! - **Replica panics** ([`ChaosConfig::with_panic_on_batches`] /
 //!   [`with_panic_every`](ChaosConfig::with_panic_every)): the Nth
 //!   batch execution panics inside the per-batch guard, exactly where a
-//!   buggy replica would.
-//! - **Batch errors** ([`ChaosConfig::with_error_on_batches`]): the Nth
-//!   batch fails with a typed error before planning, feeding the
-//!   consecutive-error quarantine streak.
+//!   buggy replica would. The replica is rebuilt and every rider of that
+//!   batch fails once with a `ReplicaFault`; nothing is retried.
 //! - **Pass delay** ([`ChaosConfig::with_delay`]): every execution
-//!   sleeps first, stretching latency tails for deadline/backoff tests.
+//!   sleeps first, stretching latency tails for deadline tests.
 //! - **Worker kills** ([`ChaosConfig::with_kill_worker_on_ticks`]): the
 //!   Nth worker-loop tick panics *outside* the guard, unwinding the
 //!   whole worker loop so the worker's own restart path runs.
@@ -32,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 use std::time::Duration;
 
-use shenjing_core::{ArchSpec, Error, Result};
+use shenjing_core::{ArchSpec, Result};
 use shenjing_mapper::Mapper;
 use shenjing_snn::SnnNetwork;
 
@@ -43,18 +41,14 @@ pub use shenjing_sim::fault::{inject, inject_mapping, Fault};
 /// A scripted failure schedule, armed via
 /// [`RuntimeConfigBuilder::chaos`](crate::RuntimeConfigBuilder::chaos).
 ///
-/// Ordinals are 1-based counts of batch executions (for panics, errors
-/// and delay) or worker-loop ticks (for kills), shared across all
-/// workers.
+/// Ordinals are 1-based counts of batch executions (for panics and
+/// delay) or worker-loop ticks (for kills), shared across all workers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Batch-execution ordinals that panic inside the per-batch guard.
     pub panic_on_batches: Vec<u64>,
     /// Panic on every multiple of this batch ordinal (1 = every batch).
     pub panic_every: Option<u64>,
-    /// Batch-execution ordinals that fail with a typed error instead of
-    /// executing.
-    pub error_on_batches: Vec<u64>,
     /// Sleep this long before every batch execution.
     pub delay: Option<Duration>,
     /// Worker-loop tick ordinals that kill the whole worker loop.
@@ -73,13 +67,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn with_panic_every(mut self, every: u64) -> ChaosConfig {
         self.panic_every = Some(every);
-        self
-    }
-
-    /// Fails the listed batch executions with a typed error.
-    #[must_use]
-    pub fn with_error_on_batches(mut self, batches: impl Into<Vec<u64>>) -> ChaosConfig {
-        self.error_on_batches = batches.into();
         self
     }
 
@@ -136,12 +123,8 @@ impl ChaosInjector {
     }
 
     /// Called inside the per-batch panic guard, before planning. May
-    /// sleep, panic, or fail the batch with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidControl`] on scripted error ordinals.
-    pub(crate) fn on_execute(&self) -> Result<()> {
+    /// sleep or panic.
+    pub(crate) fn on_execute(&self) {
         let n = self.batches.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(delay) = self.config.delay {
             std::thread::sleep(delay);
@@ -151,13 +134,6 @@ impl ChaosInjector {
         if scripted_panic {
             panic!("chaos: injected panic at batch {n}");
         }
-        if self.config.error_on_batches.contains(&n) {
-            return Err(Error::InvalidControl {
-                component: "chaos".into(),
-                reason: format!("injected replica fault at batch {n}"),
-            });
-        }
-        Ok(())
     }
 
     /// Called at the top of every worker-loop iteration, outside every
@@ -178,7 +154,8 @@ impl ChaosInjector {
 /// # Errors
 ///
 /// Propagates mapping/decoding errors and
-/// [`Error::InvalidConfig`] for an out-of-range fault target.
+/// [`Error::InvalidConfig`](shenjing_core::Error::InvalidConfig) for an
+/// out-of-range fault target.
 pub fn compile_damaged(arch: &ArchSpec, snn: &SnnNetwork, fault: Fault) -> Result<CompiledModel> {
     let mapping = Mapper::new(arch.clone()).map(snn)?;
     let damaged = inject_mapping(&mapping, fault)?;
@@ -190,26 +167,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scripted_errors_and_panics_follow_the_batch_ordinals() {
-        let injector = ChaosInjector::new(
-            ChaosConfig::default().with_error_on_batches([2u64]).with_panic_on_batches([3u64]),
-        );
-        assert!(injector.on_execute().is_ok(), "batch 1 passes");
-        assert!(injector.on_execute().is_err(), "batch 2 errors");
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = injector.on_execute();
-        }));
-        assert!(unwound.is_err(), "batch 3 panics");
-        assert!(injector.on_execute().is_ok(), "batch 4 passes again");
+    fn scripted_panics_follow_the_batch_ordinals() {
+        let injector = ChaosInjector::new(ChaosConfig::default().with_panic_on_batches([2u64]));
+        let panics = || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| injector.on_execute()))
+                .is_err()
+        };
+        assert!(!panics(), "batch 1 passes");
+        assert!(panics(), "batch 2 panics");
+        assert!(!panics(), "batch 3 passes again");
     }
 
     #[test]
     fn periodic_panics_hit_every_multiple() {
         let injector = ChaosInjector::new(ChaosConfig::default().with_panic_every(2));
         for batch in 1u64..=4 {
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = injector.on_execute();
-            }));
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| injector.on_execute()));
             assert_eq!(unwound.is_err(), batch.is_multiple_of(2), "batch {batch}");
         }
     }

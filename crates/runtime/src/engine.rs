@@ -28,7 +28,8 @@ pub trait Engine: Send {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the replica cannot hold
-    /// `frames` frames; a plan error fails the whole batch.
+    /// `frames` frames; the worker fails the whole batch with a replica
+    /// fault.
     fn plan(&mut self, frames: usize) -> Result<()>;
 
     /// Advances every planned frame, returning one verdict per frame in
@@ -38,16 +39,6 @@ pub trait Engine: Send {
     /// Releases per-batch resources so the replica idles clean (finished
     /// frames leave their lanes; the occupancy drops to zero).
     fn drain(&mut self);
-
-    /// Turns per-pass phase profiling on for subsequent
-    /// [`execute`](Engine::execute) calls (and off again). The scheduler
-    /// enables this only for batches carrying a telemetry-sampled
-    /// request, so unprofiled batches run the untouched fast path.
-    fn set_profiling(&mut self, on: bool);
-
-    /// Takes the phase profile accumulated since profiling was enabled,
-    /// stopping profiling. `None` when profiling was never on.
-    fn take_profile(&mut self) -> Option<shenjing_telemetry::PassProfile>;
 }
 
 impl Engine for BatchSim {
@@ -65,8 +56,8 @@ impl Engine for BatchSim {
         match self.run_occupied(inputs, timesteps) {
             Ok(outputs) => outputs.into_iter().map(Ok).collect(),
             // Only input validation can fail — the program was proven at
-            // compile time — and it fails the whole batch; every rider
-            // learns why.
+            // compile time and admission checked the inputs — so an error
+            // here is a bug, and the worker fails the whole batch.
             Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
         }
     }
@@ -74,14 +65,6 @@ impl Engine for BatchSim {
     fn drain(&mut self) {
         // No lanes always fit.
         let _ = self.set_occupied(0);
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        BatchSim::set_profiling(self, on);
-    }
-
-    fn take_profile(&mut self) -> Option<shenjing_telemetry::PassProfile> {
-        BatchSim::take_profile(self)
     }
 }
 
@@ -103,22 +86,25 @@ mod tests {
 
     #[test]
     fn profiling_flows_through_the_trait() {
+        // The worker toggles profiling on the replica itself and drives the
+        // batch through the engine lifecycle; the profile must span it.
         let inputs: Vec<Tensor> =
             vec![Tensor::from_vec(vec![8], (0..8).map(|i| i as f64 / 8.0).collect()).unwrap(); 2];
-        let mut engine: Box<dyn Engine> = Box::new(model().instantiate_batched(4).unwrap());
-        assert!(engine.take_profile().is_none(), "profiling starts off");
-        engine.set_profiling(true);
+        let mut sim = model().instantiate_batched(4).unwrap();
+        assert!(sim.take_profile().is_none(), "profiling starts off");
+        sim.set_profiling(true);
+        let engine: &mut dyn Engine = &mut sim;
         engine.plan(inputs.len()).unwrap();
         for r in engine.execute(&inputs, 5) {
             r.unwrap();
         }
         engine.drain();
-        let profile = engine.take_profile().expect("profiled batch yields a profile");
+        let profile = sim.take_profile().expect("profiled batch yields a profile");
         // One SoA pass advances both frames together.
         assert_eq!((profile.passes, profile.timesteps), (1, 5));
         assert_eq!(profile.occupied_lane_steps, 2, "two lanes were occupied");
         assert!(profile.total_phase_ns() > 0);
-        assert!(engine.take_profile().is_none(), "take_profile stops profiling");
+        assert!(sim.take_profile().is_none(), "take_profile stops profiling");
     }
 
     #[test]

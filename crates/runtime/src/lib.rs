@@ -48,25 +48,25 @@
 //!    renders as Prometheus text. Sampled per-request lifecycle spans
 //!    (admitted → batch-formed → planned → executed → drained →
 //!    replied), their carrying batches phase-profiled (ACC / SEND /
-//!    transfer / drain pass time) through the [`Engine`] trait, export
-//!    as a Perfetto-loadable Chrome trace ([`Runtime::trace_json`]).
+//!    transfer / drain pass time) by the replica itself, export as a
+//!    Perfetto-loadable Chrome trace ([`Runtime::trace_json`]).
 //!
 //! The tier is **fault-tolerant**: each batch executes behind a panic
-//! guard (a panicking replica fails only its own batch), a worker whose
+//! guard. A fault — a panic, or an error the proven program and
+//! admission leave no room for — fails only its own batch: the replica
+//! is quarantined (torn down and rebuilt from the compiled artifact)
+//! and every rider is answered once with
+//! [`Error::ReplicaFault`](shenjing_core::Error::ReplicaFault). The
+//! runtime does not retry: the schedule and the rate coding are
+//! deterministic, so a panic replays on the same frames. A worker whose
 //! loop panics outside that guard restarts it in place with cold
 //! replicas (counted in `shenjing_worker_restarts_total{worker=}`; past
 //! its restart budget it gives up, and the last worker standing fails
-//! the queue typed), repeatedly-faulting replicas are quarantined — torn
-//! down and rebuilt from the compiled artifact — and requests hit by a
-//! replica fault are retried with exponential backoff inside their retry
-//! budget and deadline ([`RuntimeConfig::retry_budget`]). Terminal
-//! infrastructure failures surface typed as
-//! [`Error::ReplicaFault`](shenjing_core::Error::ReplicaFault) /
-//! [`Error::WorkerLost`](shenjing_core::Error::WorkerLost). The
-//! default-off `chaos` feature adds the `chaos` module: deterministic
-//! failure injection (panic on the Nth batch, injected batch errors,
-//! artificial delay, worker-loop kills, damaged weights via
-//! `sim::fault`) for drills and tests.
+//! the queue with [`Error::WorkerLost`](shenjing_core::Error::WorkerLost)).
+//! The default-off `chaos` feature adds the `chaos` module:
+//! deterministic failure injection (panic on the Nth batch, artificial
+//! delay, worker-loop kills, damaged weights via `sim::fault`) for
+//! drills and tests.
 //!
 //! # Example
 //!

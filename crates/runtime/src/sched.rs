@@ -8,14 +8,16 @@
 //! the property test below:
 //!
 //! - expired requests are swept before any pick;
-//! - the batch head is the most urgent *ready* request (priority, then
-//!   deadline, then FIFO); a request backing off before a retry is not
-//!   ready;
+//! - the batch head is the most urgent request (priority, then
+//!   deadline, then FIFO);
 //! - batches are single-model and hold at most `max_batch` requests;
-//! - dispatch is work-conserving: while any request is ready, the
-//!   verdict is a batch of the head model's ready requests, however few.
+//! - dispatch is work-conserving: while any request is queued, the
+//!   verdict is a batch of the head model's requests, however few.
 //!   Batches fill under load because requests gather while the previous
-//!   pass runs, not because a ready request is held back.
+//!   pass runs, not because a queued request is held back.
+//!
+//! A request leaves the queue once, expired or dispatched: the runtime
+//! never puts one back.
 
 use std::cmp::Ordering;
 use std::sync::{mpsc, Arc};
@@ -31,32 +33,25 @@ use crate::server::InferenceReply;
 pub(crate) struct Request {
     pub(crate) model: usize,
     pub(crate) input: Tensor,
-    /// Not dequeuable before this instant — the retry backoff window.
-    /// `None` for first-execution requests (always ready).
-    pub(crate) not_before: Option<Instant>,
     pub(crate) rider: Rider,
 }
 
 /// The part of a queued request that outlives its execution: identity,
 /// scheduling facts, and the reply channel. The input tensor is moved
-/// out for execution and rejoined on requeue, so a faulted batch retries
-/// without cloning frames.
+/// out for execution, so a batch runs without cloning frames.
 pub(crate) struct Rider {
     pub(crate) enqueued: Instant,
     /// Absolute expiry, resolved at admission from the request's budget
-    /// (or the model's default SLO). Retries keep it: the SLO is
-    /// measured from original submission, not from the latest attempt.
+    /// (or the model's default SLO).
     pub(crate) deadline: Option<Instant>,
     pub(crate) priority: u8,
     /// Admission order, the FIFO tie-breaker (stamped by
-    /// [`Scheduler::admit`], stable across retries).
+    /// [`Scheduler::admit`]).
     pub(crate) seq: u64,
     /// Whether this request won the telemetry sampling decision at
     /// admission: its lifecycle becomes a span, and the batch carrying
     /// it is phase-profiled.
     pub(crate) sampled: bool,
-    /// Executions already performed (0 until the first replica fault).
-    pub(crate) attempts: u32,
     pub(crate) reply: mpsc::Sender<Result<InferenceReply>>,
 }
 
@@ -88,10 +83,8 @@ pub(crate) enum Next {
     /// Execute `batch` — one model's requests, most urgent first — as
     /// one pass.
     Dispatch { model: usize, batch: Vec<Request> },
-    /// Nothing is ready — the queue is empty, or every request in it is
-    /// backing off before a retry: sleep until the instant (a backoff
-    /// window opens or a deadline passes), or until the next admission.
-    Wait(Option<Instant>),
+    /// The queue is empty: sleep until the next admission (or close).
+    Wait,
     /// Closed and drained: the worker is done.
     Exit,
 }
@@ -126,7 +119,8 @@ impl Scheduler {
         }
         request.rider.seq = self.next_seq;
         self.next_seq += 1;
-        self.requeue([request]);
+        self.depth[request.model].add(1);
+        self.pending.push(request);
         Ok(())
     }
 
@@ -137,35 +131,17 @@ impl Scheduler {
             self.depth[request.model].sub(1);
             expired.push(request);
         }
-        let ready = |r: &Request| r.not_before.is_none_or(|t| t <= now);
-        let Some(head) =
-            self.pending.iter().filter(|r| ready(r)).min_by(|a, b| schedule_order(a, b))
-        else {
-            // Empty, or everything is backing off between retry attempts
-            // (retries still drain under close).
-            return match self.wake_at(now) {
-                None if self.closed => Next::Exit,
-                wake => Next::Wait(wake),
-            };
+        let Some(head) = self.pending.iter().min_by(|a, b| schedule_order(a, b)) else {
+            return if self.closed { Next::Exit } else { Next::Wait };
         };
-        // Only the head's model's ready requests may ride along.
+        // Only the head's model's requests may ride along.
         let model = head.model;
-        let mut batch: Vec<Request> =
-            self.pending.extract_if(.., |r| r.model == model && ready(r)).collect();
+        let mut batch: Vec<Request> = self.pending.extract_if(.., |r| r.model == model).collect();
         batch.sort_by(schedule_order);
         let overflow = batch.split_off(batch.len().min(self.max_batch));
         self.pending.extend(overflow);
         self.depth[model].sub(batch.len() as i64);
         Next::Dispatch { model, batch }
-    }
-
-    /// Puts requests back in the queue — a faulted batch's retries, each
-    /// behind its backoff window.
-    pub(crate) fn requeue(&mut self, requests: impl IntoIterator<Item = Request>) {
-        for request in requests {
-            self.depth[request.model].add(1);
-            self.pending.push(request);
-        }
     }
 
     /// Closes admission: [`next`](Scheduler::next) says [`Next::Exit`]
@@ -183,14 +159,6 @@ impl Scheduler {
         }
         std::mem::take(&mut self.pending)
     }
-
-    /// The earliest instant after `now` at which the verdict can change
-    /// without an admission: a backoff window opens or a deadline passes.
-    fn wake_at(&self, now: Instant) -> Option<Instant> {
-        let events =
-            self.pending.iter().flat_map(|r| [r.not_before.filter(|&t| t > now), r.rider.deadline]);
-        events.flatten().min()
-    }
 }
 
 #[cfg(test)]
@@ -201,15 +169,7 @@ mod tests {
     use std::time::Duration;
 
     fn rider(priority: u8, deadline: Option<Instant>, enqueued: Instant) -> Rider {
-        Rider {
-            enqueued,
-            deadline,
-            priority,
-            seq: 0,
-            sampled: false,
-            attempts: 0,
-            reply: mpsc::channel().0,
-        }
+        Rider { enqueued, deadline, priority, seq: 0, sampled: false, reply: mpsc::channel().0 }
     }
 
     fn request(
@@ -218,12 +178,7 @@ mod tests {
         deadline: Option<Instant>,
         enqueued: Instant,
     ) -> Request {
-        Request {
-            model,
-            input: Tensor::zeros(vec![1]),
-            not_before: None,
-            rider: rider(priority, deadline, enqueued),
-        }
+        Request { model, input: Tensor::zeros(vec![1]), rider: rider(priority, deadline, enqueued) }
     }
 
     fn scheduler(models: usize, max_batch: usize, capacity: usize) -> Scheduler {
@@ -290,34 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn requests_in_backoff_are_not_ready_and_not_batched() {
-        let now = Instant::now();
-        let mut sched = scheduler(1, 4, 8);
-        let window = now + Duration::from_secs(60);
-        let mut retry = request(0, 9, None, now);
-        retry.not_before = Some(window);
-        retry.rider.seq = 99;
-        sched.requeue([retry]);
-        sched.admit(request(0, 0, None, now)).unwrap();
-        let Next::Dispatch { batch, .. } = sched.next(now, &mut Vec::new()) else {
-            panic!("the ready request dispatches");
-        };
-        assert_eq!(seqs(&batch), vec![0], "the outranking request is still backing off");
-        assert!(matches!(sched.next(now, &mut Vec::new()), Next::Wait(Some(t)) if t == window));
-        assert!(matches!(sched.next(window, &mut Vec::new()), Next::Dispatch { .. }));
-        assert_eq!(sched.depth[0].get(), 0);
-    }
-
-    #[test]
     fn a_lone_request_dispatches_at_its_admission_instant() {
-        // A 16-lane scheduler never holds one ready request back for
-        // company: alone, beside another model's queue, or beside a retry
-        // in backoff, it leaves at the instant it was admitted.
+        // A 16-lane scheduler never holds one request back for company:
+        // alone, or beside another model's queue, it leaves at the
+        // instant it was admitted.
         let now = Instant::now();
         let mut sched = scheduler(2, 16, 8);
         let dispatch = |sched: &mut Scheduler| match sched.next(now, &mut Vec::new()) {
             Next::Dispatch { model, batch } => (model, seqs(&batch)),
-            _ => panic!("a ready request waited"),
+            _ => panic!("a queued request waited"),
         };
         sched.admit(request(0, 0, None, now)).unwrap();
         assert_eq!(dispatch(&mut sched), (0, vec![0]), "alone");
@@ -327,15 +263,7 @@ mod tests {
         sched.admit(request(0, 5, None, now)).unwrap();
         assert_eq!(dispatch(&mut sched), (0, vec![3]), "beside another model's queue");
         assert_eq!(dispatch(&mut sched), (1, vec![1, 2]), "and that queue right after");
-
-        let window = now + Duration::from_secs(60);
-        let mut retry = request(0, 9, None, now);
-        retry.not_before = Some(window);
-        retry.rider.seq = 99;
-        sched.requeue([retry]);
-        sched.admit(request(0, 0, None, now)).unwrap();
-        assert_eq!(dispatch(&mut sched), (0, vec![4]), "beside a retry in backoff");
-        assert!(matches!(sched.next(now, &mut Vec::new()), Next::Wait(Some(t)) if t == window));
+        assert!(matches!(sched.next(now, &mut Vec::new()), Next::Wait), "and then nothing");
     }
 
     #[test]
@@ -369,9 +297,9 @@ mod tests {
         fates: HashMap<u64, Fate>,
         /// Dispatched batches the "worker" has not finished yet.
         in_flight: Vec<Vec<Request>>,
-        /// The last `Wait`'s wake-up, while nothing was admitted, requeued
-        /// or closed since.
-        promise: Option<Option<Instant>>,
+        /// The last verdict was `Wait`, and nothing was admitted or
+        /// closed since.
+        idle: bool,
     }
 
     impl History {
@@ -402,7 +330,7 @@ mod tests {
                 Ok(()) => {
                     let seq = self.sched.next_seq - 1;
                     assert!(self.fates.insert(seq, Fate::Queued).is_none(), "seq {seq} reused");
-                    self.promise = None;
+                    self.idle = false;
                 }
                 Err(RejectReason::ShuttingDown) => assert!(closed),
                 Err(RejectReason::QueueFull { .. }) => assert!(full && !closed),
@@ -411,23 +339,14 @@ mod tests {
             self.gauges_match();
         }
 
-        /// Finishes the oldest batch in flight; a fault requeues the riders
-        /// `arg`'s bits pick behind a backoff window.
-        fn finish(&mut self, arg: u64) {
+        /// Finishes the oldest batch in flight: every rider is answered
+        /// once, and none returns to the queue.
+        fn finish(&mut self) {
             if self.in_flight.is_empty() {
                 return;
             }
-            let not_before = self.now() + Duration::from_micros(arg % 2_000);
-            for (i, mut r) in self.in_flight.remove(0).into_iter().enumerate() {
-                if (arg >> (12 + i % 32)) & 1 == 1 {
-                    self.end(r.rider.seq, Fate::InFlight, Fate::Queued);
-                    r.not_before = Some(not_before);
-                    r.rider.attempts += 1;
-                    self.sched.requeue([r]);
-                    self.promise = None;
-                } else {
-                    self.end(r.rider.seq, Fate::InFlight, Fate::Done);
-                }
+            for r in self.in_flight.remove(0) {
+                self.end(r.rider.seq, Fate::InFlight, Fate::Done);
             }
             self.gauges_match();
         }
@@ -442,15 +361,12 @@ mod tests {
                 .filter(|r| r.rider.deadline.is_some_and(|d| d <= now))
                 .map(|r| r.rider.seq)
                 .collect();
-            // The most urgent ready request, and each model's ready ones.
-            let live_ready = |r: &&&Request| {
-                r.rider.deadline.is_none_or(|d| d > now) && r.not_before.is_none_or(|t| t <= now)
-            };
-            let head = before.iter().filter(live_ready).min_by(|a, b| schedule_order(a, b));
+            // The most urgent live request, and each model's live ones.
+            let live = |r: &&&Request| r.rider.deadline.is_none_or(|d| d > now);
+            let head = before.iter().filter(live).min_by(|a, b| schedule_order(a, b));
             let head_seq = head.map(|r| r.rider.seq);
-            let ready_by_model: Vec<(usize, u64)> =
-                before.iter().filter(live_ready).map(|r| (r.model, r.rider.seq)).collect();
-            let live = before.iter().filter(|r| r.rider.deadline.is_none_or(|d| d > now)).count();
+            let live_by_model: Vec<(usize, u64)> =
+                before.iter().filter(live).map(|r| (r.model, r.rider.seq)).collect();
 
             let mut expired = Vec::new();
             let verdict = self.sched.next(now, &mut expired);
@@ -461,11 +377,9 @@ mod tests {
             for seq in got_expired {
                 self.end(seq, Fate::Queued, Fate::Done);
             }
-            if let Some(promise) = self.promise {
-                if promise.is_none_or(|t| now < t) {
-                    assert!(matches!(verdict, Next::Wait(_)), "woke before the promised instant");
-                    assert!(expired.is_empty(), "a deadline passed before the promised instant");
-                }
+            if self.idle {
+                // Only an admission or a close ends a wait.
+                assert!(matches!(verdict, Next::Wait), "the clock alone ended a wait");
             }
             self.gauges_match();
             match verdict {
@@ -474,17 +388,16 @@ mod tests {
                     assert_eq!(Some(batch[0].rider.seq), head_seq, "the head is the most urgent");
                     for r in &batch {
                         assert_eq!(r.model, model, "single-model batch");
-                        assert!(r.not_before.is_none_or(|t| t <= now), "dispatched in backoff");
                         assert!(r.rider.deadline.is_none_or(|d| d > now), "dispatched at deadline");
                     }
                     for pair in batch.windows(2) {
                         assert_eq!(schedule_order(&pair[0], &pair[1]), Ordering::Less, "order");
                     }
-                    // The batch is the top of its model's ready requests:
+                    // The batch is the top of its model's live requests:
                     // what stays behind ranks after its last rider.
                     let last = &batch[batch.len() - 1];
                     for r in &self.sched.pending {
-                        if ready_by_model.contains(&(model, r.rider.seq)) {
+                        if live_by_model.contains(&(model, r.rider.seq)) {
                             assert_eq!(
                                 batch.len(),
                                 max_batch,
@@ -501,17 +414,14 @@ mod tests {
                         self.end(r.rider.seq, Fate::Queued, Fate::InFlight);
                     }
                     self.in_flight.push(batch);
-                    self.promise = None;
                     false
                 }
-                Next::Wait(wake) => {
-                    // Work conservation: a wait means nothing live is ready.
-                    assert_eq!(head_seq, None, "waited while a request was ready");
-                    match wake {
-                        None => assert!(live == 0 && !self.sched.closed, "open-ended wait"),
-                        Some(t) => assert!(t > now, "a wait ends in the future"),
-                    }
-                    self.promise = Some(wake);
+                Next::Wait => {
+                    // Work conservation: a wait means the queue is empty.
+                    assert_eq!(head_seq, None, "waited while a request was queued");
+                    assert!(self.sched.pending.is_empty(), "waited on a non-empty queue");
+                    assert!(!self.sched.closed, "a closed, empty queue exits");
+                    self.idle = true;
                     false
                 }
                 Next::Exit => {
@@ -530,7 +440,7 @@ mod tests {
             clock_us: 0,
             fates: HashMap::new(),
             in_flight: Vec::new(),
-            promise: None,
+            idle: false,
         };
         let mut exited = false;
         for &word in ops {
@@ -539,10 +449,10 @@ mod tests {
                 0..=2 => h.admit(models, arg),
                 3 | 4 => h.clock_us += arg % 1_500,
                 5 => h.clock_us += arg % 20,
-                6 => h.finish(arg),
+                6 => h.finish(),
                 _ if arg % 16 == 0 => {
                     h.sched.close();
-                    h.promise = None;
+                    h.idle = false;
                 }
                 _ => {}
             }
@@ -550,19 +460,18 @@ mod tests {
                 exited = h.step();
             }
         }
-        // Close, then run the clock forward finishing every batch until
-        // the queue drains.
+        // Close, then step until the queue drains — every step before the
+        // exit dispatches at least one request — and finish every batch.
         h.sched.close();
-        h.promise = None;
-        while !h.step() {
-            while !h.in_flight.is_empty() {
-                h.finish(0);
+        h.idle = false;
+        for _ in 0..=h.sched.pending.len() {
+            if h.step() {
+                break;
             }
-            h.clock_us += 250;
-            assert!(h.clock_us < 1 << 40, "the closed queue never drained");
         }
+        assert!(h.sched.pending.is_empty(), "the closed queue never drained");
         while !h.in_flight.is_empty() {
-            h.finish(0);
+            h.finish();
         }
         assert!(h.fates.values().all(|&f| f == Fate::Done), "every admitted request ended once");
     }

@@ -30,14 +30,6 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How many consecutive all-error batches one (worker, model) replica
-/// serves before it is quarantined: torn down and rebuilt from the
-/// compiled artifact. One batch-level error passes through to its riders
-/// (it may be the input's fault); a streak says the replica itself has
-/// drifted into a bad state. A panic quarantines immediately — the
-/// unwound replica's state is unknowable.
-const QUARANTINE_ERROR_STREAK: u32 = 3;
-
 /// How many times one worker shard restarts its own loop before giving
 /// up. A worker that dies deterministically on arrival (e.g. a poisoned
 /// environment) would otherwise crash-loop forever.
@@ -76,19 +68,6 @@ pub struct RuntimeConfig {
     /// at a few atomic ops per request; see
     /// [`TelemetryConfig::dense`] for full traces.
     pub telemetry: TelemetryConfig,
-    /// How many times a request hit by a *replica fault* (a panic or a
-    /// quarantine-tripping error streak — never a per-frame simulation
-    /// error, which is terminal) is requeued for another execution.
-    /// Zero disables retries. Each requeue counts in
-    /// [`RuntimeStats::retries`] and bumps the reply's
-    /// [`attempts`](InferenceReply::attempts).
-    pub retry_budget: u32,
-    /// Base backoff before a retried request becomes dequeuable again;
-    /// doubles per prior attempt. A retry whose backoff would land past
-    /// the request's deadline is not attempted — the request fails with
-    /// the typed [`Error::ReplicaFault`] instead of silently blowing its
-    /// SLO.
-    pub retry_backoff: Duration,
     /// Deterministic failure injection for chaos tests — see
     /// [`ChaosConfig`](crate::chaos::ChaosConfig). `None` (the default)
     /// injects nothing.
@@ -104,8 +83,6 @@ impl Default for RuntimeConfig {
             timesteps: 20,
             queue_depth: 256,
             telemetry: TelemetryConfig::default(),
-            retry_budget: 2,
-            retry_backoff: Duration::from_micros(200),
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -192,21 +169,6 @@ impl RuntimeConfigBuilder {
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> RuntimeConfigBuilder {
         self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Sets how many times a replica-faulted request is requeued.
-    #[must_use]
-    pub fn retry_budget(mut self, retry_budget: u32) -> RuntimeConfigBuilder {
-        self.config.retry_budget = retry_budget;
-        self
-    }
-
-    /// Sets the base backoff before a retried request requeues
-    /// (doubling per prior attempt).
-    #[must_use]
-    pub fn retry_backoff(mut self, retry_backoff: Duration) -> RuntimeConfigBuilder {
-        self.config.retry_backoff = retry_backoff;
         self
     }
 
@@ -303,19 +265,6 @@ pub struct InferenceReply {
     pub worker: usize,
     /// How many frames shared the batch this request rode in.
     pub batch_size: usize,
-    /// Executions performed for this request, counting the successful
-    /// one: `1` in the common no-fault case, more when replica faults
-    /// forced retries (each bounded by [`RuntimeConfig::retry_budget`]
-    /// and the request's deadline). The reported `latency` spans the
-    /// whole saga — original enqueue to final reply, backoffs included.
-    pub attempts: u32,
-}
-
-/// The exponential per-attempt backoff: `base << prior_attempts`,
-/// saturating (the shift is clamped so a pathological budget cannot
-/// overflow).
-fn retry_backoff(base: Duration, prior_attempts: u32) -> Duration {
-    base.saturating_mul(1u32 << prior_attempts.min(16))
 }
 
 /// One registered model, resolved for serving.
@@ -330,7 +279,7 @@ struct ModelRuntime {
 
 struct Shared {
     queue: Mutex<Scheduler>,
-    /// Signalled on submit, on retry requeue, and on shutdown.
+    /// Signalled on submit and on shutdown.
     arrivals: Condvar,
     models: Vec<ModelRuntime>,
     /// Per-shard health instruments, indexed by shard id.
@@ -375,14 +324,15 @@ impl PendingReply {
     ///
     /// # Errors
     ///
-    /// Propagates the frame's simulation error, returns
-    /// [`Error::Rejected`] when the request expired in the queue,
-    /// [`Error::ReplicaFault`] when replica faults exhausted the retry
-    /// budget or the deadline, or [`Error::WorkerLost`] when the runtime
-    /// dropped the request unanswered (it was torn down, its batch was
-    /// lost to a worker restart, or every worker gave up) — both of the
-    /// latter are [`retryable`](Error::is_retryable) against a live
-    /// runtime.
+    /// Returns [`Error::Rejected`] when the request expired in the queue,
+    /// [`Error::ReplicaFault`] when the replica faulted on the batch the
+    /// request rode in (the runtime answers each rider once and never
+    /// re-executes it), or [`Error::WorkerLost`] when the runtime dropped
+    /// the request unanswered (it was torn down, its batch was lost to a
+    /// worker restart, or every worker gave up) — both of the latter are
+    /// [`retryable`](Error::is_retryable) against a live runtime. A
+    /// worker that cannot cold-start its replica passes the
+    /// instantiation error on.
     pub fn wait(self) -> Result<InferenceReply> {
         self.rx.recv().unwrap_or(Err(Error::WorkerLost { worker: None }))
     }
@@ -434,23 +384,6 @@ pub struct Runtime {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// One worker shard's replica of one model.
-struct Replica {
-    sim: BatchSim,
-    /// Consecutive batches this replica answered with *only* errors; at
-    /// [`QUARANTINE_ERROR_STREAK`] the replica is quarantined. Any
-    /// successful frame resets it.
-    error_streak: u32,
-}
-
-impl Replica {
-    /// Instantiates the `max_batch`-lane replica one worker needs for
-    /// one model.
-    fn build(model: &CompiledModel, config: &RuntimeConfig) -> Result<Replica> {
-        Ok(Replica { sim: model.instantiate_batched(config.max_batch)?, error_streak: 0 })
-    }
-}
-
 impl Runtime {
     /// Starts serving every model in `registry` from `workers` shards.
     ///
@@ -485,12 +418,14 @@ impl Runtime {
             .collect();
         // Per-worker, per-model replicas; `None` until warmed or
         // cold-started.
-        let mut worker_replicas: Vec<Vec<Option<Replica>>> = Vec::new();
+        let mut worker_replicas: Vec<Vec<Option<BatchSim>>> = Vec::new();
         for w in 0..config.workers {
             let mut slots = Vec::with_capacity(models.len());
             for m in &models {
                 let warm = w < m.options.warm_replicas.min(config.workers);
-                slots.push(if warm { Some(Replica::build(&m.model, &config)?) } else { None });
+                let replica =
+                    if warm { Some(m.model.instantiate_batched(config.max_batch)?) } else { None };
+                slots.push(replica);
             }
             worker_replicas.push(slots);
         }
@@ -648,7 +583,6 @@ impl Runtime {
         let request = Request {
             model,
             input,
-            not_before: None,
             rider: Rider {
                 enqueued: now,
                 // A budget past the end of the clock is no deadline.
@@ -656,7 +590,6 @@ impl Runtime {
                 priority: priority.unwrap_or(entry.options.priority),
                 seq: 0,
                 sampled: self.shared.telemetry.sample(),
-                attempts: 0,
                 reply: tx,
             },
         };
@@ -718,9 +651,8 @@ impl Runtime {
         self.shared.telemetry.chrome_trace_json()
     }
 
-    /// Stops accepting requests, lets the workers drain the queue
-    /// (pending retries included), joins them and returns the final
-    /// statistics.
+    /// Stops accepting requests, lets the workers drain the queue, joins
+    /// them and returns the final statistics.
     ///
     /// A worker that panicked *and restarted its loop* does not fail
     /// shutdown — the heal shows up in [`RuntimeStats::worker_restarts`]
@@ -778,7 +710,7 @@ fn fail(counter: &Counter, rider: Rider, error: Error) {
 /// `shenjing_worker_healthy` gauge drops to 0 and shutdown reports it.
 /// The last shard to finish fails whatever is still queued (nothing,
 /// after a clean drain) with the typed worker loss.
-fn run_worker(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
+fn run_worker(id: usize, mut replicas: Vec<Option<BatchSim>>, shared: &Shared) {
     let health = &shared.workers[id];
     while std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(id, &mut replicas, shared)))
         .is_err()
@@ -800,9 +732,9 @@ fn run_worker(id: usize, mut replicas: Vec<Option<Replica>>, shared: &Shared) {
 
 /// Serves until the queue closes and drains: asks the scheduler what to
 /// do at this instant, answers the requests it expired, and runs the
-/// batch it was handed — or, when nothing is ready, sleeps at the one
+/// batch it was handed — or, when the queue is empty, sleeps at the one
 /// wait site.
-fn worker_loop(id: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
+fn worker_loop(id: usize, replicas: &mut [Option<BatchSim>], shared: &Shared) {
     let mut expired = Vec::new();
     loop {
         #[cfg(feature = "chaos")]
@@ -821,19 +753,14 @@ fn worker_loop(id: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
                     let expiry = &shared.models[request.model].metrics.expired_in_queue;
                     fail(expiry, request.rider, Error::rejected(RejectReason::DeadlineExpired));
                 }
-                let wake = match next {
+                match next {
                     Next::Dispatch { model, batch } => break (model, batch),
                     Next::Exit => return,
-                    Next::Wait(wake) => wake,
-                };
-                // An empty queue waits untimed (`Duration::MAX` is
-                // forever); a submit, requeue or shutdown wakes it early.
-                let timeout = wake.map_or(Duration::MAX, |t| t.saturating_duration_since(now));
-                queue = shared
-                    .arrivals
-                    .wait_timeout(queue, timeout)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                    // The queue is empty: only a submit or a shutdown
+                    // can change that.
+                    Next::Wait => {}
+                }
+                queue = shared.arrivals.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
         serve_batch(id, model, batch, replicas, shared);
@@ -854,11 +781,12 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// Tears one (worker, model) replica down and rebuilds it from the
 /// compiled artifact — the fault-recovery half of the warm pool. The
 /// rebuild is a cold start by definition; if it fails the slot stays
-/// empty and the next batch retries via the ordinary cold-start path.
-fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<Replica>], shared: &Shared) {
+/// empty and the next batch tries again via the ordinary cold-start
+/// path.
+fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<BatchSim>], shared: &Shared) {
     replicas[model] = None;
     let entry = &shared.models[model];
-    replicas[model] = Replica::build(&entry.model, &shared.config).ok();
+    replicas[model] = entry.model.instantiate_batched(shared.config.max_batch).ok();
     entry.metrics.quarantines[id].inc();
     if replicas[model].is_some() {
         entry.metrics.cold_starts.inc();
@@ -866,13 +794,16 @@ fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<Replica>],
 }
 
 /// Runs one batch on this worker's replica of `model` behind a panic
-/// guard and answers every rider — requeueing them with backoff when the
-/// replica faulted and the retry budget and deadline allow.
+/// guard and answers every rider once. A fault — a panic, or an error
+/// the proven program and admission leave no room for — rebuilds the
+/// replica and fails every rider with [`Error::ReplicaFault`]; the
+/// runtime never re-executes a request, because a panic replays on the
+/// same frames.
 fn serve_batch(
     id: usize,
     model: usize,
     batch: Vec<Request>,
-    replicas: &mut [Option<Replica>],
+    replicas: &mut [Option<BatchSim>],
     shared: &Shared,
 ) {
     let config = &shared.config;
@@ -881,8 +812,7 @@ fn serve_batch(
     // The batch exists from here: queue wait ends, service begins.
     let formed = Instant::now();
     // Move the tensors out instead of cloning them onto the hot path;
-    // the riders (metadata + reply channel) outlive the execution, and
-    // the tensors stay whole in case a fault requeues them.
+    // the riders (metadata + reply channel) outlive the execution.
     let (inputs, riders): (Vec<Tensor>, Vec<Rider>) = batch.into_iter().map(Request::split).unzip();
     let frames = inputs.len();
     // One sampled rider is enough to phase-profile the whole batch (the
@@ -898,9 +828,9 @@ fn serve_batch(
     // Outside the warm pool this worker instantiates on first use — one
     // cold start per (worker, model), then the replica persists until a
     // quarantine sheds it.
-    let replica = match &mut replicas[model] {
-        Some(replica) => replica,
-        slot => match Replica::build(&entry.model, config) {
+    let sim = match &mut replicas[model] {
+        Some(sim) => sim,
+        slot => match entry.model.instantiate_batched(config.max_batch) {
             Ok(built) => {
                 metrics.cold_starts.inc();
                 slot.insert(built)
@@ -918,87 +848,41 @@ fn serve_batch(
     // The plan → execute → drain lifecycle over the model's replica,
     // behind a panic guard: a panicking replica fails only this batch,
     // never the worker thread. The replica state behind the guard is
-    // presumed corrupt after an unwind, which is exactly why a panic
+    // presumed corrupt after an unwind, which is exactly why a fault
     // quarantines it.
     let exec_start = Instant::now();
-    let guarded = {
-        let sim = &mut replica.sim;
-        if profiling {
-            sim.set_profiling(true);
-        }
-        std::panic::catch_unwind(AssertUnwindSafe(
-            || -> Result<(Vec<Result<SnnOutput>>, Instant, Instant)> {
-                #[cfg(feature = "chaos")]
-                if let Some(chaos) = &shared.chaos {
-                    chaos.on_execute()?;
-                }
-                sim.plan(frames)?;
-                let planned_at = Instant::now();
-                let results = sim.execute(&inputs, timesteps);
-                let executed_at = Instant::now();
-                sim.drain();
-                Ok((results, planned_at, executed_at))
-            },
-        ))
-    };
+    if profiling {
+        sim.set_profiling(true);
+    }
+    let guarded = std::panic::catch_unwind(AssertUnwindSafe(
+        || -> Result<(Vec<SnnOutput>, Instant, Instant)> {
+            #[cfg(feature = "chaos")]
+            if let Some(chaos) = &shared.chaos {
+                chaos.on_execute();
+            }
+            sim.plan(frames)?;
+            let planned_at = Instant::now();
+            let outputs = sim.execute(&inputs, timesteps).into_iter().collect::<Result<_>>()?;
+            let executed_at = Instant::now();
+            sim.drain();
+            Ok((outputs, planned_at, executed_at))
+        },
+    ));
     let busy = exec_start.elapsed();
     let answered = Instant::now();
 
-    // A whole-batch error (plan failure or injected fault) reaches the
-    // riders frame by frame. One all-error batch passes through — the
-    // input may be at fault — but a streak of them indicts the replica.
-    // A replica fault names the retry counter its requeues book.
     let served = match guarded {
-        Err(payload) => Err((&metrics.retries_panic, panic_reason(&*payload))),
-        Ok(pass) => {
-            let (results, planned_at, executed_at) = pass.unwrap_or_else(|e| {
-                ((0..frames).map(|_| Err(e.clone())).collect(), answered, answered)
-            });
-            let all_failed = !results.is_empty() && results.iter().all(Result::is_err);
-            replica.error_streak = if all_failed { replica.error_streak + 1 } else { 0 };
-            match results.iter().find_map(|r| r.as_ref().err()) {
-                Some(e) if replica.error_streak >= QUARANTINE_ERROR_STREAK => {
-                    Err((&metrics.retries_quarantine, e.to_string()))
-                }
-                _ => Ok((results, planned_at, executed_at)),
-            }
-        }
+        Ok(pass) => pass.map_err(|e| e.to_string()),
+        Err(payload) => Err(panic_reason(&*payload)),
     };
-
-    let (results, planned_at, executed_at) = match served {
-        Ok(served) => served,
-        Err((retries, reason)) => {
+    let (outputs, planned_at, executed_at) = match served {
+        Ok(pass) => pass,
+        Err(reason) => {
             quarantine_replica(id, model, replicas, shared);
             metrics.record_batch(frames, busy, density);
-            shared.workers[id].replica_faults.inc();
-            // Retry when the budget has room *and* the backoff nap still
-            // lands before the deadline; otherwise fail typed.
-            let now = Instant::now();
-            let mut requeue: Vec<Request> = Vec::new();
-            for (input, rider) in inputs.into_iter().zip(riders) {
-                let backoff = retry_backoff(config.retry_backoff, rider.attempts);
-                let retry_at = now.checked_add(backoff).filter(|&at| {
-                    rider.attempts < config.retry_budget && rider.deadline.is_none_or(|d| at < d)
-                });
-                let attempts = rider.attempts + 1;
-                match retry_at {
-                    Some(at) => requeue.push(Request {
-                        model,
-                        input,
-                        not_before: Some(at),
-                        rider: Rider { attempts, ..rider },
-                    }),
-                    None => {
-                        let fault =
-                            Error::ReplicaFault { worker: id, attempts, reason: reason.clone() };
-                        fail(&metrics.failed, rider, fault);
-                    }
-                }
-            }
-            if !requeue.is_empty() {
-                retries.add(requeue.len() as u64);
-                relock(&shared.queue).requeue(requeue);
-                shared.arrivals.notify_all();
+            let fault = Error::ReplicaFault { worker: id, reason };
+            for rider in riders {
+                fail(&metrics.failed, rider, fault.clone());
             }
             return;
         }
@@ -1006,7 +890,7 @@ fn serve_batch(
 
     // `take_profile` also stops profiling, so the next (unsampled) batch
     // runs the untouched fast path.
-    let profile = if profiling { replica.sim.take_profile() } else { None };
+    let profile = if profiling { sim.take_profile() } else { None };
     if let Some(p) = &profile {
         for (counter, (_, ns)) in shared.phases.iter().zip(p.phase_ns()) {
             counter.add(ns);
@@ -1016,14 +900,7 @@ fn serve_batch(
     // Every number is booked before its reply is sent: a client holding
     // a reply finds it already counted.
     metrics.record_batch(frames, busy, density);
-    for (rider, result) in riders.into_iter().zip(results) {
-        let output = match result {
-            Ok(output) => output,
-            Err(e) => {
-                fail(&metrics.failed, rider, e);
-                continue;
-            }
-        };
+    for (rider, output) in riders.into_iter().zip(outputs) {
         let latency = answered.duration_since(rider.enqueued);
         // Queue wait and service partition the latency at the
         // batch-formed instant shared by every rider.
@@ -1041,7 +918,6 @@ fn serve_batch(
             queue_wait,
             worker: id,
             batch_size: frames,
-            attempts: rider.attempts + 1,
         };
         let _ = rider.reply.send(Ok(reply));
         if rider.sampled {
@@ -1051,7 +927,6 @@ fn serve_batch(
                 model: entry.id.clone(),
                 worker: id as u64,
                 batch_size: frames as u64,
-                attempts: u64::from(rider.attempts) + 1,
                 admitted_us: t.instant_us(rider.enqueued),
                 formed_us: t.instant_us(formed),
                 planned_us: t.instant_us(planned_at),
@@ -1206,7 +1081,6 @@ mod tests {
             (REJECTED, vec![("reason", "deadline")], s.rejected_deadline),
             (REJECTED, vec![("reason", "expired_in_queue")], s.expired_in_queue),
             ("shenjing_cold_starts_total", vec![], s.cold_starts),
-            ("shenjing_retries_total", vec![], s.retries),
             ("shenjing_replica_quarantines_total", vec![], s.quarantines),
             ("shenjing_busy_ns_total", vec![], s.busy_time.as_nanos() as u64),
             ("shenjing_queue_depth", vec![], s.queue_depth),
@@ -1297,7 +1171,6 @@ mod tests {
         assert_eq!(stats.workers.len(), 1);
         for (family, value) in [
             ("shenjing_worker_restarts_total", stats.workers[0].restarts),
-            ("shenjing_replica_faults_total", stats.workers[0].replica_faults),
             ("shenjing_replica_quarantines_total", stats.workers[0].quarantines),
             ("shenjing_worker_healthy", u64::from(stats.workers[0].healthy)),
         ] {
@@ -1679,17 +1552,6 @@ mod tests {
         assert_eq!(a_stats.completed, 20);
         assert_eq!(b_stats.completed, 20);
         assert_eq!(stats.completed, 40);
-    }
-
-    #[test]
-    fn retry_backoff_doubles_per_prior_attempt() {
-        let base = Duration::from_micros(200);
-        assert_eq!(retry_backoff(base, 0), base);
-        assert_eq!(retry_backoff(base, 1), base * 2);
-        assert_eq!(retry_backoff(base, 3), base * 8);
-        // Far past any sane budget, the shift clamps instead of
-        // overflowing.
-        assert_eq!(retry_backoff(base, 40), base * (1 << 16));
     }
 
     #[test]

@@ -43,10 +43,6 @@ pub(crate) struct ModelMetrics {
     /// Replicas instantiated outside the warm pool (quarantine rebuilds
     /// included).
     pub cold_starts: Arc<Counter>,
-    /// Requests requeued after a replica panic / an error-streak
-    /// quarantine (`{reason=}`).
-    pub retries_panic: Arc<Counter>,
-    pub retries_quarantine: Arc<Counter>,
     /// Replica teardown-and-rebuilds, one counter per worker shard
     /// (`{worker=}`): the model's view sums over workers, a worker's
     /// over models.
@@ -72,10 +68,6 @@ pub(crate) struct ModelMetrics {
 impl ModelMetrics {
     pub(crate) fn new(registry: &Registry, id: &str, workers: usize, max_batch: usize) -> Self {
         let name = |family: &str| series(family, &[("model", id)]);
-        let retries = |reason: &str| {
-            registry
-                .counter(&series("shenjing_retries_total", &[("model", id), ("reason", reason)]))
-        };
         ModelMetrics {
             completed: registry.counter(&name("shenjing_requests_completed_total")),
             failed: registry.counter(&name("shenjing_requests_failed_total")),
@@ -83,8 +75,6 @@ impl ModelMetrics {
             rejected_deadline: rejected(registry, Some(id), "deadline"),
             expired_in_queue: rejected(registry, Some(id), "expired_in_queue"),
             cold_starts: registry.counter(&name("shenjing_cold_starts_total")),
-            retries_panic: retries("panic"),
-            retries_quarantine: retries("quarantine"),
             quarantines: (0..workers)
                 .map(|w| {
                     registry.counter(&series(
@@ -123,8 +113,6 @@ impl ModelMetrics {
 pub(crate) struct WorkerMetrics {
     /// Times the shard restarted its loop after a panic escaped it.
     pub restarts: Arc<Counter>,
-    /// Batches the shard lost to replica faults.
-    pub replica_faults: Arc<Counter>,
     /// 1 while the shard serves (or stopped cleanly), 0 once it
     /// exhausted its restart budget and gave up.
     pub healthy: Arc<Gauge>,
@@ -138,7 +126,6 @@ impl WorkerMetrics {
         healthy.set(1);
         WorkerMetrics {
             restarts: registry.counter(&name("shenjing_worker_restarts_total")),
-            replica_faults: registry.counter(&name("shenjing_replica_faults_total")),
             healthy,
         }
     }
@@ -212,9 +199,11 @@ pub struct RuntimeStats {
     pub rejected_unknown_model: u64,
     /// On-demand replica instantiations outside the warm pools.
     pub cold_starts: u64,
-    /// Requests requeued for another execution after a replica fault.
+    /// Always 0: the runtime never re-executes a request (a faulted
+    /// batch fails its riders once). Kept only because the repository
+    /// benchmark still reports it.
     pub retries: u64,
-    /// Replica teardown-and-rebuilds after a panic or error streak.
+    /// Replica teardown-and-rebuilds, one per faulted batch.
     pub quarantines: u64,
     /// Worker loops restarted after a panic escaped them (aggregate
     /// view only; per-worker detail is in [`workers`]).
@@ -236,10 +225,8 @@ pub struct WorkerHealth {
     pub worker: usize,
     /// Times this worker restarted its loop after a panic escaped it.
     pub restarts: u64,
-    /// Batches this worker lost to replica faults (panics or quarantine
-    /// trips); the requests themselves were retried or failed typed.
-    pub replica_faults: u64,
-    /// Replicas this worker tore down and rebuilt.
+    /// Replicas this worker tore down and rebuilt — one per batch it
+    /// lost to a replica fault.
     pub quarantines: u64,
     /// `false` once the shard exhausted its restart budget and gave up;
     /// `true` for a serving or cleanly-stopped one.
@@ -267,7 +254,6 @@ struct Tally {
     rejected_deadline: u64,
     expired_in_queue: u64,
     cold_starts: u64,
-    retries: u64,
     quarantines: u64,
     busy_ns: u64,
     density_micro: u64,
@@ -286,7 +272,6 @@ impl Tally {
         self.rejected_deadline += m.rejected_deadline.get();
         self.expired_in_queue += m.expired_in_queue.get();
         self.cold_starts += m.cold_starts.get();
-        self.retries += m.retries_panic.get() + m.retries_quarantine.get();
         self.quarantines += m.quarantines.iter().map(|c| c.get()).sum::<u64>();
         self.busy_ns += m.busy_ns.get();
         self.density_micro += m.density_micro.get();
@@ -348,7 +333,7 @@ impl Tally {
             expired_in_queue: self.expired_in_queue,
             rejected_unknown_model: 0,
             cold_starts: self.cold_starts,
-            retries: self.retries,
+            retries: 0,
             quarantines: self.quarantines,
             worker_restarts: 0,
             workers: Vec::new(),
@@ -384,7 +369,6 @@ impl RuntimeStats {
             .map(|(worker, w)| WorkerHealth {
                 worker,
                 restarts: w.restarts.get(),
-                replica_faults: w.replica_faults.get(),
                 quarantines: models.clone().map(|(_, m)| m.quarantines[worker].get()).sum(),
                 healthy: w.healthy.get() != 0,
             })
@@ -474,7 +458,6 @@ mod tests {
             [ModelMetrics::new(&registry, "a", 2, 1), ModelMetrics::new(&registry, "b", 2, 1)];
         let workers = [WorkerMetrics::new(&registry, 0), WorkerMetrics::new(&registry, 1)];
         workers[1].restarts.add(3);
-        workers[1].replica_faults.add(5);
         workers[1].healthy.set(0);
         models[0].quarantines[1].inc();
         models[1].quarantines[1].inc();
@@ -494,13 +477,7 @@ mod tests {
             stats.workers,
             vec![
                 WorkerHealth { worker: 0, healthy: true, ..Default::default() },
-                WorkerHealth {
-                    worker: 1,
-                    restarts: 3,
-                    replica_faults: 5,
-                    quarantines: 2,
-                    healthy: false,
-                },
+                WorkerHealth { worker: 1, restarts: 3, quarantines: 2, healthy: false },
             ]
         );
         // The views nest one level deep: a model's carries neither

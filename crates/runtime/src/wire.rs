@@ -39,10 +39,6 @@ pub enum WireReply {
     Failed {
         /// The failure, as displayed by the error it came from.
         message: String,
-        /// Executions performed before the runtime gave up: `> 1` when
-        /// replica faults were retried, `1` when the first attempt's
-        /// failure was terminal.
-        attempts: u32,
     },
 }
 
@@ -53,13 +49,7 @@ impl WireReply {
         match result {
             Ok(reply) => WireReply::Reply(reply),
             Err(Error::Rejected { reason }) => WireReply::Rejected(reason),
-            Err(e) => {
-                let attempts = match &e {
-                    Error::ReplicaFault { attempts, .. } => *attempts,
-                    _ => 1,
-                };
-                WireReply::Failed { message: e.to_string(), attempts }
-            }
+            Err(e) => WireReply::Failed { message: e.to_string() },
         }
     }
 
@@ -75,7 +65,7 @@ impl WireReply {
         match self {
             WireReply::Reply(reply) => Ok(reply),
             WireReply::Rejected(reason) => Err(Error::rejected(reason)),
-            WireReply::Failed { message, attempts: _ } => {
+            WireReply::Failed { message } => {
                 Err(Error::InvalidControl { component: "remote runtime".into(), reason: message })
             }
         }
@@ -156,21 +146,7 @@ mod tests {
         let envelope = WireReply::from_result(Err(Error::config("boom")));
         let json = encode_reply(&envelope).unwrap();
         match decode_reply(&json).unwrap() {
-            WireReply::Failed { message, attempts } => {
-                assert_eq!(message, "invalid configuration: boom");
-                assert_eq!(attempts, 1);
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn replica_faults_carry_their_attempt_count_across_the_wire() {
-        let fault = Error::ReplicaFault { worker: 2, attempts: 3, reason: "injected panic".into() };
-        let envelope = WireReply::from_result(Err(fault));
-        let json = encode_reply(&envelope).unwrap();
-        match decode_reply(&json).unwrap() {
-            WireReply::Failed { attempts, .. } => assert_eq!(attempts, 3),
+            WireReply::Failed { message } => assert_eq!(message, "invalid configuration: boom"),
             other => panic!("expected Failed, got {other:?}"),
         }
     }

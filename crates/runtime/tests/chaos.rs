@@ -1,6 +1,7 @@
-//! Deterministic fault-tolerance drills: scripted replica panics, batch
-//! errors and worker kills against a single-worker runtime, asserting
-//! the restart / retry / quarantine semantics end to end.
+//! Deterministic fault-tolerance drills: scripted replica panics and
+//! worker kills against a single-worker runtime, asserting the restart
+//! and quarantine semantics end to end — a faulted batch fails its
+//! riders once, typed, and the runtime never retries.
 //!
 //! One worker makes every chaos schedule deterministic: batch and tick
 //! ordinals advance one at a time, so each test pins exactly which
@@ -10,7 +11,6 @@
 #![cfg(feature = "chaos")]
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use shenjing_core::{ArchSpec, Error, W5};
 use shenjing_nn::Tensor;
@@ -64,55 +64,59 @@ fn metric(metrics: &str, family: &str, label: &str) -> u64 {
 /// text of the same (quiescent) runtime: one store, so they must agree.
 fn assert_fault_stats_match(stats: &RuntimeStats, metrics: &str) {
     assert_eq!(stats.failed, metric(metrics, "shenjing_requests_failed_total", ""));
-    assert_eq!(stats.retries, metric(metrics, "shenjing_retries_total", ""));
+    assert_eq!(stats.retries, 0, "the runtime never retries");
     assert_eq!(stats.quarantines, metric(metrics, "shenjing_replica_quarantines_total", ""));
     assert_eq!(stats.worker_restarts, metric(metrics, "shenjing_worker_restarts_total", ""));
     for w in &stats.workers {
         let label = format!("worker=\"{}\"", w.worker);
         assert_eq!(w.restarts, metric(metrics, "shenjing_worker_restarts_total", &label));
-        assert_eq!(w.replica_faults, metric(metrics, "shenjing_replica_faults_total", &label));
         assert_eq!(w.quarantines, metric(metrics, "shenjing_replica_quarantines_total", &label));
         assert_eq!(u64::from(w.healthy), metric(metrics, "shenjing_worker_healthy", &label));
     }
 }
 
-/// A single-worker runtime with the given chaos schedule and retry
-/// policy.
-fn chaotic(chaos: ChaosConfig, budget: u32, backoff: Duration) -> Runtime {
+/// A single-worker, 4-lane runtime with the given chaos schedule.
+fn chaotic(chaos: ChaosConfig) -> Runtime {
     let registry = ModelRegistry::new().with_model("m", model(), ServeOptions::default()).unwrap();
-    let config = RuntimeConfig::builder()
-        .workers(1)
-        .max_batch(4)
-        .retry_budget(budget)
-        .retry_backoff(backoff)
-        .chaos(chaos)
-        .build()
-        .unwrap();
+    let config = RuntimeConfig::builder().workers(1).max_batch(4).chaos(chaos).build().unwrap();
     Runtime::serve(registry, config).unwrap()
+}
+
+/// Whether `e` is the replica fault of the panic injected at `batch`.
+fn is_fault_of_batch(e: &Error, batch: u64) -> bool {
+    matches!(e, Error::ReplicaFault { worker: 0, reason }
+        if reason.ends_with(&format!("injected panic at batch {batch}")))
 }
 
 #[test]
 fn panic_without_budget_fails_only_that_batch_typed() {
-    let runtime = chaotic(
-        ChaosConfig::default().with_panic_on_batches([1u64]),
-        0,
-        Duration::from_micros(100),
-    );
-    // Batch 1 panics mid-execution; with no retry budget the rider sees
-    // the typed replica fault naming the worker and the one attempt.
-    let err = runtime.infer(InferenceRequest::new("m", frame(0))).unwrap_err();
-    match &err {
-        Error::ReplicaFault { worker, attempts, reason } => {
-            assert_eq!(*worker, 0);
-            assert_eq!(*attempts, 1);
-            assert!(reason.contains("injected panic"), "reason carries the payload: {reason}");
-        }
-        other => panic!("expected ReplicaFault, got {other:?}"),
-    }
+    // The contract: batch 1 panics with four riders aboard. Each rider is
+    // answered once with the typed replica fault, the replica is rebuilt
+    // once, and the next batch on the rebuilt replica is bit-exact.
+    let model = model();
+    let mut oracle = OracleSim::from_decoded(Arc::clone(model.program())).unwrap();
+    let runtime = chaotic(ChaosConfig::default().with_panic_on_batches([1u64]));
+    let timesteps = RuntimeConfig::default().timesteps;
+    // `infer_many` admits each burst under one lock with one wake-up, so
+    // the only worker sees all four at once: one batch of four. It
+    // returns the first rider's verdict.
+    let burst = |seeds: std::ops::Range<usize>| -> Vec<InferenceRequest> {
+        seeds.map(|seed| InferenceRequest::new("m", frame(seed))).collect()
+    };
+    let err = runtime.infer_many(&burst(0..4)).unwrap_err();
+    assert!(is_fault_of_batch(&err, 1), "the panic's payload names the batch: {err:?}");
     assert!(err.is_retryable(), "a replica fault is infrastructure, not the request's fault");
-    // The panic quarantined the replica; the rebuilt one serves fine.
-    let reply = runtime.infer(InferenceRequest::new("m", frame(1))).unwrap();
-    assert_eq!(reply.attempts, 1);
+    let next = burst(4..8);
+    for (request, reply) in next.iter().zip(runtime.infer_many(&next).unwrap()) {
+        assert_eq!(reply.batch_size, 4);
+        assert_eq!(reply.output, oracle.run_frame(&request.input, timesteps).unwrap());
+    }
+    // The worker finished batch 1 before it formed batch 2, so the count
+    // is final: two batches of four, four riders failed — `fail` books
+    // and sends one reply per call — and none went back to the queue.
+    let stats = runtime.stats();
+    assert_eq!(stats.occupancy_histogram, vec![0, 0, 0, 0, 2]);
+    assert_eq!((stats.completed, stats.failed, stats.queue_depth), (4, 4, 0));
     let metrics = runtime.metrics_text();
     assert!(
         metrics.contains("shenjing_replica_quarantines_total{model=\"m\",worker=\"0\"} 1"),
@@ -121,143 +125,41 @@ fn panic_without_budget_fails_only_that_batch_typed() {
     let stats = runtime.shutdown().unwrap();
     assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.quarantines, 1);
-    assert_eq!(stats.retries, 0);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 1);
     // The default warm pool pre-built the first replica, so the
     // quarantine rebuild is the model's only cold start.
     assert_eq!(stats.models[0].stats.cold_starts, 1);
-}
-
-#[test]
-fn retried_request_succeeds_within_budget() {
-    let runtime = chaotic(
-        ChaosConfig::default().with_panic_on_batches([1u64]),
-        2,
-        Duration::from_micros(100),
-    );
-    // Batch 1 panics, the rider requeues with backoff, batch 2 serves.
-    let reply = runtime.infer(InferenceRequest::new("m", frame(0))).unwrap();
-    assert_eq!(reply.attempts, 2, "one faulted attempt plus the successful one");
-    let metrics = runtime.metrics_text();
-    assert!(
-        metrics.contains("shenjing_retries_total{model=\"m\",reason=\"panic\"} 1"),
-        "retry family must render with its reason label: {metrics}"
-    );
-    let stats = runtime.shutdown().unwrap();
-    assert_fault_stats_match(&stats, &metrics);
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.quarantines, 1);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 0, "a retried-then-served request is not a failure");
-    assert_eq!(stats.workers.len(), 1);
-    assert_eq!(stats.workers[0].replica_faults, 1);
     assert!(stats.workers[0].healthy);
-}
-
-#[test]
-fn error_streak_quarantines_and_then_retries() {
-    let runtime = chaotic(
-        ChaosConfig::default().with_error_on_batches([1u64, 2, 3]),
-        2,
-        Duration::from_micros(100),
-    );
-    // One-off batch errors pass through to their riders untyped as
-    // replica faults — the input itself may be at fault.
-    for seed in 0..2 {
-        let err = runtime.infer(InferenceRequest::new("m", frame(seed))).unwrap_err();
-        assert!(
-            matches!(err, Error::InvalidControl { .. }),
-            "below the streak threshold the original error surfaces: {err:?}"
-        );
-    }
-    // The third consecutive all-error batch indicts the replica:
-    // quarantine, rebuild, and retry the riders on the fresh replica.
-    let reply = runtime.infer(InferenceRequest::new("m", frame(2))).unwrap();
-    assert_eq!(reply.attempts, 2);
-    let metrics = runtime.metrics_text();
-    assert!(
-        metrics.contains("shenjing_retries_total{model=\"m\",reason=\"quarantine\"} 1"),
-        "{metrics}"
-    );
-    let stats = runtime.shutdown().unwrap();
-    assert_fault_stats_match(&stats, &metrics);
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.quarantines, 1);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 2);
-}
-
-#[test]
-fn retries_never_exceed_the_budget() {
-    let runtime =
-        chaotic(ChaosConfig::default().with_panic_every(1), 2, Duration::from_micros(100));
-    // Every execution panics: attempt 1 + 2 budgeted retries, then the
-    // typed terminal fault reporting all three attempts.
-    let err = runtime.infer(InferenceRequest::new("m", frame(0))).unwrap_err();
-    match err {
-        Error::ReplicaFault { attempts, .. } => assert_eq!(attempts, 3),
-        other => panic!("expected ReplicaFault, got {other:?}"),
-    }
-    let stats = runtime.shutdown().unwrap();
-    assert_eq!(stats.retries, 2, "exactly the budget, never more");
-    assert_eq!(stats.quarantines, 3, "each panic quarantined the replica");
-    assert_eq!(stats.failed, 1);
-}
-
-#[test]
-fn deadline_clamps_the_retry_budget() {
-    // The backoff nap (200ms) cannot land before the 50ms deadline, so
-    // the fault is terminal immediately — reported as the replica fault
-    // it was, not as a deadline expiry.
-    let runtime = chaotic(
-        ChaosConfig::default().with_panic_on_batches([1u64]),
-        2,
-        Duration::from_millis(200),
-    );
-    let request = InferenceRequest::new("m", frame(0)).with_deadline(Duration::from_millis(50));
-    let err = runtime.infer(request).unwrap_err();
-    match err {
-        Error::ReplicaFault { attempts, .. } => assert_eq!(attempts, 1),
-        other => panic!("expected ReplicaFault, got {other:?}"),
-    }
-    let stats = runtime.shutdown().unwrap();
-    assert_eq!(stats.retries, 0, "no retry could have met the deadline");
 }
 
 #[test]
 fn worker_kill_mid_load_loses_no_replies() {
     // The acceptance drill: a worker thread dies mid-load (tick 2) and a
-    // replica panics a little later (batch 3); every one of the 16
-    // requests must still complete — possibly after a retry — with zero
-    // lost replies.
+    // replica panics a little later (batch 3). Each of the 16 requests
+    // gets exactly one terminal reply: the panicked batch's riders a
+    // replica fault, everyone else their output — and the kill, which
+    // lands between batches, loses no one.
     let runtime = chaotic(
         ChaosConfig::default().with_kill_worker_on_ticks([2u64]).with_panic_on_batches([3u64]),
-        3,
-        Duration::from_micros(100),
     );
     let pending: Vec<_> = (0..16)
         .map(|seed| runtime.submit(InferenceRequest::new("m", frame(seed))).unwrap())
         .collect();
-    let mut retried_replies = 0u32;
+    let mut faulted = 0u64;
     for reply in pending {
-        let reply = reply.wait().expect("every request completes despite the kill and the panic");
-        assert!(reply.attempts >= 1);
-        if reply.attempts > 1 {
-            retried_replies += 1;
+        if let Err(e) = reply.wait() {
+            assert!(is_fault_of_batch(&e, 3), "only batch 3's riders fail, typed: {e:?}");
+            faulted += 1;
         }
     }
-    assert!(retried_replies >= 1, "the panicked batch's riders were retried");
+    // How many rode batch 3 depends on arrival timing; a batch holds at
+    // most four.
+    assert!((1..=4).contains(&faulted), "{faulted} riders failed");
     let metrics = runtime.metrics_text();
     assert!(metrics.contains("shenjing_worker_restarts_total{worker=\"0\"} 1"), "{metrics}");
-    // Retries count requests, not batches: every rider of the panicked
-    // batch retried, and how many rode in it depends on arrival timing.
-    assert!(metric(&metrics, "shenjing_retries_total", "reason=\"panic\"") >= 1, "{metrics}");
     let stats = runtime.shutdown().unwrap();
     assert_fault_stats_match(&stats, &metrics);
-    assert_eq!(stats.completed, 16);
-    assert_eq!(stats.failed, 0);
-    assert!(stats.retries >= 1);
+    assert_eq!((stats.completed, stats.failed), (16 - faulted, faulted));
+    assert_eq!(stats.quarantines, 1, "one faulted batch, one rebuild");
     assert_eq!(stats.worker_restarts, 1);
     assert_eq!(stats.workers[0].restarts, 1);
     assert!(stats.workers[0].healthy, "a restarted worker is healthy again");
@@ -269,11 +171,7 @@ fn crash_looping_worker_is_abandoned_and_reported() {
     // shard gives up, fails whatever is queued with the typed loss, and
     // shutdown names the dead worker.
     let ticks: Vec<u64> = (1..=20).collect();
-    let runtime = chaotic(
-        ChaosConfig::default().with_kill_worker_on_ticks(ticks),
-        0,
-        Duration::from_micros(100),
-    );
+    let runtime = chaotic(ChaosConfig::default().with_kill_worker_on_ticks(ticks));
     let pending = runtime.submit(InferenceRequest::new("m", frame(0))).unwrap();
     let err = pending.wait().unwrap_err();
     assert!(
@@ -312,9 +210,8 @@ fn damaged_weights_change_what_the_replica_computes() {
 
 #[test]
 fn soak_through_every_fault_answers_each_request_once_and_exactly() {
-    // Two workers, two models, 5 000 requests; every 13th pass panics, a
-    // run of 21 consecutive passes errors (a streak on whichever replicas
-    // serve them), and two worker loops die between batches.
+    // Two workers, two models, 5 000 requests; every 13th pass panics and
+    // two worker loops die between batches.
     const T: u32 = 4;
     const FRAMES: usize = 32;
     const WAVE: usize = 250;
@@ -336,17 +233,12 @@ fn soak_through_every_fault_answers_each_request_once_and_exactly() {
         .unwrap()
         .with_model("b", b, ServeOptions::default())
         .unwrap();
-    let chaos = ChaosConfig::default()
-        .with_panic_every(13)
-        .with_error_on_batches((40..=60).collect::<Vec<u64>>())
-        .with_kill_worker_on_ticks([25u64, 400]);
+    let chaos = ChaosConfig::default().with_panic_every(13).with_kill_worker_on_ticks([25u64, 400]);
     let config = RuntimeConfig::builder()
         .workers(2)
         .max_batch(8)
         .timesteps(T)
         .queue_depth(WAVE)
-        .retry_budget(3)
-        .retry_backoff(Duration::from_micros(50))
         .chaos(chaos)
         .build()
         .unwrap();
@@ -367,9 +259,9 @@ fn soak_through_every_fault_answers_each_request_once_and_exactly() {
                     completed += 1;
                 }
                 Err(e) => {
-                    let typed =
-                        matches!(e, Error::ReplicaFault { .. } | Error::InvalidControl { .. });
-                    assert!(typed, "a request was lost, not answered: {e:?}");
+                    let typed = matches!(&e, Error::ReplicaFault { reason, .. }
+                        if reason.contains("injected panic"));
+                    assert!(typed, "only an injected panic fails a request: {e:?}");
                     failed += 1;
                 }
             }
@@ -388,5 +280,8 @@ fn soak_through_every_fault_answers_each_request_once_and_exactly() {
         .all(|l| l.ends_with(" 0")));
     assert_eq!(stats.worker_restarts, 2, "both kills healed in place");
     assert!(stats.workers.iter().all(|w| w.healthy));
-    assert!(stats.quarantines > 0 && stats.retries > 0, "{stats:?}");
+    // Every faulted batch was rebuilt once and failed at most a batch of
+    // riders.
+    assert!(stats.quarantines > 0, "{stats:?}");
+    assert!((stats.quarantines..=stats.quarantines * 8).contains(&failed), "{stats:?}");
 }

@@ -72,7 +72,6 @@ proptest! {
                 queue_wait: Duration::from_nanos(latency_ns / 3),
                 worker,
                 batch_size,
-                attempts: 1 + (batch_size % 3) as u32,
             }),
             1 => WireReply::Rejected(match worker % 4 {
                 0 => RejectReason::UnknownModel { id: IDS[id_sel].to_string() },
@@ -80,10 +79,7 @@ proptest! {
                 2 => RejectReason::DeadlineExpired,
                 _ => RejectReason::ShuttingDown,
             }),
-            _ => WireReply::Failed {
-                message: format!("frame {worker} failed: {latency_ns}"),
-                attempts: 1 + (worker % 3) as u32,
-            },
+            _ => WireReply::Failed { message: format!("frame {worker} failed: {latency_ns}") },
         };
         let json = encode_reply(&envelope).unwrap();
         let back = decode_reply(&json).unwrap();
@@ -97,7 +93,7 @@ fn valid_encodings() -> [String; 2] {
     let request = InferenceRequest::new(IDS[3], input)
         .with_deadline(Duration::from_micros(1_500))
         .with_priority(7);
-    let reply = WireReply::Failed { message: "frame 3 failed".into(), attempts: 2 };
+    let reply = WireReply::Failed { message: "frame 3 failed".into() };
     [encode_request(&request).unwrap(), encode_reply(&reply).unwrap()]
 }
 

@@ -398,6 +398,7 @@ mod tests {
         let inputs: Vec<Tensor> =
             (0..3).map(|_| Tensor::from_vec(vec![8], vec![0.6; 8]).unwrap()).collect();
         let plain = batched.run_batch(&inputs, 6).unwrap();
+        assert!(batched.take_profile().is_none(), "profiling starts off");
 
         batched.set_profiling(true);
         let profiled = batched.run_batch(&inputs, 6).unwrap();

@@ -64,9 +64,6 @@ pub struct EventArgs {
     pub worker: Option<u64>,
     /// Frames in the carrying batch (request slices).
     pub batch_size: Option<u64>,
-    /// Executions performed before the reply (request slices; > 1 when
-    /// replica faults forced retries).
-    pub attempts: Option<u64>,
     /// Profiled passes (execute slices).
     pub passes: Option<u64>,
     /// Profiled timesteps (execute slices).
@@ -122,7 +119,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> ChromeTrace {
                 model: Some(span.model.clone()),
                 worker: Some(span.worker),
                 batch_size: Some(span.batch_size),
-                attempts: Some(span.attempts),
                 ..EventArgs::default()
             },
         ));
@@ -235,7 +231,6 @@ mod tests {
             model: "digits".into(),
             worker: 1,
             batch_size: 4,
-            attempts: 2,
             admitted_us: 10.0,
             formed_us: 25.0,
             planned_us: 26.0,

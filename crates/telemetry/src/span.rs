@@ -31,11 +31,6 @@ pub struct SpanRecord {
     pub worker: u64,
     /// Frames in the batch it rode in.
     pub batch_size: u64,
-    /// Executions performed before the reply, counting the successful
-    /// one: `1` for the common no-fault case, more when replica faults
-    /// requeued the request for retry. (Defaults to 0 in hand-built
-    /// records that never went through a serving runtime.)
-    pub attempts: u64,
     /// Admission: the request entered the queue.
     pub admitted_us: f64,
     /// Batch formation: a worker dequeued it into a batch.

@@ -42,7 +42,6 @@ fn span(id: u64, raw: &[u64], profiled: bool) -> SpanRecord {
         model: format!("m{}", raw[6] % 3),
         worker: raw[7] % 4,
         batch_size: 1 + raw[9] % 16,
-        attempts: 1 + raw[6] % 3,
         admitted_us: ts[0] as f64,
         formed_us: ts[1] as f64,
         planned_us: ts[2] as f64,

@@ -164,13 +164,14 @@ fn main() -> Result<()> {
         stats.rejected_queue_full, stats.rejected_deadline, stats.expired_in_queue,
     );
     // Fault tolerance rides along in the same snapshot: a clean run
-    // reports zeros, a faulted one shows the workers healing.
+    // reports zeros, a faulted one shows the workers healing and the
+    // riders its faulted batches failed (once each; nothing is retried).
     println!(
-        "fault tolerance: {} worker restart(s), {} retried request(s), {} quarantine(s), \
+        "fault tolerance: {} worker restart(s), {} quarantine(s), {} failed request(s), \
          {}/{} workers healthy",
         stats.worker_restarts,
-        stats.retries,
         stats.quarantines,
+        stats.failed,
         stats.workers.iter().filter(|w| w.healthy).count(),
         stats.workers.len(),
     );
