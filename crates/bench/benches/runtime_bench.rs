@@ -54,8 +54,8 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     // The same decode for the 680-core two-chip MNIST CNN, whose 680
-    // weight blocks make it the largest one-time cost of standing the CNN
-    // up.
+    // cores' weights make it the largest one-time cost of standing the
+    // CNN up.
     let cnn = snn_from_specs(&NetworkKind::MnistCnn.specs(), (28, 28, 1), 7).unwrap();
     let cnn_mapping = Mapper::new(arch.clone()).map(&cnn).unwrap();
     c.bench_function("decode_mnist_cnn", |b| {

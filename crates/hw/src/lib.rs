@@ -21,7 +21,9 @@
 //! instead of capacity, and tested lane by lane against the oracle. It
 //! carries payload only and cannot fail: the static [`occupancy`] check
 //! proves a program's register moves, value ranges and deliveries once,
-//! and the registers it names are the only ones a replica stores.
+//! and the registers it names are the only ones a replica stores. A
+//! program's weights are built once, in the form the batched `ACC` reads
+//! them ([`weights`]), and every replica's cores share that one copy.
 //!
 //! Control follows Table I of the paper: every component is driven each
 //! cycle by an *atomic operation* ([`ops`]) whose encoding into raw control
@@ -72,6 +74,7 @@ pub mod sched;
 pub mod signals;
 pub mod spike_router;
 pub mod tile;
+pub mod weights;
 
 pub use activity::ActiveSet;
 pub use batch::{
@@ -89,3 +92,4 @@ pub use sched::{CycleOps, PortDst, PortOut, ScheduledOp};
 pub use signals::{ControlWord, NeuronCoreSignals, PsRouterSignals, SpikeRouterSignals};
 pub use spike_router::SpikeRouter;
 pub use tile::Tile;
+pub use weights::CoreWeights;

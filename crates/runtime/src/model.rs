@@ -14,7 +14,7 @@ use shenjing_snn::SnnNetwork;
 ///
 /// `CompiledModel` runs the mapping toolchain once (logical split,
 /// placement, compilation) and decodes the result — schedule flattened,
-/// weight blocks materialized — into an [`Arc`]-shared artifact. From it,
+/// every core's weights built — into an [`Arc`]-shared artifact. From it,
 /// any number of simulator replicas can be stood up cheaply: each
 /// [`instantiate`](CompiledModel::instantiate) /
 /// [`instantiate_batched`](CompiledModel::instantiate_batched) call
@@ -415,6 +415,53 @@ mod tests {
                 assert_eq!(other.optimize_stats(), stats, "{kind:?}");
             }
         }
+    }
+
+    #[test]
+    fn replicas_share_one_copy_of_every_cores_weights() {
+        // The MNIST CNN: two 16-lane replicas and a single-frame simulator
+        // read each mapped core's weights from the program's one
+        // allocation, a pass builds no per-core weight state, and the
+        // program holds the weights in the sparse-row form — 38.9 MB as
+        // dense blocks.
+        use shenjing_nn::NetworkKind;
+        let kind = NetworkKind::MnistCnn;
+        let snn = shenjing_snn::snn_from_specs(&kind.specs(), kind.input_shape(), 7).unwrap();
+        let model = CompiledModel::compile(&ArchSpec::paper(), &snn).unwrap();
+        let bytes = model.program().weight_bytes();
+        assert!(bytes <= 6 << 20, "{bytes} B of weights");
+        let (mut first, second) =
+            (model.instantiate_batched(16).unwrap(), model.instantiate_batched(16).unwrap());
+        let single = model.instantiate().unwrap();
+        let shared = |first: &BatchSim| {
+            let mut mapped = 0;
+            let chips = first.chip().iter().zip(second.chip().iter()).zip(single.chip().iter());
+            for (((coord, a), (_, b)), (_, c)) in chips {
+                let weights = a.core().weights();
+                if weights.rows() == 0 {
+                    continue;
+                }
+                assert!(Arc::ptr_eq(weights, b.core().weights()), "{coord}");
+                assert!(Arc::ptr_eq(weights, c.core().weights()), "{coord}");
+                // The program and three replicas: nothing else holds them.
+                assert_eq!(Arc::strong_count(weights), 4, "{coord}");
+                mapped += 1;
+            }
+            mapped
+        };
+        let state = |sim: &BatchSim| sim.chip().iter().map(|(_, t)| t.core().state_bytes()).sum();
+        let (mapped, before): (usize, usize) = (shared(&first), state(&first));
+        assert_eq!(mapped, model.total_cores());
+        let (h, w, c) = kind.input_shape();
+        let frames: Vec<Tensor> = (0..16)
+            .map(|i| {
+                Tensor::from_vec(vec![h, w, c], vec![0.05 * (i % 20) as f64; h * w * c]).unwrap()
+            })
+            .collect();
+        first.run_batch(&frames, 2).unwrap();
+        assert_eq!(shared(&first), mapped, "a pass keeps every core on the shared weights");
+        assert_eq!(state(&first), before, "a pass allocates no per-core state");
+        assert_eq!(model.program().weight_bytes(), bytes);
     }
 
     #[test]

@@ -152,6 +152,26 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_pixel_never_crosses_the_wire_as_a_number() {
+        // JSON has no NaN: the encoder writes one as `null`, and a frame
+        // carrying `null` or a bare `NaN` decodes to a typed error, never
+        // to a NaN pixel.
+        let frame = shenjing_nn::Tensor::from_vec(vec![2], vec![0.5, f64::NAN]).unwrap();
+        let json = encode_request(&InferenceRequest::new("m", frame)).unwrap();
+        assert!(json.contains("[0.5,null]"), "{json}");
+        for hostile in [json.clone(), json.replace("null", "NaN")] {
+            let err = decode_request(&hostile).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig { .. }), "{hostile}: {err}");
+        }
+        // A NaN submitted in process is refused at admission as
+        // `OutOfBounds` (`server` tests); the envelope keeps its message.
+        let refusal = Error::out_of_bounds("input 1 of model `m` is NaN, outside [0, 1]");
+        let envelope = WireReply::from_result(Err(refusal.clone()));
+        let back = decode_reply(&encode_reply(&envelope).unwrap()).unwrap();
+        assert_eq!(back, WireReply::Failed { message: refusal.to_string() });
+    }
+
+    #[test]
     fn malformed_json_is_a_typed_error() {
         assert!(decode_request("{not json").is_err());
         assert!(decode_reply("42").is_err());

@@ -4,8 +4,9 @@
 //! or not, `LD_WT` included — through
 //! [`Chip::exec_cycle`], the per-register statement of Table I. It
 //! shares nothing with the production path but the decoded program's raw
-//! schedule, weight blocks, thresholds and I/O maps: no compacted
-//! entries, no move plan, no lanes. Every equivalence check in this
+//! schedule, weights (expanded into a dense block per core here, at
+//! construction), thresholds and I/O maps: no compacted entries, no move
+//! plan, no lanes. Every equivalence check in this
 //! crate is one statement against it — *lane `i` of a batched pass ≡ the
 //! oracle's run of frame `i`* — and it exists for those checks only:
 //! nothing serves from it. It ignores [`DecodedProgram::verify`], the
@@ -50,8 +51,8 @@ impl OracleSim {
     /// planes outside the mesh.
     pub fn from_decoded(program: Arc<DecodedProgram>) -> Result<OracleSim> {
         let mut chip = Chip::with_tiles(&program.arch, Arc::clone(&program.tiles))?;
-        for (slot, block) in &program.weight_blocks {
-            chip.tile_at_mut(*slot).core_mut().load_weight_rows(Arc::clone(block))?;
+        for (slot, weights) in &program.weights {
+            chip.tile_at_mut(*slot).core_mut().load_weight_rows(weights.expand())?;
         }
         for (slot, plane, threshold) in &program.thresholds {
             chip.tile_at_mut(*slot).spike_mut().set_threshold(*plane, *threshold)?;

@@ -108,9 +108,9 @@ fn digest_batch_tile(
     }
 
     let mut local_ps = FNV_OFFSET;
-    for chunk in core.local_ps_all().chunks_exact(core.batch()) {
-        for &sum in &chunk[lanes.clone()] {
-            fnv(&mut local_ps, &i32::from(sum).to_le_bytes());
+    for n in 0..planes {
+        for lane in lanes.clone() {
+            fnv(&mut local_ps, &core.local_ps(n, lane).to_le_bytes());
         }
     }
 

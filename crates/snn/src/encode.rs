@@ -39,9 +39,10 @@ pub struct RateEncoder {
 
 impl RateEncoder {
     /// Creates an encoder over the flattened input tensor. Intensities are
-    /// clamped into `[0, 1]`.
+    /// clamped into `[0, 1]`, and a NaN reads as 0: a line it feeds is
+    /// never driven.
     pub fn new(input: &Tensor) -> RateEncoder {
-        let intensities: Vec<f64> = input.data().iter().map(|v| v.clamp(0.0, 1.0)).collect();
+        let intensities: Vec<f64> = input.data().iter().copied().map(intensity).collect();
         let accumulators = vec![0.0; intensities.len()];
         let driven = (0..intensities.len() as u32).filter(|&i| intensities[i as usize] != 0.0);
         RateEncoder { driven: driven.collect(), intensities, accumulators }
@@ -135,12 +136,22 @@ pub struct BernoulliEncoder {
     seed: u64,
 }
 
+/// A pixel value as a spike probability: clamped into `[0, 1]`, with NaN
+/// (which `clamp` passes through) read as 0.
+fn intensity(v: f64) -> f64 {
+    if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(0.0, 1.0)
+    }
+}
+
 impl BernoulliEncoder {
     /// Creates a seeded stochastic encoder over the flattened input.
     pub fn new(input: &Tensor, seed: u64) -> BernoulliEncoder {
         use rand::SeedableRng;
         BernoulliEncoder {
-            intensities: input.data().iter().map(|v| v.clamp(0.0, 1.0)).collect(),
+            intensities: input.data().iter().copied().map(intensity).collect(),
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             seed,
         }
@@ -262,6 +273,17 @@ mod tests {
         let c1 = train.iter().filter(|s| s[1]).count();
         assert_eq!(c0, 0);
         assert_eq!(c1, 4);
+    }
+
+    #[test]
+    fn nan_reads_as_zero_and_drives_no_line() {
+        let nan = tensor(vec![f64::NAN, 0.5, f64::NAN]);
+        let mut enc = RateEncoder::new(&nan);
+        assert_eq!(enc.driven, [1], "a NaN line is never walked");
+        let dark = enc.train(8).unwrap();
+        assert_eq!(dark, RateEncoder::new(&tensor(vec![0.0, 0.5, 0.0])).train(8).unwrap());
+        let mut coin = BernoulliEncoder::new(&nan, 3);
+        assert!(coin.train(8).unwrap().iter().all(|step| !step[0] && !step[2]));
     }
 
     #[test]
