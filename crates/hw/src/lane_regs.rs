@@ -1,19 +1,17 @@
 //! The register files of the batched routers, sized by the program.
 //!
-//! A [`LaneRegs`] is `ports × planes` registers of `batch` payload lanes
-//! each, with no occupancy bit: which registers hold data when is the
-//! program's, proven once by [`crate::occupancy`] — and so is which
-//! registers can *ever* hold data, the check's
-//! [`Footprint`](crate::occupancy::Footprint). A file stores payload for
-//! its footprint's planes only, packed `[port][plane][lane]` in plane
-//! order. A run of adjacent footprint planes is contiguous there, so
-//! everything that moves NoC traffic or integrates — router `SUM` /
-//! `SEND` / `BYPASS` / `SPIKE` and the chip's transfer phase — walks a
-//! plane set 64 planes a word: one slice per run of adjacent planes,
-//! found with one rank (the rows stored before the run's plane word plus
-//! a popcount within it). Copies move whole registers, unoccupied lanes
-//! included (nothing reads those); arithmetic stays on the occupied
-//! lanes.
+//! A [`LaneRegs`] is `ports × planes` registers of one payload lane per
+//! frame of the pass (the stride is the occupancy), with no occupancy
+//! bit: which registers hold data when is the program's, proven once by
+//! [`crate::occupancy`] — and so is which registers can *ever* hold data,
+//! the check's [`Footprint`](crate::occupancy::Footprint). A file stores
+//! payload for its footprint's planes only, packed `[port][plane][lane]`
+//! in plane order. A run of adjacent footprint planes is contiguous
+//! there, so everything that moves NoC traffic or integrates — router
+//! `SUM` / `SEND` / `BYPASS` / `SPIKE` and the chip's transfer phase —
+//! walks a plane set 64 planes a word: one slice per run of adjacent
+//! planes, found with one rank (the rows stored before the run's plane
+//! word plus a popcount within it).
 //!
 //! One bit per register says whether it is *live*: a register written
 //! without being live holds the default value in every lane without
@@ -44,7 +42,10 @@ pub(crate) fn runs(mut word: u64) -> impl Iterator<Item = (usize, usize)> {
 #[derive(Debug, Clone)]
 pub(crate) struct LaneRegs<T> {
     planes: u16,
-    batch: usize,
+    /// The lane stride: the lanes of the pass.
+    lanes: usize,
+    /// Stored registers: footprint planes over every port.
+    rows: usize,
     /// Plane words per port.
     words: usize,
     /// `[port][word]`: the word's footprint planes — the only ones
@@ -53,13 +54,14 @@ pub(crate) struct LaneRegs<T> {
     /// `[port][word]`: meaningful on the registers the latest write put
     /// there; stale elsewhere.
     live: Vec<u64>,
-    /// `[stored plane][lane]`, in `(port, plane)` order.
+    /// `[stored plane][lane]`, in `(port, plane)` order; allocated for the
+    /// capacity, used over the first `rows × lanes` elements.
     val: Vec<T>,
 }
 
 impl<T: Copy + Default> LaneRegs<T> {
     /// The registers `footprint` names (`[port][word]`) of a
-    /// `planes`-plane file, `batch` lanes each.
+    /// `planes`-plane file, stored for `batch` lanes and strided to all.
     pub(crate) fn new(footprint: &[u64], planes: u16, batch: usize) -> LaneRegs<T> {
         let mut rows = 0;
         let index = footprint
@@ -71,7 +73,8 @@ impl<T: Copy + Default> LaneRegs<T> {
             .collect();
         LaneRegs {
             planes,
-            batch,
+            lanes: batch,
+            rows,
             words: usize::from(planes).div_ceil(64),
             index,
             live: vec![0; footprint.len()],
@@ -79,14 +82,20 @@ impl<T: Copy + Default> LaneRegs<T> {
         }
     }
 
+    /// Re-strides the file in place, at most to its capacity: payload
+    /// is stale until written, so the IF state is filled first.
+    pub(crate) fn set_lanes(&mut self, lanes: usize) {
+        self.lanes = lanes;
+    }
+
     /// Plane words per port.
     pub(crate) fn words(&self) -> usize {
         self.words
     }
 
-    /// Bytes of payload stored.
-    pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.val.as_slice())
+    /// Bytes of payload the file stores per lane.
+    pub(crate) fn lane_bytes(&self) -> usize {
+        self.rows * std::mem::size_of::<T>()
     }
 
     /// The planes of word `w` of `port` whose registers are live
@@ -129,7 +138,7 @@ impl<T: Copy + Default> LaneRegs<T> {
             "planes {p0}..{p1} of port {port} lie outside the footprint"
         );
         let first = self.row(port, p0);
-        first * self.batch..(first + p1 - p0) * self.batch
+        first * self.lanes..(first + p1 - p0) * self.lanes
     }
 
     /// The payload lanes of planes `p0..p1` of `port`, `[plane][lane]`;
@@ -147,20 +156,18 @@ impl<T: Copy + Default> LaneRegs<T> {
     }
 
     /// The payload of `plane` of `port` in `lane`: the default outside the
-    /// footprint, as for a register never written.
+    /// footprint or the lanes, as for a register never written.
     pub(crate) fn get(&self, port: usize, plane: usize, lane: usize) -> T {
-        if self.holds(port, plane) {
-            self.val[self.row(port, plane) * self.batch + lane]
+        if lane < self.lanes && self.holds(port, plane) {
+            self.val[self.row(port, plane) * self.lanes + lane]
         } else {
             T::default()
         }
     }
 
-    /// Sets `lanes` of every stored register to `value`.
-    pub(crate) fn fill_lanes(&mut self, lanes: Range<usize>, value: T) {
-        for row in self.val.chunks_exact_mut(self.batch) {
-            row[lanes.clone()].fill(value);
-        }
+    /// Sets every lane of every stored register to `value`: one fill.
+    pub(crate) fn fill(&mut self, value: T) {
+        self.val[..self.rows * self.lanes].fill(value);
     }
 
     /// The transfer phase of one mesh link: moves the registers `planes`
@@ -174,6 +181,7 @@ impl<T: Copy + Default> LaneRegs<T> {
         dst_port: usize,
         planes: &PlaneSet,
     ) -> u64 {
+        debug_assert_eq!(self.lanes, dst.lanes, "a link joins files of one stride");
         let mut moved = 0;
         for w in 0..self.words {
             let sel = planes.word(w, self.planes);
@@ -247,7 +255,7 @@ mod tests {
         footprint[3..6].copy_from_slice(&[1 << 1 | 1 << 2 | 1 << 3 | 1 << 63, 0b11, 0b10]);
         footprint[9] = 1;
         let mut regs = LaneRegs::<i16>::new(&footprint, 130, 3);
-        assert_eq!(regs.bytes(), (named.len() + 1) * 3 * 2);
+        assert_eq!(regs.lane_bytes(), (named.len() + 1) * 2);
         for (i, p) in named.iter().map(|&p| usize::from(p)).enumerate() {
             regs.rows_mut(1, p, p + 1).fill(i as i16 + 1);
         }

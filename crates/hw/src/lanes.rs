@@ -1,11 +1,11 @@
 //! The lane axis of the batched engine.
 //!
-//! The batched engine's registers carry `batch` SoA payload lanes, and a
-//! pass's frames ride the prefix `0..k` of them (see
+//! The batched engine's registers carry one SoA payload lane per frame of
+//! the pass: a `k`-frame pass is `k` lanes wide (see
 //! [`BatchChip::set_occupied`](crate::BatchChip::set_occupied)). Every
 //! per-lane computation is a slice operation of length `k`; this module
 //! holds the chunked integrate-and-fire kernel the spike router runs over
-//! that prefix.
+//! a plane's lanes.
 
 /// Fixed inner width of the chunked lane kernel below: 8 × i32 = two
 /// SSE2 vectors per chunk, the sweet spot for the baseline x86-64 target
@@ -13,7 +13,7 @@
 /// batches' remainder loop.
 pub const LANE_CHUNK: usize = 8;
 
-/// Branchless integrate-and-fire over the contiguous occupied prefix:
+/// Branchless integrate-and-fire over a plane's contiguous lanes:
 /// per lane, `pot += sum; fire = pot > threshold; spike = fire;
 /// pot -= fire ? threshold : 0` — bit-identical to the scalar
 /// `integrate_value` sequence, with the reset-by-subtraction select

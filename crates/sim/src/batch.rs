@@ -15,14 +15,12 @@
 //! frame.
 //!
 //! Execution is **occupancy-bound, not capacity-bound**: a pass's `n`
-//! frames ride the SoA lanes `0..n` (see [`BatchChip::set_occupied`]), and
-//! every per-lane computation is a slice operation over that prefix, so an
-//! under-full batch pays for the frames it carries plus one control-word
-//! walk — not for `batch` lanes. Lanes are interchangeable: every pass
-//! starts with a frame reset, so once a pass returns nothing can tell
-//! which lane a frame rode, and a prefix is the only shape occupancy
-//! needs. Lanes that leave the prefix are scrubbed in `O(their active
-//! state)`.
+//! frames ride lanes `0..n`, and `n` is the stride of every per-lane array
+//! (see [`BatchChip::set_occupied`]), so an under-full batch runs the code
+//! of an `n`-lane replica plus one control-word walk — `batch` is only the
+//! capacity. Lanes are interchangeable: every pass starts with a frame
+//! reset, so once a pass returns nothing can tell which lane a frame
+//! rode.
 
 use std::sync::Arc;
 
@@ -118,9 +116,9 @@ impl BatchSim {
         &self.program
     }
 
-    /// Occupies lanes `0..n` (see [`BatchChip::set_occupied`]): frames
-    /// ride a prefix of the lanes, so occupancy is one number. Lanes
-    /// leaving the prefix are scrubbed in `O(their active state)`.
+    /// Occupies lanes `0..n` and makes `n` the stride (see
+    /// [`BatchChip::set_occupied`]): a change scrubs every lane in
+    /// `O(active state)` and re-strides in place.
     ///
     /// # Errors
     ///
@@ -159,8 +157,8 @@ impl BatchSim {
     /// input, and the outputs come back in input order.
     ///
     /// The replica occupies lanes `0..inputs.len()` first, so an
-    /// under-full batch pays for the frames it carries (plus one walk
-    /// over the control words), not for `batch` lanes.
+    /// under-full batch runs as wide as the frames it carries (plus one
+    /// walk over the control words), not `batch` lanes wide.
     ///
     /// # Errors
     ///

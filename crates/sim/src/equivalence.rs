@@ -70,7 +70,7 @@ pub fn verify(
 /// the oracle's run of frame `i`**.
 ///
 /// A fresh `batch`-lane [`BatchSim`] advances `inputs` in one pass,
-/// `inputs[i]` on lane `i` of the prefix `0..inputs.len()`; the
+/// `inputs[i]` on lane `i` of `0..inputs.len()`; the
 /// [`OracleSim`] runs the same frames one at a time on the scalar chip.
 /// A frame is exact when its full [`SnnOutput`](shenjing_snn::SnnOutput)
 /// matches *and* the state digest of every live tile, taken over its lane

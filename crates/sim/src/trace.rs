@@ -137,10 +137,6 @@ fn digest_batch_tile(
 /// state (empty between passes, as a checked schedule leaves it) and
 /// spike router state (potentials, spike buffers) — the batched
 /// counterpart of [`digest_chip`].
-///
-/// Lanes past the prefix are excluded by design: their router registers
-/// may hold stale payload (nothing reads it), so only the occupied lanes
-/// carry architecturally meaningful state.
 pub fn digest_batch_chip(cycle: u64, chip: &BatchChip) -> StateDigest {
     digest_lanes(cycle, chip, 0..chip.occupied())
 }
@@ -152,9 +148,9 @@ pub fn digest_batch_chip(cycle: u64, chip: &BatchChip) -> StateDigest {
 ///
 /// # Panics
 ///
-/// Panics when `lane` exceeds the chip's lane capacity.
+/// Panics when `lane` is not an occupied lane.
 pub fn digest_batch_lane(cycle: u64, chip: &BatchChip, lane: usize) -> StateDigest {
-    assert!(lane < chip.batch(), "lane {lane} of a {}-lane chip", chip.batch());
+    assert!(lane < chip.occupied(), "lane {lane} of {} occupied lanes", chip.occupied());
     digest_lanes(cycle, chip, lane..lane + 1)
 }
 
