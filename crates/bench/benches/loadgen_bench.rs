@@ -94,25 +94,18 @@ fn main() {
         );
     }
 
-    // The MLP tenant is latency-critical: higher priority, a real SLO,
-    // warm on both workers. The CNN tenant is best-effort and serves a
+    // The MLP tenant is latency-critical: higher priority, a real SLO.
+    // Both workers hold a replica of each model from startup. The CNN tenant is best-effort and serves a
     // shortened spike train (the per-model override) so one frame costs
     // ~0.2 s instead of ~1.5 s.
     let registry = ModelRegistry::new()
         .with_model(
             "mnist-mlp",
             mlp.clone(),
-            ServeOptions::default()
-                .with_priority(2)
-                .with_deadline(Duration::from_secs(30))
-                .with_warm_replicas(2),
+            ServeOptions::default().with_priority(2).with_deadline(Duration::from_secs(30)),
         )
         .unwrap()
-        .with_model(
-            "cifar-cnn",
-            cnn.clone(),
-            ServeOptions::default().with_timesteps(2).with_warm_replicas(2),
-        )
+        .with_model("cifar-cnn", cnn.clone(), ServeOptions::default().with_timesteps(2))
         .unwrap();
     #[cfg(feature = "chaos")]
     let chaos_on = chaos_requested();
@@ -132,7 +125,7 @@ fn main() {
     let config = builder.build().unwrap();
     let setup_start = Instant::now();
     let runtime = Runtime::serve(registry, config).unwrap();
-    eprintln!("warm pools up in {:?}", setup_start.elapsed());
+    eprintln!("replicas up in {:?}", setup_start.elapsed());
 
     let mlp_frame = frame(mlp.input_len(), 1);
     let cnn_frame_len = cnn.input_len();

@@ -68,11 +68,11 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     // End to end through registry + admission + batching policy + worker
-    // shards (every worker warm, as the pre-registry runtime was).
+    // shards (every worker holds a replica from startup).
     c.bench_function("runtime_serve_32_frames_2_workers", |b| {
         b.iter(|| {
             let registry = ModelRegistry::new()
-                .with_model("mnist", model.clone(), ServeOptions::default().with_warm_replicas(2))
+                .with_model("mnist", model.clone(), ServeOptions::default())
                 .unwrap();
             let runtime = Runtime::serve(
                 registry,

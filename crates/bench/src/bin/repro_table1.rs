@@ -3,8 +3,8 @@
 
 use shenjing::core::Direction;
 use shenjing::hw::{
-    ControlWord, NeuronCoreOp, NeuronCoreSignals, PlaneSet, PsDst, PsRouterOp, PsRouterSignals,
-    PsSendSource, SpikeRouterOp, SpikeRouterSignals,
+    AtomicOp, ControlWord, NeuronCoreOp, NeuronCoreSignals, PlaneSet, PsDst, PsRouterOp,
+    PsRouterSignals, PsSendSource, SpikeRouterOp, SpikeRouterSignals,
 };
 
 fn bit(b: bool) -> char {
@@ -54,7 +54,7 @@ fn main() {
             format!("{:02b}", s.in_sel),
             format!("{:03b}", s.out_sel),
         );
-        assert!(word.decode(planes.clone()).is_ok(), "round trip");
+        assert_eq!(word.decode(planes.clone()).unwrap(), AtomicOp::Ps(op.clone()), "round trip");
     }
 
     println!("\nSpike Router            type spike_en sum/loc inject bypass in_sel out_sel");
@@ -86,7 +86,7 @@ fn main() {
             format!("{:02b}", s.in_sel),
             format!("{:02b}", s.out_sel),
         );
-        assert!(word.decode(planes.clone()).is_ok());
+        assert_eq!(word.decode(planes.clone()).unwrap(), AtomicOp::Spike(op.clone()));
     }
 
     println!("\nNeuron Core             type r_weight w_weight  acc");
@@ -102,7 +102,7 @@ fn main() {
             format!("{:04b}", s.w_weight),
             format!("{:04b}", s.acc),
         );
-        assert!(word.decode(planes.clone()).is_ok());
+        assert_eq!(word.decode(planes.clone()).unwrap(), AtomicOp::Core(op));
     }
     println!("\nall words decode back to their operations (round trip verified)");
 }

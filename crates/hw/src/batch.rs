@@ -1814,7 +1814,7 @@ mod tests {
         let delta = 9 - block[2 * 16 + 3].value() - 4;
         assert_eq!(i32::from(sums(&mut written)[3 * 2 + 1]), i32::from(before[3 * 2 + 1]) + delta);
         assert_eq!(sums(&mut sibling), before);
-        assert_eq!(program.expand(), block, "the program's weights are untouched");
+        assert_eq!(program.expand(), block, "the program's weights are unchanged");
         assert_eq!(Arc::strong_count(&program), 2, "the writer left the shared weights");
 
         // The oracle core loads the expanded prefix and writes past it.

@@ -262,15 +262,6 @@ impl AtomicOp {
     pub fn queues_delivery(&self) -> bool {
         matches!(self, AtomicOp::Spike(SpikeRouterOp::Bypass { deliver: true, .. }))
     }
-
-    /// Whether executing this op never changes functional simulator state.
-    ///
-    /// `LD_WT` is configuration-time only: the simulators materialize the
-    /// weight SRAMs when the chip is built, so replaying the load each pass
-    /// is dead work the optimizer may elide.
-    pub fn is_exec_noop(&self) -> bool {
-        matches!(self, AtomicOp::Core(NeuronCoreOp::LdWt { .. }))
-    }
 }
 
 #[cfg(test)]
@@ -418,8 +409,6 @@ mod tests {
             );
         }
 
-        assert!(AtomicOp::Core(NeuronCoreOp::LdWt { banks: 1 }).is_exec_noop());
-        assert!(!AtomicOp::Core(NeuronCoreOp::Acc { banks: 1 }).is_exec_noop());
         assert!(!send_spk.queues_delivery());
     }
 

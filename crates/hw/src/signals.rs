@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 use shenjing_core::{Direction, Error, Result};
 
-use crate::ops::{NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};
+use crate::ops::{AtomicOp, NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};
 use crate::plane::PlaneSet;
 
 /// 3-bit PS output select: ports 0–3, spiking logic 4, none 7.
@@ -85,7 +85,7 @@ pub struct NeuronCoreSignals {
 /// A packed 16-bit configuration-memory word.
 ///
 /// ```
-/// use shenjing_hw::{ControlWord, PsRouterOp, PsSendSource, PsDst, PlaneSet};
+/// use shenjing_hw::{AtomicOp, ControlWord, PsRouterOp, PsSendSource, PsDst, PlaneSet};
 /// use shenjing_core::Direction;
 ///
 /// let op = PsRouterOp::Send {
@@ -94,22 +94,11 @@ pub struct NeuronCoreSignals {
 ///     planes: PlaneSet::all(),
 /// };
 /// let word = ControlWord::encode_ps(&op);
-/// let back = word.decode(PlaneSet::all())?;
+/// assert_eq!(word.decode(PlaneSet::all())?, AtomicOp::Ps(op));
 /// # Ok::<(), shenjing_core::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ControlWord(u16);
-
-/// A control word decoded back into an operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodedOp {
-    /// PS router operation.
-    Ps(PsRouterOp),
-    /// Spike router operation.
-    Spike(SpikeRouterOp),
-    /// Neuron core operation.
-    Core(NeuronCoreOp),
-}
 
 impl ControlWord {
     /// The raw 16-bit word.
@@ -211,20 +200,11 @@ impl ControlWord {
     /// Returns [`Error::InvalidControl`] for words whose flag combination
     /// corresponds to no Table I operation (e.g. `add_en` and `bypass`
     /// both set, or an unknown type field).
-    pub fn decode(self, planes: PlaneSet) -> Result<DecodedOp> {
+    pub fn decode(self, planes: PlaneSet) -> Result<AtomicOp> {
         match self.op_type() {
-            0b00 => {
-                let s = self.ps_signals();
-                s.to_op(planes).map(DecodedOp::Ps)
-            }
-            0b01 => {
-                let s = self.spike_signals();
-                s.to_op(planes).map(DecodedOp::Spike)
-            }
-            0b10 => {
-                let s = self.core_signals();
-                s.to_op().map(DecodedOp::Core)
-            }
+            0b00 => self.ps_signals().to_op(planes).map(AtomicOp::Ps),
+            0b01 => self.spike_signals().to_op(planes).map(AtomicOp::Spike),
+            0b10 => self.core_signals().to_op().map(AtomicOp::Core),
             t => Err(Error::InvalidControl {
                 component: "config word".into(),
                 reason: format!("unknown op type field {t:#04b}"),
@@ -490,10 +470,7 @@ mod tests {
         for op in all_ps_ops() {
             let word = ControlWord::encode_ps(&op);
             assert_eq!(word.op_type(), 0);
-            match word.decode(planes()).unwrap() {
-                DecodedOp::Ps(back) => assert_eq!(back, op, "word {word}"),
-                other => panic!("decoded to wrong family: {other:?}"),
-            }
+            assert_eq!(word.decode(planes()).unwrap(), AtomicOp::Ps(op), "word {word}");
         }
     }
 
@@ -502,10 +479,7 @@ mod tests {
         for op in all_spike_ops() {
             let word = ControlWord::encode_spike(&op);
             assert_eq!(word.op_type(), 1);
-            match word.decode(planes()).unwrap() {
-                DecodedOp::Spike(back) => assert_eq!(back, op, "word {word}"),
-                other => panic!("decoded to wrong family: {other:?}"),
-            }
+            assert_eq!(word.decode(planes()).unwrap(), AtomicOp::Spike(op), "word {word}");
         }
     }
 
@@ -515,10 +489,7 @@ mod tests {
             for op in [NeuronCoreOp::LdWt { banks }, NeuronCoreOp::Acc { banks }] {
                 let word = ControlWord::encode_core(&op);
                 assert_eq!(word.op_type(), 2);
-                match word.decode(planes()).unwrap() {
-                    DecodedOp::Core(back) => assert_eq!(back, op),
-                    other => panic!("decoded to wrong family: {other:?}"),
-                }
+                assert_eq!(word.decode(planes()).unwrap(), AtomicOp::Core(op));
             }
         }
     }

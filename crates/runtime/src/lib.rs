@@ -20,8 +20,9 @@
 //!    passes, a batch of one included, pay for the frames they carry.
 //! 3. **Serving tier** — a [`ModelRegistry`] holds many compiled
 //!    artifacts under string ids, each with per-model [`ServeOptions`]
-//!    (priority, deadline SLO, warm-replica pool). [`Runtime::serve`]
-//!    puts one admission-controlled, depth-bounded request queue in
+//!    (priority, deadline SLO, timestep override). [`Runtime::serve`]
+//!    builds every worker's replica of every model before traffic
+//!    arrives and puts one admission-controlled, depth-bounded request queue in
 //!    front of them: typed [`InferenceRequest`]s are admitted or
 //!    refused with a [`RejectReason`](shenjing_core::RejectReason)
 //!    (queue full, unknown model, expired deadline, shutdown), or
@@ -59,7 +60,7 @@
 //! [`Error::ReplicaFault`](shenjing_core::Error::ReplicaFault). The
 //! runtime does not retry: the schedule and the rate coding are
 //! deterministic, so a panic replays on the same frames. A worker whose
-//! loop panics outside that guard restarts it in place with cold
+//! loop panics outside that guard restarts it in place on rebuilt
 //! replicas (counted in `shenjing_worker_restarts_total{worker=}`; past
 //! its restart budget it gives up, and the last worker standing fails
 //! the queue with [`Error::WorkerLost`](shenjing_core::Error::WorkerLost)).

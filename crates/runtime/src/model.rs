@@ -134,8 +134,8 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// Returns mapping/bounds errors when the program references tiles
-    /// outside the mesh.
+    /// None: the artifact was decoded and verified, and decode refuses
+    /// everything instantiation would.
     pub fn instantiate(&self) -> Result<CycleSim> {
         CycleSim::from_decoded(Arc::clone(&self.program))
     }
@@ -144,10 +144,19 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// Same as [`instantiate`](CompiledModel::instantiate), plus
-    /// [`shenjing_core::Error::InvalidConfig`] for a zero batch.
+    /// Returns [`shenjing_core::Error::InvalidConfig`] for a zero batch,
+    /// and nothing else (see [`instantiate`](CompiledModel::instantiate)).
     pub fn instantiate_batched(&self, batch: usize) -> Result<BatchSim> {
         BatchSim::from_decoded(Arc::clone(&self.program), batch)
+    }
+
+    /// A serving replica `lanes` wide — how the runtime builds every
+    /// replica it holds, at startup and after a fault. It cannot fail for
+    /// `lanes > 0` (the runtime's validated `max_batch`): see
+    /// [`instantiate`](CompiledModel::instantiate).
+    pub(crate) fn replica(&self, lanes: usize) -> BatchSim {
+        self.instantiate_batched(lanes)
+            .expect("a verified model instantiates at any positive width")
     }
 }
 
@@ -159,11 +168,10 @@ impl CompiledModel {
 ///
 /// let opts = ServeOptions::default()
 ///     .with_priority(2)
-///     .with_deadline(Duration::from_millis(50))
-///     .with_warm_replicas(2);
+///     .with_deadline(Duration::from_millis(50));
 /// assert_eq!(opts.priority, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ServeOptions {
     /// Scheduling priority; higher-priority requests dequeue first.
     /// A request's own priority, when set, overrides this default.
@@ -172,22 +180,11 @@ pub struct ServeOptions {
     /// a request unanswered this long after submission is dropped instead
     /// of burning a lane. `None` means requests wait indefinitely.
     pub deadline: Option<Duration>,
-    /// How many worker shards pre-instantiate this model's chip replicas
-    /// at startup (capped at the runtime's worker count). Remaining
-    /// workers instantiate on first use (~one replica-instantiation cost,
-    /// counted in [`RuntimeStats::cold_starts`](crate::RuntimeStats)).
-    pub warm_replicas: usize,
     /// Rate-coding spike-train length for this model's frames, overriding
     /// the runtime-wide [`RuntimeConfig::timesteps`](crate::RuntimeConfig)
     /// when set — a cheap knob to serve a large model at a shorter train
     /// next to small models at full fidelity.
     pub timesteps: Option<u32>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions { priority: 0, deadline: None, warm_replicas: 1, timesteps: None }
-    }
 }
 
 impl ServeOptions {
@@ -202,13 +199,6 @@ impl ServeOptions {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> ServeOptions {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the warm-replica pool size.
-    #[must_use]
-    pub fn with_warm_replicas(mut self, workers: usize) -> ServeOptions {
-        self.warm_replicas = workers;
         self
     }
 
@@ -234,7 +224,7 @@ pub(crate) struct ModelEntry {
 /// Replica instantiation from a [`CompiledModel`] is cheap (the decoded
 /// program is `Arc`-shared), so a registry of heterogeneous models — the
 /// paper's Table III zoo hosted on one accelerator — costs one decode per
-/// model plus per-worker chip state for the warm pools.
+/// model plus one replica's chip state per worker.
 ///
 /// ```
 /// use shenjing_core::{ArchSpec, W5};

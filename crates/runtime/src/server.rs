@@ -41,9 +41,8 @@ const MAX_WORKER_RESTARTS: u64 = 8;
 /// through the validating [`builder`](RuntimeConfig::builder).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker shards; each owns one batched chip replica for every model
-    /// it has served (see
-    /// [`ServeOptions::warm_replicas`](crate::ServeOptions)).
+    /// Worker shards; each holds one batched chip replica of every
+    /// registered model, built before traffic arrives.
     pub workers: usize,
     /// Largest batch a worker executes in one pass (its lane count).
     /// Batches never mix models: a pass serves one model's requests.
@@ -330,9 +329,7 @@ impl PendingReply {
     /// re-executes it), or [`Error::WorkerLost`] when the runtime dropped
     /// the request unanswered (it was torn down, its batch was lost to a
     /// worker restart, or every worker gave up) — both of the latter are
-    /// [`retryable`](Error::is_retryable) against a live runtime. A
-    /// worker that cannot cold-start its replica passes the
-    /// instantiation error on.
+    /// [`retryable`](Error::is_retryable) against a live runtime.
     pub fn wait(self) -> Result<InferenceReply> {
         self.rx.recv().unwrap_or(Err(Error::WorkerLost { worker: None }))
     }
@@ -387,17 +384,18 @@ pub struct Runtime {
 impl Runtime {
     /// Starts serving every model in `registry` from `workers` shards.
     ///
-    /// Warm pools are instantiated here, on the caller's thread, so a
-    /// bad program fails fast: worker `w` pre-instantiates a model's
-    /// replicas iff `w < warm_replicas` (capped at the worker count).
-    /// Other workers instantiate on first use, counted in
-    /// [`RuntimeStats::cold_starts`].
+    /// Every worker's replica of every model is built here, on the
+    /// caller's thread, before any traffic arrives — the way one
+    /// compiled configuration image is written into every chip. A
+    /// registered [`CompiledModel`] was decoded and verified, so the
+    /// build cannot fail; [`RuntimeStats::cold_starts`] counts only the
+    /// rebuilds after a fault.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for an invalid configuration
-    /// (see [`RuntimeConfig::builder`]) or an empty registry, and
-    /// propagates replica instantiation errors.
+    /// (see [`RuntimeConfig::builder`]), an empty registry, or a worker
+    /// thread the OS would not spawn.
     pub fn serve(registry: ModelRegistry, config: RuntimeConfig) -> Result<Runtime> {
         config.validate()?;
         if registry.is_empty() {
@@ -416,19 +414,10 @@ impl Runtime {
                 options: e.options,
             })
             .collect();
-        // Per-worker, per-model replicas; `None` until warmed or
-        // cold-started.
-        let mut worker_replicas: Vec<Vec<Option<BatchSim>>> = Vec::new();
-        for w in 0..config.workers {
-            let mut slots = Vec::with_capacity(models.len());
-            for m in &models {
-                let warm = w < m.options.warm_replicas.min(config.workers);
-                let replica =
-                    if warm { Some(m.model.instantiate_batched(config.max_batch)?) } else { None };
-                slots.push(replica);
-            }
-            worker_replicas.push(slots);
-        }
+        // Every worker holds one replica of every model, indexed by model.
+        let worker_replicas: Vec<Vec<BatchSim>> = (0..config.workers)
+            .map(|_| models.iter().map(|m| m.model.replica(config.max_batch)).collect())
+            .collect();
         // Static facts as info gauges, the Prometheus idiom for joining
         // live counters with model size/placement at query time.
         for m in &models {
@@ -705,22 +694,31 @@ fn fail(counter: &Counter, rider: Rider, error: Error) {
 
 /// One worker shard's thread. A panic that escapes the per-batch guard
 /// (the batch in hand, if any, is lost: its callers see
-/// [`Error::WorkerLost`]) restarts the loop cold, every replica shed;
-/// past [`MAX_WORKER_RESTARTS`] the shard gives up — its
+/// [`Error::WorkerLost`]) restarts the loop, which first rebuilds every
+/// replica — inside the guard, so a panicking rebuild is one more
+/// restart; past [`MAX_WORKER_RESTARTS`] the shard gives up — its
 /// `shenjing_worker_healthy` gauge drops to 0 and shutdown reports it.
 /// The last shard to finish fails whatever is still queued (nothing,
 /// after a clean drain) with the typed worker loss.
-fn run_worker(id: usize, mut replicas: Vec<Option<BatchSim>>, shared: &Shared) {
+fn run_worker(id: usize, mut replicas: Vec<BatchSim>, shared: &Shared) {
     let health = &shared.workers[id];
-    while std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(id, &mut replicas, shared)))
-        .is_err()
+    let mut restarted = false;
+    while std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if restarted {
+            for model in 0..replicas.len() {
+                rebuild_replica(model, &mut replicas, shared);
+            }
+        }
+        worker_loop(id, &mut replicas, shared)
+    }))
+    .is_err()
     {
         health.restarts.inc();
         if health.restarts.get() > MAX_WORKER_RESTARTS {
             health.healthy.set(0);
             break;
         }
-        replicas.fill_with(|| None);
+        restarted = true;
     }
     if shared.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
         let lost = Error::WorkerLost { worker: shared.lost_worker() };
@@ -734,7 +732,7 @@ fn run_worker(id: usize, mut replicas: Vec<Option<BatchSim>>, shared: &Shared) {
 /// do at this instant, answers the requests it expired, and runs the
 /// batch it was handed — or, when the queue is empty, sleeps at the one
 /// wait site.
-fn worker_loop(id: usize, replicas: &mut [Option<BatchSim>], shared: &Shared) {
+fn worker_loop(id: usize, replicas: &mut [BatchSim], shared: &Shared) {
     let mut expired = Vec::new();
     loop {
         #[cfg(feature = "chaos")]
@@ -778,19 +776,12 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Tears one (worker, model) replica down and rebuilds it from the
-/// compiled artifact — the fault-recovery half of the warm pool. The
-/// rebuild is a cold start by definition; if it fails the slot stays
-/// empty and the next batch tries again via the ordinary cold-start
-/// path.
-fn quarantine_replica(id: usize, model: usize, replicas: &mut [Option<BatchSim>], shared: &Shared) {
-    replicas[model] = None;
+/// Replaces this worker's replica of `model` with a fresh one from the
+/// compiled artifact, counted as a cold start.
+fn rebuild_replica(model: usize, replicas: &mut [BatchSim], shared: &Shared) {
     let entry = &shared.models[model];
-    replicas[model] = entry.model.instantiate_batched(shared.config.max_batch).ok();
-    entry.metrics.quarantines[id].inc();
-    if replicas[model].is_some() {
-        entry.metrics.cold_starts.inc();
-    }
+    replicas[model] = entry.model.replica(shared.config.max_batch);
+    entry.metrics.cold_starts.inc();
 }
 
 /// Runs one batch on this worker's replica of `model` behind a panic
@@ -803,7 +794,7 @@ fn serve_batch(
     id: usize,
     model: usize,
     batch: Vec<Request>,
-    replicas: &mut [Option<BatchSim>],
+    replicas: &mut [BatchSim],
     shared: &Shared,
 ) {
     let config = &shared.config;
@@ -824,25 +815,7 @@ fn serve_batch(
     let density =
         inputs.iter().map(|t| t.data().iter().sum::<f64>() / t.len().max(1) as f64).sum::<f64>()
             / frames as f64;
-
-    // Outside the warm pool this worker instantiates on first use — one
-    // cold start per (worker, model), then the replica persists until a
-    // quarantine sheds it.
-    let sim = match &mut replicas[model] {
-        Some(sim) => sim,
-        slot => match entry.model.instantiate_batched(config.max_batch) {
-            Ok(built) => {
-                metrics.cold_starts.inc();
-                slot.insert(built)
-            }
-            Err(e) => {
-                for rider in riders {
-                    fail(&metrics.failed, rider, e.clone());
-                }
-                return;
-            }
-        },
-    };
+    let sim = &mut replicas[model];
     let timesteps = entry.options.timesteps.unwrap_or(config.timesteps);
 
     // The plan → execute → drain lifecycle over the model's replica,
@@ -878,7 +851,8 @@ fn serve_batch(
     let (outputs, planned_at, executed_at) = match served {
         Ok(pass) => pass,
         Err(reason) => {
-            quarantine_replica(id, model, replicas, shared);
+            rebuild_replica(model, replicas, shared);
+            metrics.quarantines[id].inc();
             metrics.record_batch(frames, busy, density);
             let fault = Error::ReplicaFault { worker: id, reason };
             for rider in riders {
@@ -1514,9 +1488,9 @@ mod tests {
         let (a, b) = (model(), model_b());
         let (mut ref_a, mut ref_b) = (oracle(&a), oracle(&b));
         let registry = ModelRegistry::new()
-            .with_model("a", a, ServeOptions::default().with_warm_replicas(2))
+            .with_model("a", a, ServeOptions::default())
             .unwrap()
-            .with_model("b", b, ServeOptions::default().with_warm_replicas(2))
+            .with_model("b", b, ServeOptions::default())
             .unwrap();
         let config = RuntimeConfig { workers: 2, max_batch: 8, timesteps: 6, ..Default::default() };
         let runtime = Runtime::serve(registry, config).unwrap();
@@ -1570,24 +1544,30 @@ mod tests {
     }
 
     #[test]
-    fn warm_pools_and_cold_starts_are_accounted() {
-        // warm_replicas = 0: the only worker must cold-start on first use.
+    fn every_worker_holds_every_replica_from_start() {
+        // Two workers serve two models through several mixed bursts.
+        // Whichever worker takes whichever model's batch, it already
+        // holds that replica: no build happens after startup.
         let registry = ModelRegistry::new()
-            .with_model("m", model(), ServeOptions::default().with_warm_replicas(0))
+            .with_model("a", model(), ServeOptions::default())
+            .unwrap()
+            .with_model("b", model_b(), ServeOptions::default())
             .unwrap();
-        let runtime =
-            Runtime::serve(registry, RuntimeConfig { workers: 1, ..Default::default() }).unwrap();
-        runtime.infer(request(0)).unwrap();
-        runtime.infer(request(1)).unwrap();
+        let config = RuntimeConfig { workers: 2, max_batch: 4, timesteps: 3, ..Default::default() };
+        let runtime = Runtime::serve(registry, config).unwrap();
+        for burst in 0..6 {
+            let requests: Vec<InferenceRequest> = (0..10)
+                .map(|k| match (burst + k) % 2 {
+                    0 => InferenceRequest::new("a", frame(k)),
+                    _ => InferenceRequest::new("b", frame_b(k)),
+                })
+                .collect();
+            runtime.infer_many(&requests).unwrap();
+        }
         let stats = runtime.shutdown().unwrap();
-        assert_eq!(stats.cold_starts, 1, "one cold start, then the replicas persist");
-        assert_eq!(stats.completed, 2);
-
-        // Default warm pool (1) covers a single worker: no cold starts.
-        let runtime = single(model(), RuntimeConfig { workers: 1, ..Default::default() });
-        runtime.infer(request(0)).unwrap();
-        let stats = runtime.shutdown().unwrap();
+        assert_eq!((stats.completed, stats.failed), (60, 0));
         assert_eq!(stats.cold_starts, 0);
+        assert!(stats.models.iter().all(|m| m.stats.cold_starts == 0 && m.stats.completed == 30));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub(crate) struct ModelMetrics {
     pub rejected_queue_full: Arc<Counter>,
     pub rejected_deadline: Arc<Counter>,
     pub expired_in_queue: Arc<Counter>,
-    /// Replicas instantiated outside the warm pool (quarantine rebuilds
-    /// included).
+    /// Replicas rebuilt after startup: a quarantine rebuilds one, a
+    /// worker restart every model's.
     pub cold_starts: Arc<Counter>,
     /// Replica teardown-and-rebuilds, one counter per worker shard
     /// (`{worker=}`): the model's view sums over workers, a worker's
@@ -197,7 +197,9 @@ pub struct RuntimeStats {
     pub expired_in_queue: u64,
     /// Requests naming an unregistered model id (aggregate view only).
     pub rejected_unknown_model: u64,
-    /// On-demand replica instantiations outside the warm pools.
+    /// Replicas rebuilt after startup (quarantines and worker restarts);
+    /// every replica a runtime starts with is built in
+    /// [`Runtime::serve`](crate::Runtime::serve).
     pub cold_starts: u64,
     /// Always 0: the runtime never re-executes a request (a faulted
     /// batch fails its riders once). Kept only because the repository

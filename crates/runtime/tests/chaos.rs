@@ -125,8 +125,8 @@ fn panic_without_budget_fails_only_that_batch_typed() {
     let stats = runtime.shutdown().unwrap();
     assert_fault_stats_match(&stats, &metrics);
     assert_eq!(stats.quarantines, 1);
-    // The default warm pool pre-built the first replica, so the
-    // quarantine rebuild is the model's only cold start.
+    // `serve` built the first replica, so the quarantine rebuild is the
+    // model's only cold start.
     assert_eq!(stats.models[0].stats.cold_starts, 1);
     assert!(stats.workers[0].healthy);
 }
@@ -161,6 +161,7 @@ fn worker_kill_mid_load_loses_no_replies() {
     assert_eq!((stats.completed, stats.failed), (16 - faulted, faulted));
     assert_eq!(stats.quarantines, 1, "one faulted batch, one rebuild");
     assert_eq!(stats.worker_restarts, 1);
+    assert_eq!(stats.cold_starts, 2, "the quarantine's rebuild and the restart's");
     assert_eq!(stats.workers[0].restarts, 1);
     assert!(stats.workers[0].healthy, "a restarted worker is healthy again");
 }
@@ -229,7 +230,7 @@ fn soak_through_every_fault_answers_each_request_once_and_exactly() {
         .collect();
     let [a, b] = models;
     let registry = ModelRegistry::new()
-        .with_model("a", a, ServeOptions::default().with_warm_replicas(2))
+        .with_model("a", a, ServeOptions::default())
         .unwrap()
         .with_model("b", b, ServeOptions::default())
         .unwrap();
@@ -283,5 +284,7 @@ fn soak_through_every_fault_answers_each_request_once_and_exactly() {
     // Every faulted batch was rebuilt once and failed at most a batch of
     // riders.
     assert!(stats.quarantines > 0, "{stats:?}");
+    // A quarantine rebuilds one replica, a restart both models'.
+    assert_eq!(stats.cold_starts, stats.quarantines + 2 * 2, "{stats:?}");
     assert!((stats.quarantines..=stats.quarantines * 8).contains(&failed), "{stats:?}");
 }

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use shenjing::core::{fixed::quantize_weights, CoreCoord, Direction, LocalSum, NocSum, W5};
-use shenjing::hw::{ControlWord, NeuronCoreOp, PlaneSet, PsRouterOp, PsSendSource, SpikeRouterOp};
+use shenjing::hw::{
+    AtomicOp, ControlWord, NeuronCoreOp, PlaneSet, PsRouterOp, PsSendSource, SpikeRouterOp,
+};
 use shenjing::hw::{PsDst, SpikeRouter};
 
 proptest! {
@@ -125,11 +127,7 @@ proptest! {
             _ => PsRouterOp::Bypass { src, dst, planes: PlaneSet::all() },
         };
         let word = ControlWord::encode_ps(&op);
-        let decoded = word.decode(PlaneSet::all()).unwrap();
-        match decoded {
-            shenjing::hw::signals::DecodedOp::Ps(back) => prop_assert_eq!(back, op),
-            other => prop_assert!(false, "wrong family {:?}", other),
-        }
+        prop_assert_eq!(word.decode(PlaneSet::all()).unwrap(), AtomicOp::Ps(op));
     }
 
     /// Control-word encoding round-trips for random spike router ops.
@@ -159,11 +157,7 @@ proptest! {
             }
         };
         let word = ControlWord::encode_spike(&op);
-        let decoded = word.decode(PlaneSet::all()).unwrap();
-        match decoded {
-            shenjing::hw::signals::DecodedOp::Spike(back) => prop_assert_eq!(back, op),
-            other => prop_assert!(false, "wrong family {:?}", other),
-        }
+        prop_assert_eq!(word.decode(PlaneSet::all()).unwrap(), AtomicOp::Spike(op));
     }
 
     /// Neuron core control words round-trip.
@@ -175,11 +169,7 @@ proptest! {
             NeuronCoreOp::Acc { banks }
         };
         let word = ControlWord::encode_core(&op);
-        let decoded = word.decode(PlaneSet::all()).unwrap();
-        match decoded {
-            shenjing::hw::signals::DecodedOp::Core(back) => prop_assert_eq!(back, op),
-            other => prop_assert!(false, "wrong family {:?}", other),
-        }
+        prop_assert_eq!(word.decode(PlaneSet::all()).unwrap(), AtomicOp::Core(op));
     }
 
     /// PlaneSet membership is consistent between construction forms.

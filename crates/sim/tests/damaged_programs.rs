@@ -11,7 +11,8 @@
 //!   oracle's first error on a silent frame of the raw one — variant,
 //!   reason and source cycle — or both are `Ok`;
 //! * a replica refuses exactly the programs the verdict refuses, with
-//!   that error;
+//!   that error, and every program the verdict accepts instantiates —
+//!   decode is the last refusal;
 //! * every program the verdict accepts is exact under
 //!   [`verify_lanes`] on loud frames.
 //!
@@ -216,6 +217,11 @@ fn damaged_programs_get_the_oracles_verdict_and_verified_ones_run_exactly() {
             assert_eq!(&refused, e, "case {case}: a replica must refuse with the verdict");
             continue;
         }
+        for lanes in [1, LANES] {
+            if let Err(e) = BatchSim::from_decoded(Arc::clone(&program), lanes) {
+                panic!("case {case}: a verified program must instantiate {lanes} lanes: {e}");
+            }
+        }
         let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
         assert!(report.is_exact(), "case {case}: a verified program diverged: {report:?}");
         passed += 1;
@@ -282,6 +288,7 @@ fn range_damaged_programs_get_the_verdict_their_witness_frame_raises() {
         match &verdict {
             Err(e) => assert_eq!(&BatchSim::from_decoded(program, LANES).unwrap_err(), e),
             Ok(()) => {
+                BatchSim::from_decoded(Arc::clone(&program), LANES).unwrap();
                 let report = verify_lanes(&program, &frames, TIMESTEPS, LANES).unwrap();
                 assert!(report.is_exact(), "case {case}: {report:?}");
             }

@@ -65,17 +65,15 @@ fn main() -> Result<()> {
     }
 
     // 3. Register them with per-model policies: the trained classifier is
-    //    latency-critical (higher priority, 250 ms SLO, warm on every
-    //    worker); the zoo tenant is best-effort with one warm replica.
+    //    latency-critical (higher priority, 250 ms SLO); the zoo tenant is
+    //    best-effort at a shorter spike train. Every worker holds a
+    //    replica of each from startup.
     let timesteps = 12;
     let registry = ModelRegistry::new()
         .with_model(
             "digits",
             digits.clone(),
-            ServeOptions::default()
-                .with_priority(2)
-                .with_deadline(Duration::from_millis(250))
-                .with_warm_replicas(2),
+            ServeOptions::default().with_priority(2).with_deadline(Duration::from_millis(250)),
         )?
         .with_model("zoo", zoo, ServeOptions::default().with_timesteps(8))?;
     let config = RuntimeConfig::builder()
