@@ -388,7 +388,7 @@ impl BatchNeuronCore {
 
     /// Local-sum words (one neuron in one lane) the latest `ACC` cleared
     /// or wrote — exact and host-independent, the write-back work
-    /// [`CyclePhases::acc_sum_words`](crate::CyclePhases::acc_sum_words)
+    /// [`PassProfile::acc_sum_words`](shenjing_telemetry::PassProfile::acc_sum_words)
     /// sums.
     pub fn acc_sum_words(&self) -> u64 {
         self.acc_sum_words
@@ -1175,9 +1175,10 @@ impl BatchChip {
     /// the entry's ops, then the transfer phase over the entry's move
     /// plan, then spike delivery on the tiles the entry lists, reporting
     /// each phase to `sink`: `&mut ()` for an unprofiled entry, a
-    /// [`CyclePhases`](crate::CyclePhases) to split the time into ACC
-    /// (core ops), SEND (router ops), transfer and drain. Execution
-    /// order, results and error semantics do not depend on the sink.
+    /// [`PassProfile`](shenjing_telemetry::PassProfile) to add the time,
+    /// split into ACC (core ops), SEND (router ops), transfer and drain,
+    /// and the pass's exact counters to. Execution order, results and
+    /// error semantics do not depend on the sink.
     ///
     /// For a schedule the static program check ([`crate::occupancy`])
     /// accepts, with the weights it was checked against, lane by lane

@@ -85,7 +85,7 @@ pub use config::{ConfigMemory, TileProgram};
 pub use mesh::TileSlots;
 pub use neuron_core::NeuronCore;
 pub use ops::{AtomicOp, NeuronCoreOp, PsDst, PsRouterOp, PsSendSource, SpikeRouterOp};
-pub use phases::{CyclePhases, PhaseSink};
+pub use phases::PhaseSink;
 pub use plane::PlaneSet;
 pub use ps_router::PsRouter;
 pub use sched::{CycleOps, PortDst, PortOut, ScheduledOp};

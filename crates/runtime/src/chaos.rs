@@ -10,8 +10,6 @@
 //!   batch execution panics inside the per-batch guard, exactly where a
 //!   buggy replica would. The replica is rebuilt and every rider of that
 //!   batch fails once with a `ReplicaFault`; nothing is retried.
-//! - **Pass delay** ([`ChaosConfig::with_delay`]): every execution
-//!   sleeps first, stretching latency tails for deadline tests.
 //! - **Worker kills** ([`ChaosConfig::with_kill_worker_on_ticks`]): the
 //!   Nth worker-loop tick panics *outside* the guard, unwinding the
 //!   whole worker loop so the worker's own restart path runs.
@@ -28,7 +26,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
-use std::time::Duration;
 
 use shenjing_core::{ArchSpec, Result};
 use shenjing_mapper::Mapper;
@@ -41,16 +38,14 @@ pub use shenjing_sim::fault::{inject, inject_mapping, Fault};
 /// A scripted failure schedule, armed via
 /// [`RuntimeConfigBuilder::chaos`](crate::RuntimeConfigBuilder::chaos).
 ///
-/// Ordinals are 1-based counts of batch executions (for panics and
-/// delay) or worker-loop ticks (for kills), shared across all workers.
+/// Ordinals are 1-based counts of batch executions (for panics) or
+/// worker-loop ticks (for kills), shared across all workers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Batch-execution ordinals that panic inside the per-batch guard.
     pub panic_on_batches: Vec<u64>,
     /// Panic on every multiple of this batch ordinal (1 = every batch).
     pub panic_every: Option<u64>,
-    /// Sleep this long before every batch execution.
-    pub delay: Option<Duration>,
     /// Worker-loop tick ordinals that kill the whole worker loop.
     pub kill_worker_on_ticks: Vec<u64>,
 }
@@ -67,13 +62,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn with_panic_every(mut self, every: u64) -> ChaosConfig {
         self.panic_every = Some(every);
-        self
-    }
-
-    /// Sleeps before every batch execution.
-    #[must_use]
-    pub fn with_delay(mut self, delay: Duration) -> ChaosConfig {
-        self.delay = Some(delay);
         self
     }
 
@@ -123,12 +111,9 @@ impl ChaosInjector {
     }
 
     /// Called inside the per-batch panic guard, before planning. May
-    /// sleep or panic.
+    /// panic.
     pub(crate) fn on_execute(&self) {
         let n = self.batches.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(delay) = self.config.delay {
-            std::thread::sleep(delay);
-        }
         let scripted_panic = self.config.panic_on_batches.contains(&n)
             || self.config.panic_every.is_some_and(|every| every > 0 && n.is_multiple_of(every));
         if scripted_panic {

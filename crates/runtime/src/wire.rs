@@ -85,9 +85,20 @@ pub fn encode_request(request: &InferenceRequest) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] for malformed input.
+/// Returns [`Error::InvalidConfig`] for malformed input, and
+/// [`Error::ShapeMismatch`] for an input tensor whose shape does not
+/// hold exactly its data (a shape whose product overflows included).
 pub fn decode_request(json: &str) -> Result<InferenceRequest> {
-    serde_json::from_str(json).map_err(|e| Error::config(format!("decode request: {e}")))
+    let request: InferenceRequest =
+        serde_json::from_str(json).map_err(|e| Error::config(format!("decode request: {e}")))?;
+    let (shape, len) = (request.input.shape(), request.input.len());
+    if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(len) {
+        return Err(Error::shape_mismatch(
+            format!("a shape holding {len} elements"),
+            format!("shape {shape:?}"),
+        ));
+    }
+    Ok(request)
 }
 
 /// Encodes a reply envelope for the wire.

@@ -87,6 +87,22 @@ proptest! {
     }
 }
 
+/// A tensor's shape must hold exactly its data: the derived decoder
+/// skips `Tensor::from_vec`'s check, so the wire makes it, overflowing
+/// shapes included.
+#[test]
+fn a_shape_that_disagrees_with_its_data_is_a_typed_error() {
+    let input = Tensor::from_vec(vec![1], vec![0.5]).unwrap();
+    let valid = encode_request(&InferenceRequest::new("m", input)).unwrap();
+    assert!(valid.contains(r#""shape":[1],"data":[0.5]"#), "{valid}");
+    assert!(decode_request(&valid).is_ok());
+    for shape in ["[2,2]", "[3]", "[0]", "[18446744073709551615,2]", "[4294967296,4294967296,1]"] {
+        let hostile = valid.replace(r#""shape":[1]"#, &format!(r#""shape":{shape}"#));
+        let err = decode_request(&hostile).unwrap_err();
+        assert!(matches!(err, shenjing_core::Error::ShapeMismatch { .. }), "{hostile}: {err}");
+    }
+}
+
 /// One valid encoding of each direction, to truncate and mutate.
 fn valid_encodings() -> [String; 2] {
     let input = Tensor::from_vec(vec![3], vec![0.0, 0.5, 1.0]).unwrap();

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use shenjing_core::{ArchSpec, Error, Result};
-use shenjing_hw::{BatchChip, CyclePhases};
+use shenjing_hw::BatchChip;
 use shenjing_mapper::{CompiledProgram, LogicalMapping};
 use shenjing_nn::Tensor;
 use shenjing_snn::{RateEncoder, SnnOutput};
@@ -215,7 +215,6 @@ impl BatchSim {
         let mut spike_counts = vec![vec![0u32; io.output_len()]; frames];
         let mut spikes_by_step: Vec<Vec<Vec<bool>>> =
             vec![Vec::with_capacity(timesteps as usize); frames];
-        let mut phases = self.profiling().then(CyclePhases::default);
 
         for _ in 0..timesteps {
             // Fresh axons; inject every frame's input spikes for this step
@@ -235,8 +234,8 @@ impl BatchSim {
 
             // One walk over the schedule advances every occupied lane.
             let chip = &mut self.chip;
-            match phases.as_mut() {
-                Some(phases) => program.entries.iter().for_each(|e| chip.exec_ops(e, phases)),
+            match self.profile.as_mut() {
+                Some(p) => program.entries.iter().for_each(|e| chip.exec_ops(e, p)),
                 None => program.entries.iter().for_each(|e| chip.exec_ops(e, &mut ())),
             }
 
@@ -261,27 +260,13 @@ impl BatchSim {
             outputs.push(SnnOutput { spike_counts: counts, potentials, spikes_by_step: steps });
         }
 
-        if let (Some(p), Some(phases)) = (self.profile.as_mut(), phases) {
+        if let Some(p) = self.profile.as_mut() {
             p.passes += 1;
             p.timesteps += u64::from(timesteps);
             p.cycles += u64::from(timesteps) * program.entries.len() as u64;
             p.occupied_lane_steps += frames as u64;
-            p.acc_ns += phases.acc_ns;
-            p.send_ns += phases.send_ns;
-            p.transfer_ns += phases.transfer_ns;
-            p.drain_ns += phases.drain_ns;
-            p.op_wall_ns += phases.op_wall_ns;
-            p.acc_events += phases.acc_events;
-            p.acc_sum_words += phases.acc_sum_words;
-            p.ps_plane_hops += phases.ps_plane_hops;
-            p.spike_plane_hops += phases.spike_plane_hops;
         }
         Ok(outputs)
-    }
-
-    /// Whether passes are being profiled.
-    fn profiling(&self) -> bool {
-        self.profile.is_some()
     }
 
     /// The per-frame checks [`run_batch`](BatchSim::run_batch) and

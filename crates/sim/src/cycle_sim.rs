@@ -137,8 +137,7 @@ impl DecodedProgram {
 
         let schedule: Vec<(u64, Vec<(CoreCoord, AtomicOp)>)> = by_cycle.into_iter().collect();
         let (entries, stats) = optimize::compact(&tiles, &schedule)?;
-        let stats =
-            OptimizeStats { raw_cycles: program.block_cycles, trimmed_weight_rows, ..stats };
+        let stats = OptimizeStats { trimmed_weight_rows, ..stats };
         let verdict = occupancy::check(arch, &tiles, &entries, &weights);
 
         Ok(DecodedProgram {

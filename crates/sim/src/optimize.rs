@@ -48,9 +48,6 @@ use crate::cycle_sim::DecodedProgram;
 /// What the optimizer did to one program, pass by pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptimizeStats {
-    /// Cycles in the raw timestep block (`block_cycles`) — what the
-    /// oracle's walk executes per pass.
-    pub raw_cycles: u64,
     /// Cycles that had at least one op scheduled before optimization.
     pub scheduled_cycles: u64,
     /// Passive cycles folded into an adjacent entry.
@@ -64,8 +61,7 @@ pub struct OptimizeStats {
 
 /// Passes 1–2: compacts the raw `(cycle, ops)` schedule into the entries
 /// one timestep walks, every tile resolved to its slot in `tiles`. Fills
-/// every [`OptimizeStats`] field but `raw_cycles` and
-/// `trimmed_weight_rows`.
+/// every [`OptimizeStats`] field but `trimmed_weight_rows`.
 ///
 /// # Errors
 ///
@@ -161,12 +157,11 @@ mod tests {
         mapping.program.config.program_mut(coord).push(free, ld_wt.clone());
         let opt = DecodedProgram::decode(&arch, &mapping.logical, &mapping.program).unwrap();
         let stats = *opt.optimize_stats();
-        assert_eq!(stats.raw_cycles, opt.block_cycles());
         assert_eq!(stats.scheduled_cycles, opt.schedule.len() as u64);
         assert_eq!(stats.compacted_cycles, opt.entries().len() as u64);
         assert_eq!(stats.compacted_cycles, stats.scheduled_cycles - stats.coalesced_cycles);
         assert!(
-            stats.compacted_cycles < stats.raw_cycles,
+            stats.compacted_cycles < opt.block_cycles(),
             "compaction must beat the raw walk: {stats:?}"
         );
         assert_eq!(opt.compacted_cycles(), Some(stats.compacted_cycles));

@@ -76,14 +76,11 @@ pub struct TelemetryConfig {
     /// Record the lifecycle span (and profile the carrying batch) of
     /// every N-th request. 1 records everything.
     pub sample_every: u64,
-    /// Bounded span-ring capacity; the oldest span is evicted (and
-    /// counted) on overflow.
-    pub ring_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
-        TelemetryConfig { enabled: true, sample_every: 16, ring_capacity: 4096 }
+        TelemetryConfig { enabled: true, sample_every: 16 }
     }
 }
 
@@ -104,14 +101,11 @@ impl TelemetryConfig {
         self.sample_every = every.max(1);
         self
     }
-
-    /// Sets the span-ring capacity (clamped to at least 1).
-    #[must_use]
-    pub fn with_ring_capacity(mut self, capacity: usize) -> TelemetryConfig {
-        self.ring_capacity = capacity.max(1);
-        self
-    }
 }
+
+/// Sampled spans the hub's ring holds; the oldest span is evicted (and
+/// counted) on overflow.
+const SPAN_RING_CAPACITY: usize = 4096;
 
 /// The telemetry hub one runtime owns: an epoch all span timestamps
 /// are relative to, the metric [`Registry`], the sampled [`SpanRing`],
@@ -128,12 +122,11 @@ pub struct Telemetry {
 impl Telemetry {
     /// A fresh hub; the epoch is now.
     pub fn new(config: TelemetryConfig) -> Telemetry {
-        let spans = SpanRing::new(config.ring_capacity);
         Telemetry {
             epoch: Instant::now(),
             config,
             registry: Registry::new(),
-            spans,
+            spans: SpanRing::new(SPAN_RING_CAPACITY),
             decisions: AtomicU64::new(0),
         }
     }
@@ -230,9 +223,8 @@ mod tests {
 
     #[test]
     fn config_clamps_degenerate_values() {
-        let c = TelemetryConfig::default().with_sample_every(0).with_ring_capacity(0);
+        let c = TelemetryConfig::default().with_sample_every(0);
         assert_eq!(c.sample_every, 1);
-        assert_eq!(c.ring_capacity, 1);
         assert_eq!(TelemetryConfig::dense().sample_every, 1);
     }
 
