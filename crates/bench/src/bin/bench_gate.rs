@@ -58,7 +58,7 @@ fn trace_check(path: &PathBuf) -> ExitCode {
         Ok(_) => {
             eprintln!(
                 "bench_gate: FAIL {} validates but records no request spans — \
-                 was the workload traced with sampling enabled?",
+                 did the traced runtime admit any request?",
                 path.display()
             );
             ExitCode::FAILURE

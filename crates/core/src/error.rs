@@ -93,10 +93,9 @@ pub enum Error {
 
 /// Why a serving tier refused to admit a request.
 ///
-/// Carried by [`Error::Rejected`] and serialized verbatim into wire
-/// replies, so a remote client sees the same typed reason a local caller
-/// matches on.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Carried by [`Error::Rejected`], so a caller matches on the typed
+/// reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
     /// No model is registered under the requested id.
     UnknownModel {

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let some = PlaneSet::from_indices([1u16, 3, 5]);
 /// assert!(some.contains(3));
 /// assert!(!some.contains(2));
-/// assert_eq!(some.len(), 3);
+/// assert_eq!(some.count(256), 3);
 /// assert!(some.intersects(&PlaneSet::from_indices([5u16])));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,22 +79,6 @@ impl PlaneSet {
     pub fn count(&self, total: u16) -> usize {
         match self {
             PlaneSet::All => total as usize,
-            PlaneSet::Mask(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    /// Number of planes in an explicit mask.
-    ///
-    /// For [`PlaneSet::All`] the size depends on the tile; use
-    /// [`count`](PlaneSet::count) there. This method treats `All` as
-    /// unbounded and panics to catch misuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on [`PlaneSet::All`].
-    pub fn len(&self) -> usize {
-        match self {
-            PlaneSet::All => panic!("PlaneSet::All has no intrinsic length; use count(total)"),
             PlaneSet::Mask(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
@@ -257,13 +241,13 @@ mod tests {
         for i in [1u16, 62, 65, 254] {
             assert!(!s.contains(i), "spurious {i}");
         }
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.count(256), 4);
     }
 
     #[test]
     fn from_range() {
         let s = PlaneSet::from_range(10..20);
-        assert_eq!(s.len(), 10);
+        assert_eq!(s.count(256), 10);
         assert!(s.contains(10));
         assert!(s.contains(19));
         assert!(!s.contains(20));
@@ -323,13 +307,7 @@ mod tests {
     #[test]
     fn collect_from_iterator() {
         let s: PlaneSet = (0u16..4).collect();
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "no intrinsic length")]
-    fn len_of_all_panics() {
-        let _ = PlaneSet::all().len();
+        assert_eq!(s.count(256), 4);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!    worker never holds a ready request back for company, and batches
 //!    fill under load with what arrived while the previous pass ran.
 //!    Each batch is one pass of the worker's replica of that model.
-//!    Requests and replies round-trip through the JSON [`wire`] format,
-//!    so the tier can sit behind a socket.
+//!    Requests decode off the JSON [`wire`] format, so a caller can
+//!    hand the tier bytes instead of typed values.
 //! 4. **Telemetry** — every runtime owns a [`Telemetry`] hub, and its
 //!    metric registry is the *only* place a serving number lives:
 //!    per-model request counters, admission verdicts, batches by frame
@@ -127,4 +127,4 @@ pub use server::{
 };
 pub use stats::{ModelStats, RuntimeStats, WorkerHealth};
 
-pub use shenjing_telemetry::{Telemetry, TelemetryConfig};
+pub use shenjing_telemetry::Telemetry;

@@ -14,7 +14,7 @@ use shenjing_core::{Error, RejectReason, Result};
 use shenjing_nn::Tensor;
 use shenjing_sim::BatchSim;
 use shenjing_snn::SnnOutput;
-use shenjing_telemetry::{series, Counter, PassProfile, SpanRecord, Telemetry, TelemetryConfig};
+use shenjing_telemetry::{series, Counter, PassProfile, SpanRecord, Telemetry};
 
 use crate::engine::Engine;
 use crate::model::{CompiledModel, ModelEntry, ModelRegistry, ServeOptions};
@@ -61,12 +61,6 @@ pub struct RuntimeConfig {
     /// the caller sees immediately, rather than unbounded memory and
     /// latency it discovers later.
     pub queue_depth: usize,
-    /// Observability policy: how often request lifecycles are sampled
-    /// into spans (and their batches phase-profiled), and how many spans
-    /// the ring retains. The default 1-in-16 sampling keeps the hot path
-    /// at a few atomic ops per request; see
-    /// [`TelemetryConfig::dense`] for full traces.
-    pub telemetry: TelemetryConfig,
     /// Deterministic failure injection for chaos tests — see
     /// [`ChaosConfig`](crate::chaos::ChaosConfig). `None` (the default)
     /// injects nothing.
@@ -81,7 +75,6 @@ impl Default for RuntimeConfig {
             max_batch: 16,
             timesteps: 20,
             queue_depth: 256,
-            telemetry: TelemetryConfig::default(),
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -164,13 +157,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the telemetry sampling/retention policy.
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> RuntimeConfigBuilder {
-        self.config.telemetry = telemetry;
-        self
-    }
-
     /// Arms deterministic failure injection (chaos testing only).
     #[cfg(feature = "chaos")]
     #[must_use]
@@ -245,7 +231,7 @@ impl InferenceRequest {
 }
 
 /// One answered inference request.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceReply {
     /// Which registered model served the frame.
     pub model_id: String,
@@ -401,7 +387,7 @@ impl Runtime {
         if registry.is_empty() {
             return Err(Error::config("registry must hold at least one model"));
         }
-        let telemetry = Arc::new(Telemetry::new(config.telemetry.clone()));
+        let telemetry = Arc::new(Telemetry::new());
         let metrics = telemetry.registry();
         let entries: Vec<ModelEntry> = registry.into_entries();
         let models: Vec<ModelRuntime> = entries
@@ -466,11 +452,6 @@ impl Runtime {
             runtime.workers.push(worker);
         }
         Ok(runtime)
-    }
-
-    /// The registered model ids, in registration order.
-    pub fn model_ids(&self) -> Vec<String> {
-        self.shared.models.iter().map(|m| m.id.clone()).collect()
     }
 
     /// Enqueues one request and returns immediately with a handle.
@@ -602,13 +583,6 @@ impl Runtime {
             &shared.unknown_model,
             shared.started.elapsed(),
         )
-    }
-
-    /// The statistics of one registered model, or `None` for an unknown
-    /// id.
-    pub fn model_stats(&self, id: &str) -> Option<RuntimeStats> {
-        let model = self.shared.models.iter().find(|m| m.id == id)?;
-        Some(RuntimeStats::of_model(&model.metrics, self.shared.started.elapsed()))
     }
 
     /// The runtime's telemetry hub: the live metric registry, the
@@ -1080,14 +1054,8 @@ mod tests {
             .unwrap()
             .with_model("short", model_b(), ServeOptions::default().with_timesteps(1))
             .unwrap();
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 2,
-            timesteps: 3,
-            queue_depth: 5,
-            ..Default::default()
-        };
-        let runtime = Runtime::serve(registry, config).unwrap();
+        let config = RuntimeConfig::builder().workers(1).max_batch(2).timesteps(3).queue_depth(5);
+        let runtime = Runtime::serve(registry, config.build().unwrap()).unwrap();
         let bulk = |k| InferenceRequest::new("bulk", frame_b(k));
         assert!(runtime.submit(InferenceRequest::new("ghost", frame(0))).is_err());
         assert!(runtime.submit(bulk(0).with_deadline(Duration::ZERO)).is_err());
@@ -1347,14 +1315,8 @@ mod tests {
             .unwrap()
             .with_model("bulk", model_b(), ServeOptions::default())
             .unwrap();
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 2,
-            timesteps: 3,
-            queue_depth,
-            ..Default::default()
-        };
-        Runtime::serve(registry, config).unwrap()
+        let config = RuntimeConfig::builder().workers(1).max_batch(2).timesteps(3);
+        Runtime::serve(registry, config.queue_depth(queue_depth).build().unwrap()).unwrap()
     }
 
     #[test]
@@ -1382,36 +1344,36 @@ mod tests {
 
     #[test]
     fn sampled_requests_record_ordered_spans_with_phase_profiles() {
-        // Dense sampling, one worker, a high-priority model next to a
-        // bulk one, one request in flight at a time: every request's
-        // lifecycle must land in the span ring — across models — with
-        // ordered timestamps and a one-frame phase profile.
+        // One worker, a high-priority model next to a bulk one, one
+        // request in flight at a time. Admission decisions 0, 16, 32, …
+        // are sampled, so rounds of 16 `pin` then 16 `bulk` requests
+        // sample each model once a round: every sampled lifecycle must
+        // land in the span ring — across models — with ordered
+        // timestamps and a one-frame phase profile.
         let registry = ModelRegistry::new()
             .with_model("pin", model(), ServeOptions::default().with_priority(10))
             .unwrap()
             .with_model("bulk", model_b(), ServeOptions::default())
             .unwrap();
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 2,
-            timesteps: 3,
-            telemetry: TelemetryConfig::dense(),
-            ..Default::default()
-        };
+        let config = RuntimeConfig { workers: 1, max_batch: 2, timesteps: 3, ..Default::default() };
         let runtime = Runtime::serve(registry, config).unwrap();
         let telemetry = runtime.telemetry();
-        for k in 0..3 {
-            let reply = runtime.infer(InferenceRequest::new("pin", frame(k))).unwrap();
-            assert!(reply.queue_wait <= reply.latency, "queue wait is a share of the latency");
-            runtime.infer(InferenceRequest::new("bulk", frame_b(k))).unwrap();
+        for round in 0..3 {
+            for k in round * 16..(round + 1) * 16 {
+                let reply = runtime.infer(InferenceRequest::new("pin", frame(k))).unwrap();
+                assert!(reply.queue_wait <= reply.latency, "queue wait is a share of the latency");
+            }
+            for k in round * 16..(round + 1) * 16 {
+                runtime.infer(InferenceRequest::new("bulk", frame_b(k))).unwrap();
+            }
         }
         let metrics = runtime.metrics_text();
         let stats = runtime.shutdown().unwrap();
 
         let spans = telemetry.spans();
-        assert_eq!(spans.len(), 6, "dense sampling records every request");
-        assert!(spans.iter().any(|s| s.model == "pin"));
-        assert!(spans.iter().any(|s| s.model == "bulk"));
+        assert_eq!(spans.len(), 6, "one request in 16 records its span");
+        assert_eq!(spans.iter().filter(|s| s.model == "pin").count(), 3);
+        assert_eq!(spans.iter().filter(|s| s.model == "bulk").count(), 3);
         for span in &spans {
             assert!(span.is_monotone(), "lifecycle timestamps must be ordered: {span:?}");
             let phases = span.phases.as_ref().expect("sampled batches carry a phase profile");
@@ -1428,36 +1390,14 @@ mod tests {
         // per-model queue-wait / service split.
         assert!(metrics.contains("shenjing_engine_phase_ns_total{phase=\"acc\"}"));
         assert!(metrics.contains("shenjing_profiled_batches_total 6"));
-        assert!(metrics.contains("shenjing_queue_wait_duration_seconds_count{model=\"pin\"} 3"));
-        assert!(metrics.contains("shenjing_service_duration_seconds_count{model=\"bulk\"} 3"));
+        assert!(metrics.contains("shenjing_queue_wait_duration_seconds_count{model=\"pin\"} 48"));
+        assert!(metrics.contains("shenjing_service_duration_seconds_count{model=\"bulk\"} 48"));
         assert!(metrics.contains("shenjing_model_info{model=\"pin\""));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"raw\"}"));
         assert!(metrics.contains("shenjing_schedule_cycles{model=\"pin\",stage=\"compacted\"}"));
         assert!(stats.p50_service > Duration::ZERO, "service time was measured");
         assert!(stats.p99_service <= stats.max_latency);
         assert_eq!(stats.queue_depth, 0, "a drained runtime holds no queued requests");
-    }
-
-    #[test]
-    fn disabled_telemetry_records_no_spans() {
-        let registry =
-            ModelRegistry::new().with_model("m", model(), ServeOptions::default()).unwrap();
-        let config = RuntimeConfig {
-            workers: 1,
-            telemetry: TelemetryConfig::disabled(),
-            ..Default::default()
-        };
-        let runtime = Runtime::serve(registry, config).unwrap();
-        let telemetry = runtime.telemetry();
-        runtime.infer(request(0)).unwrap();
-        runtime.shutdown().unwrap();
-        assert!(telemetry.spans().is_empty(), "disabled sampling records nothing");
-        assert!(
-            telemetry
-                .prometheus()
-                .contains("shenjing_request_duration_seconds_count{model=\"m\"} 1"),
-            "counters stay live even with sampling disabled"
-        );
     }
 
     #[test]
@@ -1585,16 +1525,6 @@ mod tests {
         assert_eq!(err.unwrap_err().reject_reason(), Some(&RejectReason::DeadlineExpired));
         // And a normal request under the model SLO still serves.
         assert!(runtime.infer(request(1)).is_ok());
-        runtime.shutdown().unwrap();
-    }
-
-    #[test]
-    fn model_stats_lookup_and_ids() {
-        let runtime = single(model(), RuntimeConfig::default());
-        assert_eq!(runtime.model_ids(), vec!["m".to_string()]);
-        runtime.infer(request(0)).unwrap();
-        assert_eq!(runtime.model_stats("m").unwrap().completed, 1);
-        assert!(runtime.model_stats("ghost").is_none());
         runtime.shutdown().unwrap();
     }
 

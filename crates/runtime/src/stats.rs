@@ -289,7 +289,10 @@ impl Tally {
 
     fn view(&self, elapsed: Duration) -> RuntimeStats {
         let batches: u64 = self.batches.iter().sum();
-        let done = self.completed + self.failed;
+        // Frames that rode a pass, read off the occupancy histogram:
+        // `failed` also counts requests that never reached one (the
+        // queue a dying last worker fails with `WorkerLost`).
+        let frames: u64 = (1..).zip(&self.batches).map(|(n, b)| n * b).sum();
         let per = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
         let quantiles = |h: &TimeHistogram| [0.50, 0.95, 0.99].map(|q| h.quantile(q));
         // Quantiles before the max: a sample landing in between can only
@@ -302,7 +305,7 @@ impl Tally {
             failed: self.failed,
             batches,
             full_batches: self.batches.last().copied().unwrap_or(0),
-            mean_batch_occupancy: per(done as f64, batches),
+            mean_batch_occupancy: per(frames as f64, batches),
             occupancy_histogram: if batches == 0 {
                 Vec::new()
             } else {
@@ -322,7 +325,7 @@ impl Tally {
             p95_service,
             p99_service,
             queue_depth: u64::try_from(self.queue_depth).unwrap_or(0),
-            mean_input_density: per(self.density_micro as f64 / DENSITY_SCALE, done),
+            mean_input_density: per(self.density_micro as f64 / DENSITY_SCALE, frames),
             busy_time: Duration::from_nanos(self.busy_ns),
             elapsed,
             frames_per_sec: if elapsed.is_zero() {

@@ -186,6 +186,31 @@ fn crash_looping_worker_is_abandoned_and_reported() {
 }
 
 #[test]
+fn batch_means_count_only_frames_that_rode_a_pass() {
+    // One batch of four runs; tick 2 kills the worker, every restart
+    // dies too, and the last worker fails the four still queued with
+    // `WorkerLost`. Those four never rode a pass, so the occupancy and
+    // density means are over the four that did.
+    let ticks: Vec<u64> = (2..=40).collect();
+    let runtime = chaotic(ChaosConfig::default().with_kill_worker_on_ticks(ticks));
+    let burst: Vec<InferenceRequest> =
+        (0..8).map(|seed| InferenceRequest::new("m", frame(seed))).collect();
+    let err = runtime.infer_many(&burst).unwrap_err();
+    assert!(matches!(err, Error::WorkerLost { .. }), "{err:?}");
+    // The dying worker fails the orphans under the queue lock, so once a
+    // submit gets that lock every orphan is booked.
+    let refused = runtime.submit(InferenceRequest::new("m", frame(0))).map(|_| ()).unwrap_err();
+    assert!(refused.reject_reason().is_some(), "{refused:?}");
+    let stats = runtime.stats();
+    assert_eq!((stats.completed, stats.failed, stats.batches), (4, 4, 1));
+    assert_eq!(stats.occupancy_histogram, vec![0, 0, 0, 0, 1]);
+    assert!((stats.mean_batch_occupancy - 4.0).abs() < 1e-12, "{}", stats.mean_batch_occupancy);
+    // Every `frame(seed)` averages 0.5.
+    assert!((stats.mean_input_density - 0.5).abs() < 1e-6, "{}", stats.mean_input_density);
+    assert!(matches!(runtime.shutdown(), Err(Error::WorkerLost { worker: Some(0) })));
+}
+
+#[test]
 fn damaged_weights_change_what_the_replica_computes() {
     let arch = ArchSpec::tiny();
     let network = snn();

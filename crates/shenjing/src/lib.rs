@@ -23,7 +23,7 @@
 //! | [`snn`] | ANN→SNN conversion (Cao-style normalization, 5-bit quantization) and the abstract integer SNN simulator |
 //! | [`mapper`] | the Fig. 3 toolchain: logical splitting (Algorithm 1 folds, Fig. 4 conv tiling), placement, cycle-by-cycle compilation |
 //! | [`sim`] | the cycle-level functional simulator (single-frame and batched) + bit-exact equivalence checking |
-//! | [`runtime`] | the multi-model serving tier: a model registry with per-model SLOs, admission control, deadline-aware batching scheduler, worker shards, a JSON wire format, per-model latency/throughput stats |
+//! | [`runtime`] | the multi-model serving tier: a model registry with per-model SLOs, admission control, deadline-aware batching scheduler, worker shards, a JSON request codec, per-model latency/throughput stats |
 //! | [`telemetry`] | the observability layer: atomic counters/gauges/timing histograms, sampled request-lifecycle spans with engine phase profiles, Chrome-trace and Prometheus exporters |
 //! | [`power`] | Table II energies, the Fig. 5 tile model, Table IV estimation, §IV area |
 //! | [`datasets`] | deterministic synthetic MNIST/CIFAR stand-ins |
@@ -95,5 +95,5 @@ pub mod prelude {
     };
     pub use shenjing_sim::{BatchSim, CycleSim};
     pub use shenjing_snn::{convert, ConversionOptions, SnnNetwork};
-    pub use shenjing_telemetry::{Telemetry, TelemetryConfig};
+    pub use shenjing_telemetry::Telemetry;
 }

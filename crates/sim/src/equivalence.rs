@@ -106,7 +106,7 @@ pub fn verify_lanes(
         .enumerate()
         .map(|(lane, (input, got))| {
             oracle.run_frame(input, timesteps).is_ok_and(|want| want == *got)
-                && digest_chip(0, oracle.chip()) == digest_batch_lane(0, sim.chip(), lane)
+                && digest_chip(oracle.chip()) == digest_batch_lane(sim.chip(), lane)
         })
         .collect();
     Ok(EquivalenceReport {

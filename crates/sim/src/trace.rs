@@ -32,11 +32,9 @@ pub struct TileDigest {
     pub spike_router: u64,
 }
 
-/// Whole-chip state at the end of one cycle.
+/// Whole-chip state: one digest per live tile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateDigest {
-    /// The cycle this digest was captured after.
-    pub cycle: u64,
     /// Per-tile digests of the chip's live tiles, row-major.
     pub tiles: Vec<TileDigest>,
 }
@@ -85,11 +83,8 @@ fn digest_tile(coord: CoreCoord, tile: &shenjing_hw::Tile) -> TileDigest {
 }
 
 /// Captures the digest of every live tile of a chip.
-pub fn digest_chip(cycle: u64, chip: &Chip) -> StateDigest {
-    StateDigest {
-        cycle,
-        tiles: chip.iter().map(|(coord, tile)| digest_tile(coord, tile)).collect(),
-    }
+pub fn digest_chip(chip: &Chip) -> StateDigest {
+    StateDigest { tiles: chip.iter().map(|(coord, tile)| digest_tile(coord, tile)).collect() }
 }
 
 fn digest_batch_tile(
@@ -137,8 +132,8 @@ fn digest_batch_tile(
 /// state (empty between passes, as a checked schedule leaves it) and
 /// spike router state (potentials, spike buffers) — the batched
 /// counterpart of [`digest_chip`].
-pub fn digest_batch_chip(cycle: u64, chip: &BatchChip) -> StateDigest {
-    digest_lanes(cycle, chip, 0..chip.occupied())
+pub fn digest_batch_chip(chip: &BatchChip) -> StateDigest {
+    digest_lanes(chip, 0..chip.occupied())
 }
 
 /// The digest of one lane of a batched chip: byte-compatible with
@@ -149,14 +144,13 @@ pub fn digest_batch_chip(cycle: u64, chip: &BatchChip) -> StateDigest {
 /// # Panics
 ///
 /// Panics when `lane` is not an occupied lane.
-pub fn digest_batch_lane(cycle: u64, chip: &BatchChip, lane: usize) -> StateDigest {
+pub fn digest_batch_lane(chip: &BatchChip, lane: usize) -> StateDigest {
     assert!(lane < chip.occupied(), "lane {lane} of {} occupied lanes", chip.occupied());
-    digest_lanes(cycle, chip, lane..lane + 1)
+    digest_lanes(chip, lane..lane + 1)
 }
 
-fn digest_lanes(cycle: u64, chip: &BatchChip, lanes: Range<usize>) -> StateDigest {
+fn digest_lanes(chip: &BatchChip, lanes: Range<usize>) -> StateDigest {
     StateDigest {
-        cycle,
         tiles: chip
             .iter()
             .map(|(coord, tile)| digest_batch_tile(coord, tile, lanes.clone()))
@@ -172,8 +166,8 @@ mod tests {
     #[test]
     fn digests_are_order_stable() {
         let chip = Chip::new(&ArchSpec::tiny(), 2, 2).unwrap();
-        let d1 = digest_chip(3, &chip);
-        let d2 = digest_chip(3, &chip);
+        let d1 = digest_chip(&chip);
+        let d2 = digest_chip(&chip);
         assert_eq!(d1, d2);
         assert_eq!(d1.tiles.len(), 4);
     }

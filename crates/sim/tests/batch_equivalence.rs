@@ -202,8 +202,8 @@ proptest! {
             let want = oracle.run_frame(input, timesteps).unwrap();
             prop_assert_eq!(out, &want, "lane {} of {} diverged after a full pass", lane, k);
             prop_assert_eq!(
-                digest_batch_lane(0, batched.chip(), lane),
-                digest_chip(0, oracle.chip()),
+                digest_batch_lane(batched.chip(), lane),
+                digest_chip(oracle.chip()),
                 "lane {} of {} kept residue",
                 lane,
                 k

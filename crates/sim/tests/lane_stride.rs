@@ -54,7 +54,7 @@ fn subject(arch: &ArchSpec, specs: &[LayerSpec], shape: &[usize], seed: u64) -> 
         .iter()
         .map(|frame| {
             let output = oracle.run_frame(frame, TIMESTEPS).unwrap();
-            (output, digest_chip(0, oracle.chip()))
+            (output, digest_chip(oracle.chip()))
         })
         .collect();
     let counts = |f: usize| &oracle[f].0.spike_counts;
@@ -120,7 +120,7 @@ fn run_widths(subject: &Subject, widths: &[usize], offset: usize) {
         for (lane, (&f, output)) in picks.iter().zip(&outputs).enumerate() {
             let (want, state) = &subject.oracle[f];
             assert_eq!(output, want, "pass {pass} on {width} lanes, lane {lane}: frame {f}");
-            let digest = digest_batch_lane(0, sim.chip(), lane);
+            let digest = digest_batch_lane(sim.chip(), lane);
             assert_eq!(
                 &digest, state,
                 "pass {pass} on {width} lanes, lane {lane}: frame {f}'s state"
@@ -129,7 +129,7 @@ fn run_widths(subject: &Subject, widths: &[usize], offset: usize) {
 
         let mut fresh = BatchSim::from_decoded(Arc::clone(&subject.program), width).unwrap();
         assert_eq!(fresh.run_batch(&frames, TIMESTEPS).unwrap(), outputs, "pass {pass}");
-        assert_eq!(digest_batch_chip(0, fresh.chip()), digest_batch_chip(0, sim.chip()));
+        assert_eq!(digest_batch_chip(fresh.chip()), digest_batch_chip(sim.chip()));
         assert_eq!(sum_widths(&fresh), sum_widths(&sim), "pass {pass}: arrays of another width");
     }
 }

@@ -69,10 +69,10 @@ fn assert_pair_agrees(
     frames: &[Tensor],
     timesteps: u32,
 ) {
-    let fresh_tile = digest_chip(0, &shenjing_hw::Chip::new(arch, 1, 1).unwrap());
+    let fresh_tile = digest_chip(&shenjing_hw::Chip::new(arch, 1, 1).unwrap());
     let mut fresh_batch = shenjing_hw::BatchChip::new(arch, 1, 1, 3).unwrap();
     fresh_batch.set_occupied(2).unwrap();
-    let fresh_batch_tile = digest_batch_chip(0, &fresh_batch);
+    let fresh_batch_tile = digest_batch_chip(&fresh_batch);
 
     // Two frames on a 3-lane replica: the lane walks ride along.
     let (mut on_sparse, mut on_all) = (batched(sparse, 3), batched(all, 3));
@@ -83,8 +83,8 @@ fn assert_pair_agrees(
         "batched outputs diverged"
     );
     assert_digests_agree(
-        &digest_batch_chip(0, on_sparse.chip()),
-        &digest_batch_chip(0, on_all.chip()),
+        &digest_batch_chip(on_sparse.chip()),
+        &digest_batch_chip(on_all.chip()),
         &fresh_batch_tile,
     );
 
@@ -95,14 +95,14 @@ fn assert_pair_agrees(
         let want = oracle_sparse.run_frame(frame, timesteps).unwrap();
         assert_eq!(want, oracle_all.run_frame(frame, timesteps).unwrap(), "oracle outputs");
         assert_digests_agree(
-            &digest_chip(0, oracle_sparse.chip()),
-            &digest_chip(0, oracle_all.chip()),
+            &digest_chip(oracle_sparse.chip()),
+            &digest_chip(oracle_all.chip()),
             &fresh_tile,
         );
         if lane < outputs.len() {
             assert_eq!(outputs[lane], want, "lane {lane} diverged from the oracle");
             for (sim, oracle) in [(&on_sparse, &oracle_sparse), (&on_all, &oracle_all)] {
-                assert_eq!(digest_batch_lane(0, sim.chip(), lane), digest_chip(0, oracle.chip()));
+                assert_eq!(digest_batch_lane(sim.chip(), lane), digest_chip(oracle.chip()));
             }
         }
     }
@@ -326,10 +326,10 @@ fn lanes_parked_by_a_full_pass_never_surface_on_holed_or_top_lane_sets() {
         let inputs = &frames[LANES..LANES + k];
         let got = parked.run_batch(inputs, 6).unwrap();
         assert_eq!(got, fresh.run_batch(inputs, 6).unwrap(), "{k} lanes");
-        assert_eq!(digest_batch_chip(0, parked.chip()), digest_batch_chip(0, fresh.chip()));
+        assert_eq!(digest_batch_chip(parked.chip()), digest_batch_chip(fresh.chip()));
         for (lane, (input, out)) in inputs.iter().zip(&got).enumerate() {
             assert_eq!(*out, oracle.run_frame(input, 6).unwrap());
-            assert_eq!(digest_batch_lane(0, parked.chip(), lane), digest_chip(0, oracle.chip()));
+            assert_eq!(digest_batch_lane(parked.chip(), lane), digest_chip(oracle.chip()));
         }
     }
 }
@@ -374,5 +374,5 @@ fn a_thousand_churned_passes_leave_a_replica_like_new() {
         churned.run_batch(&frames[..4], 5).unwrap(),
         fresh.run_batch(&frames[..4], 5).unwrap()
     );
-    assert_eq!(digest_batch_chip(0, churned.chip()), digest_batch_chip(0, fresh.chip()));
+    assert_eq!(digest_batch_chip(churned.chip()), digest_batch_chip(fresh.chip()));
 }

@@ -91,7 +91,7 @@ fn soak(passes: usize) {
             .map(|frame| {
                 let mut sim = BatchSim::from_decoded(Arc::clone(&program), LANES).unwrap();
                 let out = sim.run_batch(std::slice::from_ref(frame), TIMESTEPS).unwrap();
-                (out[0].clone(), digest_batch_lane(0, sim.chip(), 0))
+                (out[0].clone(), digest_batch_lane(sim.chip(), 0))
             })
             .collect();
         let counts = |f: usize| fresh[f].0.spike_counts.clone();
@@ -109,7 +109,7 @@ fn soak(passes: usize) {
             let outputs = sim.run_occupied(&frames, TIMESTEPS).unwrap();
             for (lane, (&f, out)) in picks.iter().zip(&outputs).enumerate() {
                 assert_eq!(*out, fresh[f].0, "pass {pass}, lane {lane}: frame {f}'s output");
-                let state = digest_batch_lane(0, sim.chip(), lane);
+                let state = digest_batch_lane(sim.chip(), lane);
                 assert_eq!(state, fresh[f].1, "pass {pass}, lane {lane}: frame {f}'s state");
             }
             if pass % 3 == 2 {

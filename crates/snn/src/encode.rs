@@ -110,32 +110,6 @@ fn step(acc: &mut f64, intensity: f64) -> bool {
     }
 }
 
-/// Stochastic (Bernoulli) rate coding: each line spikes independently
-/// with probability equal to its intensity at every timestep.
-///
-/// This is the textbook alternative to the deterministic encoder; it is
-/// seeded, so experiments remain reproducible, but individual trains are
-/// noisy — accuracy at short `T` is typically a little worse than with
-/// [`RateEncoder`], which is why the deterministic encoder is the
-/// default throughout this reproduction.
-///
-/// ```
-/// use shenjing_snn::encode::BernoulliEncoder;
-/// use shenjing_nn::Tensor;
-///
-/// let mut enc = BernoulliEncoder::new(&Tensor::from_vec(vec![1], vec![0.5])?, 7);
-/// let train = enc.train(1000)?;
-/// let count = train.iter().filter(|s| s[0]).count();
-/// assert!((400..600).contains(&count), "≈ half the steps spike");
-/// # Ok::<(), shenjing_core::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct BernoulliEncoder {
-    intensities: Vec<f64>,
-    rng: rand::rngs::StdRng,
-    seed: u64,
-}
-
 /// A pixel value as a spike probability: clamped into `[0, 1]`, with NaN
 /// (which `clamp` passes through) read as 0.
 fn intensity(v: f64) -> f64 {
@@ -146,53 +120,6 @@ fn intensity(v: f64) -> f64 {
     }
 }
 
-impl BernoulliEncoder {
-    /// Creates a seeded stochastic encoder over the flattened input.
-    pub fn new(input: &Tensor, seed: u64) -> BernoulliEncoder {
-        use rand::SeedableRng;
-        BernoulliEncoder {
-            intensities: input.data().iter().copied().map(intensity).collect(),
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-            seed,
-        }
-    }
-
-    /// Number of input lines.
-    pub fn len(&self) -> usize {
-        self.intensities.len()
-    }
-
-    /// Whether the encoder drives no lines.
-    pub fn is_empty(&self) -> bool {
-        self.intensities.is_empty()
-    }
-
-    /// Produces the spike vector for the next timestep.
-    pub fn next_timestep(&mut self) -> Vec<bool> {
-        use rand::Rng;
-        self.intensities.iter().map(|p| self.rng.gen_bool(*p)).collect()
-    }
-
-    /// Restarts the random stream from the seed (same train again).
-    pub fn reset(&mut self) {
-        use rand::SeedableRng;
-        self.rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-    }
-
-    /// Precomputes a whole train.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when `timesteps` is zero.
-    pub fn train(&mut self, timesteps: u32) -> Result<Vec<Vec<bool>>> {
-        if timesteps == 0 {
-            return Err(Error::config("spike train length must be positive"));
-        }
-        self.reset();
-        Ok((0..timesteps).map(|_| self.next_timestep()).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,36 +127,6 @@ mod tests {
     fn tensor(v: Vec<f64>) -> Tensor {
         let n = v.len();
         Tensor::from_vec(vec![n], v).unwrap()
-    }
-
-    #[test]
-    fn bernoulli_rates_converge() {
-        let mut enc = BernoulliEncoder::new(&tensor(vec![0.2, 0.8]), 11);
-        let train = enc.train(2000).unwrap();
-        let c0 = train.iter().filter(|s| s[0]).count() as f64 / 2000.0;
-        let c1 = train.iter().filter(|s| s[1]).count() as f64 / 2000.0;
-        assert!((c0 - 0.2).abs() < 0.05, "rate {c0}");
-        assert!((c1 - 0.8).abs() < 0.05, "rate {c1}");
-    }
-
-    #[test]
-    fn bernoulli_is_seeded_and_resettable() {
-        let mut a = BernoulliEncoder::new(&tensor(vec![0.5; 4]), 3);
-        let mut b = BernoulliEncoder::new(&tensor(vec![0.5; 4]), 3);
-        assert_eq!(a.train(50).unwrap(), b.train(50).unwrap());
-        let first = a.train(50).unwrap();
-        let second = a.train(50).unwrap();
-        assert_eq!(first, second, "reset restarts the stream");
-        let mut c = BernoulliEncoder::new(&tensor(vec![0.5; 4]), 4);
-        assert_ne!(a.train(50).unwrap(), c.train(50).unwrap());
-        assert_eq!(c.len(), 4);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn bernoulli_rejects_zero_steps() {
-        let mut enc = BernoulliEncoder::new(&tensor(vec![0.5]), 0);
-        assert!(enc.train(0).is_err());
     }
 
     #[test]
@@ -282,8 +179,6 @@ mod tests {
         assert_eq!(enc.driven, [1], "a NaN line is never walked");
         let dark = enc.train(8).unwrap();
         assert_eq!(dark, RateEncoder::new(&tensor(vec![0.0, 0.5, 0.0])).train(8).unwrap());
-        let mut coin = BernoulliEncoder::new(&nan, 3);
-        assert!(coin.train(8).unwrap().iter().all(|step| !step[0] && !step[2]));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod network;
 pub mod synthetic;
 
 pub use convert::{convert, convert_with_report, ConversionOptions, ConversionReport};
-pub use encode::{BernoulliEncoder, RateEncoder};
+pub use encode::RateEncoder;
 pub use layer::{SnnLayer, SpikingConv, SpikingDense, SpikingPool, SpikingResidual};
 pub use network::{ActivityStats, SnnNetwork, SnnOutput};
 pub use synthetic::snn_from_specs;

@@ -9,7 +9,7 @@ use crate::encode::RateEncoder;
 use crate::layer::SnnLayer;
 
 /// The result of running one frame through the network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnnOutput {
     /// Output spikes accumulated over the frame, per output neuron.
     pub spike_counts: Vec<u32>,

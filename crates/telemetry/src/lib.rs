@@ -26,11 +26,12 @@
 //! or the Prometheus snapshot ([`Telemetry::prometheus`]).
 //!
 //! ```
-//! use shenjing_telemetry::{SpanRecord, Telemetry, TelemetryConfig};
+//! use shenjing_telemetry::{SpanRecord, Telemetry};
 //!
-//! let telemetry = Telemetry::new(TelemetryConfig::default().with_sample_every(1));
+//! let telemetry = Telemetry::new();
 //! telemetry.registry().counter("demo_total").inc();
-//! assert!(telemetry.sample());
+//! assert!(telemetry.sample(), "decision 0 is sampled");
+//! assert!(!telemetry.sample());
 //! let at = telemetry.now_us();
 //! telemetry.record_span(SpanRecord {
 //!     id: 0,
@@ -62,50 +63,14 @@ use std::time::Instant;
 
 use shenjing_core::Result;
 
-/// Telemetry policy: one value on the runtime config.
-///
-/// Defaults keep the hot-path cost negligible (1-in-16 sampling, a
-/// 4096-span ring); [`dense`](TelemetryConfig::dense) records every
-/// request for demos and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Master switch: when false, [`Telemetry::sample`] never fires and
-    /// no spans or profiles are recorded (counters stay live — they
-    /// are too cheap to gate).
-    pub enabled: bool,
-    /// Record the lifecycle span (and profile the carrying batch) of
-    /// every N-th request. 1 records everything.
-    pub sample_every: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig { enabled: true, sample_every: 16 }
-    }
-}
-
-impl TelemetryConfig {
-    /// Every request sampled — full traces, for demos and tests.
-    pub fn dense() -> TelemetryConfig {
-        TelemetryConfig::default().with_sample_every(1)
-    }
-
-    /// Sampling and span recording off; counters remain live.
-    pub fn disabled() -> TelemetryConfig {
-        TelemetryConfig { enabled: false, ..TelemetryConfig::default() }
-    }
-
-    /// Sets the sampling period (clamped to at least 1).
-    #[must_use]
-    pub fn with_sample_every(mut self, every: u64) -> TelemetryConfig {
-        self.sample_every = every.max(1);
-        self
-    }
-}
-
 /// Sampled spans the hub's ring holds; the oldest span is evicted (and
 /// counted) on overflow.
 const SPAN_RING_CAPACITY: usize = 4096;
+
+/// [`Telemetry::sample`] fires on admission decision 0, `SAMPLE_EVERY`,
+/// `2 * SAMPLE_EVERY`, …: one request in 16 records its span and
+/// profiles the batch that carries it.
+const SAMPLE_EVERY: u64 = 16;
 
 /// The telemetry hub one runtime owns: an epoch all span timestamps
 /// are relative to, the metric [`Registry`], the sampled [`SpanRing`],
@@ -113,27 +78,26 @@ const SPAN_RING_CAPACITY: usize = 4096;
 #[derive(Debug)]
 pub struct Telemetry {
     epoch: Instant,
-    config: TelemetryConfig,
     registry: Registry,
     spans: SpanRing,
     decisions: AtomicU64,
 }
 
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry::new()
+    }
+}
+
 impl Telemetry {
     /// A fresh hub; the epoch is now.
-    pub fn new(config: TelemetryConfig) -> Telemetry {
+    pub fn new() -> Telemetry {
         Telemetry {
             epoch: Instant::now(),
-            config,
             registry: Registry::new(),
             spans: SpanRing::new(SPAN_RING_CAPACITY),
             decisions: AtomicU64::new(0),
         }
-    }
-
-    /// The configured policy.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
     }
 
     /// The instant all span timestamps are measured from.
@@ -157,20 +121,15 @@ impl Telemetry {
         &self.registry
     }
 
-    /// One sampling decision: true for every `sample_every`-th call
-    /// while enabled. A single relaxed atomic increment.
+    /// One sampling decision: true for every `SAMPLE_EVERY`-th (16th) call,
+    /// starting with the first. A single relaxed atomic increment.
     pub fn sample(&self) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
-        self.decisions.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.config.sample_every)
+        self.decisions.fetch_add(1, Ordering::Relaxed).is_multiple_of(SAMPLE_EVERY)
     }
 
     /// Records one sampled lifecycle span.
     pub fn record_span(&self, span: SpanRecord) {
-        if self.config.enabled {
-            self.spans.push(span);
-        }
+        self.spans.push(span);
     }
 
     /// Snapshot of the retained spans, oldest first.
@@ -211,26 +170,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sampling_honours_period_and_master_switch() {
-        let t = Telemetry::new(TelemetryConfig::default().with_sample_every(4));
-        let hits = (0..16).filter(|_| t.sample()).count();
-        assert_eq!(hits, 4);
-        let off = Telemetry::new(TelemetryConfig::disabled());
-        assert!((0..16).all(|_| !off.sample()));
-        off.record_span(SpanRecord::default());
-        assert!(off.spans().is_empty(), "disabled telemetry records nothing");
-    }
-
-    #[test]
-    fn config_clamps_degenerate_values() {
-        let c = TelemetryConfig::default().with_sample_every(0);
-        assert_eq!(c.sample_every, 1);
-        assert_eq!(TelemetryConfig::dense().sample_every, 1);
+    fn sampling_takes_every_sample_every_th_decision() {
+        let t = Telemetry::new();
+        let hits: Vec<u64> = (0..4 * SAMPLE_EVERY).filter(|_| t.sample()).collect();
+        assert_eq!(hits, vec![0, SAMPLE_EVERY, 2 * SAMPLE_EVERY, 3 * SAMPLE_EVERY]);
+        t.record_span(SpanRecord::default());
+        assert_eq!(t.spans().len(), 1, "a recorded span is always kept");
     }
 
     #[test]
     fn timestamps_are_relative_to_the_epoch() {
-        let t = Telemetry::new(TelemetryConfig::default());
+        let t = Telemetry::new();
         assert_eq!(t.instant_us(t.epoch()), 0.0);
         let now = t.now_us();
         assert!(now >= 0.0);

@@ -5,9 +5,8 @@
 //!
 //! Run with: `cargo run --release --example serving`
 //!
-//! Telemetry rides along: the runtime traces every request (dense
-//! sampling) and the example prints a slice of the Prometheus metrics
-//! snapshot. Set `SHENJING_TRACE_OUT=trace.json` to also dump a
+//! Telemetry rides along: the runtime traces one request in 16 and the
+//! example prints a slice of the Prometheus metrics snapshot. Set `SHENJING_TRACE_OUT=trace.json` to also dump a
 //! Chrome-trace file loadable in Perfetto / `chrome://tracing` (and
 //! checkable with `bench_gate trace-check`).
 
@@ -81,15 +80,12 @@ fn main() -> Result<()> {
         .max_batch(8)
         .timesteps(timesteps)
         .queue_depth(128)
-        // Trace every request instead of the production 1-in-16 default:
-        // the demo's 48 frames should all show up in the exported trace.
-        .telemetry(TelemetryConfig::dense())
         .build()?;
     let runtime = Runtime::serve(registry, config)?;
 
-    // 4. Mixed traffic: every third request goes to the zoo tenant. The
-    //    digit requests ride the wire format both ways, the way a remote
-    //    client would submit them.
+    // 4. Mixed traffic: every third request goes to the zoo tenant. Every
+    //    request is encoded to the JSON wire format and decoded back
+    //    before it is submitted, the way a runtime reads one off a wire.
     let frames: Vec<Tensor> = test.iter().take(48).map(|(x, _)| x.clone()).collect();
     let started = Instant::now();
     let mut pending = Vec::new();
@@ -113,8 +109,8 @@ fn main() -> Result<()> {
         println!("admission control: {e} ({:?})", e.reject_reason());
     }
 
-    // 6. Observability: every request was traced (dense sampling above),
-    //    so the lifecycle spans and engine phase profiles are sitting in
+    // 6. Observability: one request in 16 was traced (3 of the 48), so
+    //    their lifecycle spans and engine phase profiles are sitting in
     //    the telemetry ring. Export them before shutdown consumes the
     //    runtime — a Chrome trace if `SHENJING_TRACE_OUT` names a path,
     //    and the engine-phase slice of the Prometheus snapshot here.
